@@ -41,11 +41,10 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 	if approx < 0 {
 		approx = 0
 	}
-	// proofs tracks whether every level below the next k failed completely
-	// — i.e. hw(H) > k−1 is proven, which is what lets a success at k (or
-	// the min-fill incumbent at w0) claim exactness. A capped or cancelled
-	// level forfeits the claim.
-	proofs := true
+	// A level that fails, even completely, proves only hw(H) > k: ghw may
+	// still be k or less, so failed levels drive the deepening but never
+	// the exactness claim, which only the tw-ksc bound (a true ghw bound)
+	// can make.
 	for k := lb; k < w0; k += approx + 1 {
 		r := detk.DecomposeBalancedCtx(ctx, h, k, detk.BalancedOptions{
 			Jobs:       opt.Jobs,
@@ -71,21 +70,11 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 				best.Width = w
 				best.Ordering = o
 			}
-			// Exact iff the width matches a proof: either the global lower
-			// bound, or infeasibility of every smaller k established by the
-			// completed levels below (and no approx slack spent). A witness
-			// whose extracted ordering scores below k is kept but cannot be
-			// certified here.
-			best.Exact = best.Width == lb ||
-				(proofs && r.Complete && r.SlackUsed == 0 && best.Width == k)
+			best.Exact = best.Width == lb
 			return best, nil
 		}
-		if !r.Complete {
-			proofs = false
-		}
 	}
-	// Every level below w0 failed: the min-fill incumbent is optimal when
-	// they all failed completely.
-	best.Exact = proofs
+	// Every level below w0 failed, which bounds hw, not ghw: the min-fill
+	// incumbent stands unproven.
 	return best, nil
 }

@@ -242,16 +242,18 @@ func cmdHypertreeWidth(args []string) error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	s := of.start()
 	defer s.flight.HandlePanic()
-	// det-k-decomp takes no context; arm with Background so panics are
-	// still captured (the watcher simply never fires).
-	s.arm(context.Background(), "hw", fs.Arg(0), "detk")
+	s.arm(ctx, "hw", fs.Arg(0), "detk")
 	start := time.Now()
-	w, d := htd.HypertreeWidthTraced(h, *maxK, s.trace)
+	w, d, err := htd.HypertreeWidthCtx(ctx, h, *maxK, s.stats, s.trace)
 	wall := time.Since(start)
 	res := htd.Result{Width: w, LowerBound: w, Exact: w >= 0}
-	if err := s.finish("hw", fs.Arg(0), "detk", float64(w), res, nil, wall); err != nil {
+	if ferr := s.finish("hw", fs.Arg(0), "detk", float64(w), res, err, wall); ferr != nil {
+		return ferr
+	}
+	if err != nil {
 		return err
 	}
 	s.summarize(res)

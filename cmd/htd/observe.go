@@ -189,7 +189,7 @@ func (s *obsSession) finish(cmd, instance, method string, width float64, res htd
 	// snapshot is taken, so the ledger, expvar, and /metrics all report how
 	// much of the timeline was lost to ring wrap-around.
 	if s.trace != nil {
-		s.stats.AddTraceDropped(s.trace.Dropped())
+		s.stats.Add(telemetry.TraceDropped, s.trace.Dropped())
 	}
 	s.settleFlight(runErr)
 	if s.flags.tracePath != "" {
@@ -247,42 +247,18 @@ func progressObserver(logger *slog.Logger) *htd.Observer {
 	}
 }
 
-// summarize logs the final counter totals and provenance after a run.
+// summarize logs every non-zero counter and gauge under its wire name,
+// then the run's provenance.
 func (s *obsSession) summarize(res htd.Result) {
 	if s.logger == nil {
 		return
 	}
-	snap := s.stats.Snapshot()
-	attrs := []any{
-		"nodes", snap.Nodes,
-		"prune_simplicial", snap.PruneSimplicial,
-		"prune_pr2", snap.PrunePR2,
-		"prune_cover_bound", snap.PruneCoverBound,
-		"prune_lb_cutoff", snap.PruneLBCutoff,
-		"prune_dominance", snap.PruneDominance,
-		"ga_generations", snap.GAGenerations,
-		"ga_evaluations", snap.GAEvaluations,
-		"restarts", snap.Restarts,
-		"heur_steps", snap.HeurSteps,
-		"cover_hits", snap.CoverHits,
-		"cover_misses", snap.CoverMisses,
-		"cover_evictions", snap.CoverEvictions,
-		"heap_high_water", snap.HeapHighWaterBytes,
-		"total_alloc", snap.TotalAllocBytes,
-	}
-	if snap.CQJoinTuples > 0 || snap.CQSemijoinTuples > 0 || snap.CQOutputJoins > 0 {
-		attrs = append(attrs,
-			"cq_join_tuples", snap.CQJoinTuples,
-			"cq_semijoin_tuples", snap.CQSemijoinTuples,
-			"cq_output_joins", snap.CQOutputJoins,
-		)
-	}
-	if snap.CQDeltaTuples > 0 || snap.CQBatchSharedJoins > 0 {
-		attrs = append(attrs,
-			"cq_delta_tuples", snap.CQDeltaTuples,
-			"cq_batch_shared_joins", snap.CQBatchSharedJoins,
-		)
-	}
+	var attrs []any
+	s.stats.Snapshot().EachScalar(func(name string, v int64) {
+		if v != 0 {
+			attrs = append(attrs, name, v)
+		}
+	})
 	if res.Winner != "" {
 		attrs = append(attrs, "winner", res.Winner)
 	}

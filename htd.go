@@ -391,8 +391,11 @@ func foldCover(st *Stats, orc *cover.Oracle) {
 		return
 	}
 	c := orc.Counters()
-	st.AddCover(c.Hits, c.Misses, c.Evictions)
-	st.AddCoverLatency(orc.LatencySnapshots())
+	probe, solve, frac := orc.LatencySnapshots()
+	st.AddSnapshot(StatsSnapshot{
+		CoverHits: c.Hits, CoverMisses: c.Misses, CoverEvictions: c.Evictions,
+		CoverProbeNs: probe, CoverSolveNs: solve, CoverFracNs: frac,
+	})
 }
 
 // ghwOne runs a single (non-portfolio) GHW method under ctx, reporting
@@ -627,25 +630,14 @@ func HypertreeWidth(h *Hypergraph, maxK int) (int, *Decomposition) {
 	return detk.Width(h, maxK, detk.Options{})
 }
 
-// HypertreeWidthTraced is HypertreeWidth with a structured trace attached:
-// det-k-decomp emits one span per width-k attempt and sampled component
-// recursion instants into tr (nil tr behaves exactly like HypertreeWidth).
-func HypertreeWidthTraced(h *Hypergraph, maxK int, tr *Trace) (int, *Decomposition) {
-	return detk.Width(h, maxK, detk.Options{Trace: tr})
-}
-
-// HypertreeWidthStats is HypertreeWidth with telemetry: det-k-decomp's
-// guess counters and phase attribution land in st (nil st behaves exactly
-// like HypertreeWidth) and tr receives the structured trace as in
-// HypertreeWidthTraced. Attaching either never changes the decomposition.
-func HypertreeWidthStats(h *Hypergraph, maxK int, st *Stats, tr *Trace) (int, *Decomposition) {
-	return detk.Width(h, maxK, detk.Options{Trace: tr, Stats: st})
-}
-
-// HypertreeWidthCtx is HypertreeWidthStats under a context: cancellation
-// or a deadline aborts det-k-decomp at the next poll and returns the
-// context error with width −1 (hypertree width has no anytime incumbent —
-// a truncated run proves nothing in either direction).
+// HypertreeWidthCtx is HypertreeWidth with telemetry, under a context:
+// det-k-decomp's guess counters and phase attribution land in st, tr
+// receives one span per width-k attempt and sampled component recursion
+// instants (either may be nil; attaching them never changes the
+// decomposition). Cancellation or a deadline aborts det-k-decomp at the
+// next poll and returns the context error with width −1 (hypertree width
+// has no anytime incumbent — a truncated run proves nothing in either
+// direction).
 func HypertreeWidthCtx(ctx context.Context, h *Hypergraph, maxK int, st *Stats, tr *Trace) (int, *Decomposition, error) {
 	return detk.WidthCtx(ctx, h, maxK, detk.Options{Trace: tr, Stats: st})
 }

@@ -158,7 +158,7 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 	for q.Len() > 0 {
 		s := heap.Pop(&q).(*state)
 		nodes++
-		opt.Stats.Node()
+		opt.Stats.Add(telemetry.Nodes, 1)
 		// Sampled trace pulse: one instant per 1024 expansions shows the
 		// f-frontier climbing without touching the hot loop.
 		if opt.Trace != nil && nodes&1023 == 0 {
@@ -185,7 +185,7 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 		}
 		if s.f >= ub {
 			// Remaining open states cannot beat the heuristic solution.
-			opt.Stats.LBCutoff()
+			opt.Stats.Add(telemetry.PruneLBCutoff, 1)
 			return search.Result{Width: ub, LowerBound: ub, Exact: true, Ordering: ubOrder, Nodes: nodes}
 		}
 
@@ -222,7 +222,7 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 			step := mode.StepCost(g, v)
 			cg := max(s.g, step)
 			if cg >= ub {
-				opt.Stats.LBCutoff()
+				opt.Stats.Add(telemetry.PruneLBCutoff, 1)
 				continue
 			}
 			g.Eliminate(v)
@@ -238,7 +238,7 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 				}
 				opt.Stats.RuleSince(telemetry.RuleDominance, rt)
 				if ok && prev <= cg {
-					opt.Stats.Dominance()
+					opt.Stats.Add(telemetry.PruneDominance, 1)
 					g.Restore()
 					continue
 				}
@@ -249,7 +249,7 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 			opt.Stats.RuleSince(telemetry.RuleLBCutoff, rt)
 			cf := max(cg, h, s.f)
 			if cf >= ub {
-				opt.Stats.LBCutoff()
+				opt.Stats.Add(telemetry.PruneLBCutoff, 1)
 				g.Restore()
 				continue
 			}
@@ -353,14 +353,14 @@ func successors(g *elim.Graph, mode search.Mode, opt search.Options, f int, pr2 
 		v, ok := reduce.Find(g, f)
 		opt.Stats.RuleSince(telemetry.RuleSimplicial, rt)
 		if ok {
-			opt.Stats.Simplicial()
+			opt.Stats.Add(telemetry.PruneSimplicial, 1)
 			return []int{v}, true
 		}
 	}
 	var out []int
 	g.ForEachRemaining(func(v int) {
 		if pr2 != nil && pr2.Contains(v) {
-			opt.Stats.PR2()
+			opt.Stats.Add(telemetry.PrunePR2, 1)
 			return
 		}
 		out = append(out, v)

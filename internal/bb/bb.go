@@ -151,7 +151,7 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 		return
 	}
 
-	s.opt.Stats.Node()
+	s.opt.Stats.Add(telemetry.Nodes, 1)
 	// Sampled trace pulse: one instant per 1024 expansions keeps the trace
 	// out of the inner loop while still showing expansion rate over time.
 	if s.opt.Trace != nil && s.nodes&1023 == 0 {
@@ -181,7 +181,7 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 		s.opt.Incumbent(s.ub)
 	}
 	if finish <= gc {
-		s.opt.Stats.CoverBound()
+		s.opt.Stats.Add(telemetry.PruneCoverBound, 1)
 		return // no completion beats gc, which PR1 just recorded
 	}
 
@@ -195,14 +195,14 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 		if v, ok := reduce.Find(s.g, f); ok {
 			candidates = []int{v}
 			reduced = true
-			s.opt.Stats.Simplicial()
+			s.opt.Stats.Add(telemetry.PruneSimplicial, 1)
 		}
 		s.opt.Stats.RuleSince(telemetry.RuleSimplicial, rt)
 	}
 	if candidates == nil {
 		s.g.ForEachRemaining(func(v int) {
 			if pr2 != nil && pr2.Contains(v) {
-				s.opt.Stats.PR2()
+				s.opt.Stats.Add(telemetry.PrunePR2, 1)
 				return
 			}
 			candidates = append(candidates, v)
@@ -231,7 +231,7 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 		step := s.mode.StepCost(s.g, v)
 		cg := max(gc, step)
 		if cg >= s.ub {
-			s.opt.Stats.LBCutoff()
+			s.opt.Stats.Add(telemetry.PruneLBCutoff, 1)
 			continue
 		}
 		s.g.Eliminate(v)
@@ -242,7 +242,7 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 		domHit := s.domPruned(cg)
 		s.opt.Stats.RuleSince(telemetry.RuleDominance, rt)
 		if domHit {
-			s.opt.Stats.Dominance()
+			s.opt.Stats.Add(telemetry.PruneDominance, 1)
 			s.elimSet.Remove(v)
 			s.prefix = s.prefix[:len(s.prefix)-1]
 			s.g.Restore()
@@ -256,7 +256,7 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 		if cf < s.ub {
 			s.dfs(cg, cf, childPR2)
 		} else {
-			s.opt.Stats.LBCutoff()
+			s.opt.Stats.Add(telemetry.PruneLBCutoff, 1)
 		}
 
 		s.elimSet.Remove(v)

@@ -63,7 +63,7 @@ func (sb *sharedBase) canonical(name string, arity int) ([][]int, error) {
 	k := relKey{name, arity}
 	if sr, ok := sb.rels[k]; ok {
 		if sr.err == nil {
-			sb.stats.CQBatchShared()
+			sb.stats.Add(telemetry.CQBatchSharedJoins, 1)
 		}
 		return sr.tuples, sr.err
 	}

@@ -237,7 +237,7 @@ func runTasks(ctx context.Context, opt EvalOptions, n int, fn func(i int) error)
 		fn = func(i int) error {
 			t0 := time.Now()
 			err := inner(i)
-			st.ObserveCQBatch(time.Since(t0))
+			st.Observe(telemetry.CQBatchNs, time.Since(t0))
 			return err
 		}
 	}
@@ -293,7 +293,7 @@ func runTasks(ctx context.Context, opt EvalOptions, n int, fn func(i int) error)
 		barrier := time.Now()
 		for _, t := range finished {
 			if !t.IsZero() {
-				st.ObserveLevelWait(barrier.Sub(t))
+				st.Observe(telemetry.CQLevelWaitNs, barrier.Sub(t))
 			}
 		}
 	}
@@ -328,7 +328,7 @@ func (e *engine) basePass(ctx context.Context) (empty bool, err error) {
 				return ctx.Err()
 			}
 			joined = csp.Join(joined, e.in.atomRel[a])
-			e.opt.Stats.CQJoin(int64(joined.Size()))
+			e.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
 			if joined.Size() == 0 {
 				break
 			}
@@ -370,7 +370,7 @@ func (e *engine) reduceUp(ctx context.Context) (empty bool, err error) {
 					continue
 				}
 				pr = csp.Semijoin(pr, cr)
-				e.opt.Stats.CQSemijoin(int64(pr.Size()))
+				e.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(pr.Size()))
 				if pr.Size() == 0 {
 					e.emptied.Store(true)
 					break
@@ -410,7 +410,7 @@ func (e *engine) reduceDown(ctx context.Context) error {
 					continue
 				}
 				e.rel[ci] = csp.Semijoin(e.rel[ci], pr)
-				e.opt.Stats.CQSemijoin(int64(e.rel[ci].Size()))
+				e.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(e.rel[ci].Size()))
 			}
 			return nil
 		})
@@ -441,11 +441,11 @@ func (e *engine) outputPass(ctx context.Context) error {
 		}
 		err := e.runLevel(ctx, e.levels[lvl], func(n *decomp.Node) error {
 			i := e.idx[n]
-			e.opt.Stats.CQOutputJoin()
+			e.opt.Stats.Add(telemetry.CQOutputJoins, 1)
 			joined := e.rel[i]
 			for _, ch := range n.Children {
 				joined = csp.Join(joined, e.out[e.idx[ch]])
-				e.opt.Stats.CQJoin(int64(joined.Size()))
+				e.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
 			}
 			var keep []int
 			seen := map[int]bool{}

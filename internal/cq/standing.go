@@ -216,7 +216,7 @@ func (s *StandingQuery) computeBase(i int) *csp.Relation {
 	joined := s.in.atomRel[n.Lambda[0]]
 	for _, a := range n.Lambda[1:] {
 		joined = csp.Join(joined, s.in.atomRel[a])
-		s.opt.Stats.CQJoin(int64(joined.Size()))
+		s.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
 		if joined.Size() == 0 {
 			break
 		}
@@ -234,7 +234,7 @@ func (s *StandingQuery) computeUp(n *decomp.Node) *csp.Relation {
 			continue
 		}
 		pr = csp.Semijoin(pr, cr)
-		s.opt.Stats.CQSemijoin(int64(pr.Size()))
+		s.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(pr.Size()))
 		if pr.Size() == 0 {
 			break
 		}
@@ -253,7 +253,7 @@ func (s *StandingQuery) computeDown(n *decomp.Node) *csp.Relation {
 		return cr
 	}
 	red := csp.Semijoin(cr, pr)
-	s.opt.Stats.CQSemijoin(int64(red.Size()))
+	s.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(red.Size()))
 	return red
 }
 
@@ -261,11 +261,11 @@ func (s *StandingQuery) computeDown(n *decomp.Node) *csp.Relation {
 // relation with the children's outputs and project to head ∪ connector.
 func (s *StandingQuery) computeOut(n *decomp.Node) *csp.Relation {
 	i := s.idx[n]
-	s.opt.Stats.CQOutputJoin()
+	s.opt.Stats.Add(telemetry.CQOutputJoins, 1)
 	joined := s.down[i]
 	for _, ch := range n.Children {
 		joined = csp.Join(joined, s.out[s.idx[ch]])
-		s.opt.Stats.CQJoin(int64(joined.Size()))
+		s.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
 	}
 	var keep []int
 	seen := map[int]bool{}
@@ -339,7 +339,7 @@ func (s *StandingQuery) apply(ctx context.Context, relation string, tuple []stri
 		// (on conflict) the undo-journal rollback. The same window is the
 		// delta's conjunctive-query phase time.
 		t0 := time.Now()
-		defer func() { st.ObserveDeltaApply(time.Since(t0)) }()
+		defer func() { st.Observe(telemetry.CQDeltaApplyNs, time.Since(t0)) }()
 		mark := st.MarkPhase()
 		defer st.AttributeSince(telemetry.PhaseCQ, mark)
 	}
@@ -374,7 +374,7 @@ func (s *StandingQuery) apply(ctx context.Context, relation string, tuple []stri
 		// of an absent or extra-multiplicity row, constant mismatch): the
 		// answer set is provably unchanged.
 		s.undo = nil
-		s.opt.Stats.CQDelta()
+		s.opt.Stats.Add(telemetry.CQDeltaTuples, 1)
 		return nil
 	}
 	tr, track := s.opt.Trace, s.opt.Track
@@ -386,7 +386,7 @@ func (s *StandingQuery) apply(ctx context.Context, relation string, tuple []stri
 		return err
 	}
 	s.undo = nil
-	s.opt.Stats.CQDelta()
+	s.opt.Stats.Add(telemetry.CQDeltaTuples, 1)
 	return nil
 }
 

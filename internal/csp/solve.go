@@ -54,7 +54,7 @@ func SolveFromTDStats(c *CSP, d *decomp.Decomposition, st *telemetry.Stats) ([]i
 	for _, n := range d.Nodes() {
 		t0 := time.Now()
 		rel, err := enumerateSubproblem(c, n.Chi.Slice(), placed[n])
-		st.ObserveCQBatch(time.Since(t0))
+		st.Observe(telemetry.CQBatchNs, time.Since(t0))
 		if err != nil {
 			return nil, false, err
 		}
@@ -109,7 +109,7 @@ func SolveFromGHDStats(c *CSP, d *decomp.Decomposition, st *telemetry.Stats) ([]
 			}
 		}
 		rel := Project(joined, chi)
-		st.ObserveCQBatch(time.Since(t0))
+		st.Observe(telemetry.CQBatchNs, time.Since(t0))
 		if rel.Size() == 0 && len(chi) > 0 {
 			return nil, false, nil
 		}
@@ -218,7 +218,7 @@ func acyclicOverDecomposition(c *CSP, d *decomp.Decomposition, nodeRel map[*deco
 			return nil, false
 		}
 	}
-	st.ObserveCQBatch(time.Since(t0))
+	st.Observe(telemetry.CQBatchNs, time.Since(t0))
 
 	// Top-down semijoins for directional consistency.
 	t0 = time.Now()
@@ -234,7 +234,7 @@ func acyclicOverDecomposition(c *CSP, d *decomp.Decomposition, nodeRel map[*deco
 			}
 		}
 	}
-	st.ObserveCQBatch(time.Since(t0))
+	st.Observe(telemetry.CQBatchNs, time.Since(t0))
 
 	// Top-down selection.
 	assignment := make([]int, c.NumVars())

@@ -389,7 +389,7 @@ func (e *balEngine) solveAt(w *balWorker, comp, conn *bitset.Set, b, depth int, 
 			telemetry.Arg{Key: "edges", Val: int64(comp.Len())},
 			telemetry.Arg{Key: "conn", Val: int64(conn.Len())})
 	}
-	e.opt.Stats.Node()
+	e.opt.Stats.Add(telemetry.Nodes, 1)
 
 	compVars := e.geo.componentVars(comp)
 	scope := compVars.Clone()

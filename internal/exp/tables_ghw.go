@@ -123,8 +123,7 @@ func searchTable(cfg Config, id, title string,
 			MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed, Cover: orc, Stats: st,
 		})
 		elapsed := time.Since(start)
-		st.AddCoverLatency(orc.LatencySnapshots())
-		probe := st.Snapshot().CoverProbeNs
+		probe, _, _ := orc.LatencySnapshots()
 		ref := "-"
 		if inst.KnownGHW >= 0 {
 			ref = itoa(inst.KnownGHW)

@@ -189,7 +189,7 @@ func evolveFloat(ctx context.Context, n int, cfg Config, rng *rand.Rand, weight 
 		fit[i] = weight(pop[i])
 		dirty[i] = false
 		evals++
-		cfg.Stats.GAEval()
+		cfg.Stats.Add(telemetry.GAEvaluations, 1)
 	}
 
 	bestW := math.Inf(1)
@@ -284,7 +284,7 @@ func evolveFloat(ctx context.Context, n int, cfg Config, rng *rand.Rand, weight 
 			break
 		}
 
-		cfg.Stats.GAGeneration()
+		cfg.Stats.Add(telemetry.GAGenerations, 1)
 		if cfg.Trace != nil {
 			cfg.Trace.Instant(cfg.Track, "ga.generation",
 				telemetry.Arg{Key: "gen", Val: int64(gen)},

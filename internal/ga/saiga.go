@@ -206,7 +206,7 @@ func saiga(ctx context.Context, n int, cfg SAIGAConfig, mkEval func(i int) func(
 			}
 			isl.fit[j] = isl.eval(isl.pop[j])
 			isl.evals++
-			cfg.Stats.GAEval()
+			cfg.Stats.Add(telemetry.GAEvaluations, 1)
 			if isl.fit[j] < isl.bestW {
 				isl.bestW = isl.fit[j]
 				isl.bestO = isl.pop[j].Clone()
@@ -277,7 +277,7 @@ func saiga(ctx context.Context, n int, cfg SAIGAConfig, mkEval func(i int) func(
 		for i, isl := range islands {
 			isl.par = nextParams[i]
 		}
-		cfg.Stats.Restart()
+		cfg.Stats.Add(telemetry.Restarts, 1)
 		if cfg.Trace != nil {
 			cfg.Trace.Instant(cfg.Track, "saiga.epoch",
 				telemetry.Arg{Key: "epoch", Val: int64(epoch)},
@@ -375,7 +375,7 @@ func evolveIsland(ctx context.Context, isl *island, cfg SAIGAConfig) {
 				}
 				isl.fit[i] = isl.eval(isl.pop[i])
 				isl.evals++
-				cfg.Stats.GAEval()
+				cfg.Stats.Add(telemetry.GAEvaluations, 1)
 			}
 			if isl.fit[i] < isl.bestW {
 				isl.bestW = isl.fit[i]
@@ -385,7 +385,7 @@ func evolveIsland(ctx context.Context, isl *island, cfg SAIGAConfig) {
 		if cancelled {
 			return
 		}
-		cfg.Stats.GAGeneration()
+		cfg.Stats.Add(telemetry.GAGenerations, 1)
 	}
 }
 

@@ -98,7 +98,7 @@ func greedyOrdering(ctx context.Context, g *elim.Graph, rng *rand.Rand, st *tele
 			width = d
 		}
 		ordering = append(ordering, v)
-		st.HeurStep()
+		st.Add(telemetry.HeurSteps, 1)
 	}
 	return ordering, width, nil
 }

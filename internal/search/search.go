@@ -156,7 +156,7 @@ func GHWModeStats(ctx context.Context, h *hypergraph.Hypergraph, rng *rand.Rand,
 			}
 			fracScratch.CopyFrom(g.Neighbors(v))
 			fracScratch.Add(v)
-			st.FracLPEval()
+			st.Add(telemetry.FracLPEvals, 1)
 			val, err := orc.FracValueStats(fracScratch, st)
 			if err != nil {
 				best, done = -1, true // fall back to the set-cover bound

@@ -111,14 +111,14 @@ func phaseReports(snap Snapshot, wallNs int64) []PhaseReport {
 		denom = total
 	}
 	out := make([]PhaseReport, 0, NumPhases)
-	for p := PhaseID(0); p < PhaseID(NumPhases); p++ {
-		ns := snap.Phases.Ns(p)
-		if ns == 0 {
+	for i := range table {
+		m := &table[i]
+		if m.kind != kindPhase || *m.val(&snap) == 0 {
 			continue
 		}
-		r := PhaseReport{Phase: p.String(), Ns: ns}
+		r := PhaseReport{Phase: m.stem(), Ns: *m.val(&snap)}
 		if denom > 0 {
-			r.Share = float64(ns) / float64(denom)
+			r.Share = float64(r.Ns) / float64(denom)
 		}
 		out = append(out, r)
 	}
@@ -131,37 +131,18 @@ func phaseReports(snap Snapshot, wallNs int64) []PhaseReport {
 	return out
 }
 
-// rulePrunes maps a RuleID to the matching prune counter of the snapshot.
-// RuleFracBound reports the cascade's wins: the rule itself never closes a
-// subtree directly — it strengthens the lower bound the lb_cutoff rule
-// then cuts with — so wins are its countable effect.
-func rulePrunes(snap Snapshot, r RuleID) int64 {
-	switch r {
-	case RuleSimplicial:
-		return snap.PruneSimplicial
-	case RulePR2:
-		return snap.PrunePR2
-	case RuleCoverBound:
-		return snap.PruneCoverBound
-	case RuleLBCutoff:
-		return snap.PruneLBCutoff
-	case RuleDominance:
-		return snap.PruneDominance
-	case RuleFracBound:
-		return snap.FracBoundWins
-	}
-	return 0
-}
-
 func ruleReports(snap Snapshot) []RuleReport {
 	out := make([]RuleReport, 0, NumRules)
-	for r := RuleID(0); r < RuleID(NumRules); r++ {
-		prunes := rulePrunes(snap, r)
-		ns := snap.Rules.Ns(r)
+	for i := range table {
+		m := &table[i]
+		if m.kind != kindRule {
+			continue
+		}
+		prunes, ns := *scalarRow(m.prunes).val(&snap), *m.val(&snap)
 		if prunes == 0 && ns == 0 {
 			continue
 		}
-		rep := RuleReport{Rule: r.String(), Prunes: prunes, Ns: ns}
+		rep := RuleReport{Rule: m.stem(), Prunes: prunes, Ns: ns}
 		if ns > 0 {
 			rep.PrunesPerMs = float64(prunes) / (float64(ns) / 1e6)
 		}

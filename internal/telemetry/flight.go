@@ -267,15 +267,18 @@ func RenderBundle(dir string, w io.Writer) error {
 
 	fmt.Fprintf(w, "\nlatency quantiles:\n")
 	quantRows := 0
-	for _, h := range promHists {
-		hs := h.val(doc.Counters)
+	for i := range table {
+		m := &table[i]
+		if m.kind != kindLatency {
+			continue
+		}
+		hs := *m.hist(&doc.Counters)
 		if hs.Count == 0 {
 			continue
 		}
 		quantRows++
-		name := strings.TrimSuffix(strings.TrimPrefix(h.name, "htd_"), "_seconds")
 		fmt.Fprintf(w, "  %-20s n=%-8d p50=%-10s p95=%-10s p99=%-10s mean=%s\n",
-			name, hs.Count,
+			m.stem(), hs.Count,
 			fmtNs(hs.P50()), fmtNs(hs.P95()), fmtNs(hs.P99()), fmtNs(hs.Mean()))
 	}
 	if quantRows == 0 {
@@ -284,10 +287,11 @@ func RenderBundle(dir string, w io.Writer) error {
 
 	fmt.Fprintf(w, "\ncounters (non-zero):\n")
 	counterRows := 0
-	for _, c := range append(append([]promCounter(nil), promCounters...), promGauges...) {
-		if v := c.val(doc.Counters); v != 0 {
+	for i := range table {
+		if m := &table[i]; m.scalar() && *m.val(&doc.Counters) != 0 {
 			counterRows++
-			fmt.Fprintf(w, "  %-32s %d\n", c.name, v)
+			fam, _ := m.family()
+			fmt.Fprintf(w, "  %-32s %d\n", fam, *m.val(&doc.Counters))
 		}
 	}
 	if counterRows == 0 {

@@ -45,8 +45,8 @@ func readBundleStats(t *testing.T, dir string) bundleStats {
 func TestFlightRecorderDeadlineDump(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundle")
 	var st Stats
-	st.Node()
-	st.ObserveCoverProbe(3 * time.Millisecond)
+	st.Add(Nodes, 1)
+	st.Observe(CoverProbeNs, 3*time.Millisecond)
 	st.RecordIncumbent(7, "minfill")
 	tr := NewTrace(0)
 	tr.Begin(0, "search")
@@ -175,10 +175,10 @@ func TestFlightRecorderNil(t *testing.T) {
 func TestRenderBundle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundle")
 	var st Stats
-	st.Node()
+	st.Add(Nodes, 1)
 	for i := 0; i < 50; i++ {
-		st.ObserveCoverProbe(2 * time.Millisecond)
-		st.ObserveCQBatch(5 * time.Millisecond)
+		st.Observe(CoverProbeNs, 2*time.Millisecond)
+		st.Observe(CQBatchNs, 5*time.Millisecond)
 	}
 	st.RecordIncumbent(9, "ga")
 	st.RecordIncumbent(4, "bb")

@@ -108,10 +108,10 @@ func TestStatsSnapshotAddProperties(t *testing.T) {
 	randSnap := func() Snapshot {
 		var s Stats
 		for i, n := 0, rng.Intn(50); i < n; i++ {
-			s.Node()
-			s.ObserveCoverProbe(time.Duration(rng.Int63n(1e7)))
-			s.ObserveLevelWait(time.Duration(rng.Int63n(1e6)))
-			s.ObserveCQBatch(time.Duration(rng.Int63n(1e8)))
+			s.Add(Nodes, 1)
+			s.Observe(CoverProbeNs, time.Duration(rng.Int63n(1e7)))
+			s.Observe(CQLevelWaitNs, time.Duration(rng.Int63n(1e6)))
+			s.Observe(CQBatchNs, time.Duration(rng.Int63n(1e8)))
 		}
 		return s.Snapshot()
 	}

@@ -57,17 +57,8 @@ const (
 	NumPhases = int(PhaseCQ) + 1
 )
 
-var phaseNames = [NumPhases]string{
-	"heur_seed", "cover_probe", "cover_solve", "lp", "branch", "lambda", "cq",
-}
-
 // String returns the snake_case phase name used in JSON and /metrics labels.
-func (p PhaseID) String() string {
-	if p < 0 || int(p) >= NumPhases {
-		return "unknown"
-	}
-	return phaseNames[p]
-}
+func (p PhaseID) String() string { return label(kindPhase, int(p)) }
 
 // PhaseBreakdown is a plain, JSON-encodable partition of attributed wall
 // time in nanoseconds. The zero value means "phase clocks never fired".
@@ -81,48 +72,16 @@ type PhaseBreakdown struct {
 	CQNs         int64 `json:"cq_ns,omitempty"`
 }
 
-// phaseField returns a pointer to the field holding phase p.
-func (b *PhaseBreakdown) phaseField(p PhaseID) *int64 {
-	switch p {
-	case PhaseHeurSeed:
-		return &b.HeurSeedNs
-	case PhaseCoverProbe:
-		return &b.CoverProbeNs
-	case PhaseCoverSolve:
-		return &b.CoverSolveNs
-	case PhaseLP:
-		return &b.LPNs
-	case PhaseBranch:
-		return &b.BranchNs
-	case PhaseLambda:
-		return &b.LambdaNs
-	default:
-		return &b.CQNs
-	}
-}
-
-// Ns returns the nanoseconds attributed to phase p.
-func (b PhaseBreakdown) Ns(p PhaseID) int64 { return *b.phaseField(p) }
-
 // Total returns the sum over all phases.
 func (b PhaseBreakdown) Total() int64 {
-	return b.HeurSeedNs + b.CoverProbeNs + b.CoverSolveNs + b.LPNs +
-		b.BranchNs + b.LambdaNs + b.CQNs
-}
-
-// Add returns the component-wise sum of two breakdowns. Like
-// HistSnapshot.Add it is associative and commutative (asserted by the
-// composition tests), so portfolio workers merge in any order.
-func (a PhaseBreakdown) Add(b PhaseBreakdown) PhaseBreakdown {
-	return PhaseBreakdown{
-		HeurSeedNs:   a.HeurSeedNs + b.HeurSeedNs,
-		CoverProbeNs: a.CoverProbeNs + b.CoverProbeNs,
-		CoverSolveNs: a.CoverSolveNs + b.CoverSolveNs,
-		LPNs:         a.LPNs + b.LPNs,
-		BranchNs:     a.BranchNs + b.BranchNs,
-		LambdaNs:     a.LambdaNs + b.LambdaNs,
-		CQNs:         a.CQNs + b.CQNs,
+	snap := Snapshot{Phases: b}
+	var t int64
+	for i := range table {
+		if m := &table[i]; m.kind == kindPhase {
+			t += *m.val(&snap)
+		}
 	}
+	return t
 }
 
 // RuleID names one prune rule whose decision time is tracked.
@@ -147,17 +106,8 @@ const (
 	NumRules = int(RuleFracBound) + 1
 )
 
-var ruleNames = [NumRules]string{
-	"simplicial", "pr2", "cover_bound", "lb_cutoff", "dominance", "frac_bound",
-}
-
 // String returns the snake_case rule name used in JSON and /metrics labels.
-func (r RuleID) String() string {
-	if r < 0 || int(r) >= NumRules {
-		return "unknown"
-	}
-	return ruleNames[r]
-}
+func (r RuleID) String() string { return label(kindRule, int(r)) }
 
 // RuleBreakdown is the JSON-encodable per-rule decision-time record, in
 // nanoseconds. Rule times overlap the phase partition (a rule evaluated
@@ -170,39 +120,6 @@ type RuleBreakdown struct {
 	LBCutoffNs   int64 `json:"lb_cutoff_ns,omitempty"`
 	DominanceNs  int64 `json:"dominance_ns,omitempty"`
 	FracBoundNs  int64 `json:"frac_bound_ns,omitempty"`
-}
-
-// ruleField returns a pointer to the field holding rule r.
-func (b *RuleBreakdown) ruleField(r RuleID) *int64 {
-	switch r {
-	case RuleSimplicial:
-		return &b.SimplicialNs
-	case RulePR2:
-		return &b.PR2Ns
-	case RuleCoverBound:
-		return &b.CoverBoundNs
-	case RuleLBCutoff:
-		return &b.LBCutoffNs
-	case RuleDominance:
-		return &b.DominanceNs
-	default:
-		return &b.FracBoundNs
-	}
-}
-
-// Ns returns the nanoseconds attributed to rule r.
-func (b RuleBreakdown) Ns(r RuleID) int64 { return *b.ruleField(r) }
-
-// Add returns the component-wise sum (associative, commutative).
-func (a RuleBreakdown) Add(b RuleBreakdown) RuleBreakdown {
-	return RuleBreakdown{
-		SimplicialNs: a.SimplicialNs + b.SimplicialNs,
-		PR2Ns:        a.PR2Ns + b.PR2Ns,
-		CoverBoundNs: a.CoverBoundNs + b.CoverBoundNs,
-		LBCutoffNs:   a.LBCutoffNs + b.LBCutoffNs,
-		DominanceNs:  a.DominanceNs + b.DominanceNs,
-		FracBoundNs:  a.FracBoundNs + b.FracBoundNs,
-	}
 }
 
 // AddPhase attributes d to phase p. Negative durations are discarded.
@@ -271,14 +188,6 @@ func (s *Stats) RuleSince(r RuleID, t0 time.Time) {
 	}
 }
 
-// FracLPEval counts one LP evaluation performed by the fractional-bound
-// cascade. Safe on nil.
-func (s *Stats) FracLPEval() {
-	if s != nil {
-		s.fracLPEvals.Add(1)
-	}
-}
-
 // FracBoundOutcome records one completed fractional-bound cascade: margin
 // is how much the ⌈ρ*⌉ bound exceeded the k-set-cover base (0 when the LP
 // added nothing). Wins count margins > 0; every completed cascade feeds
@@ -292,52 +201,7 @@ func (s *Stats) FracBoundOutcome(margin int64) {
 		margin = 0
 	}
 	if margin > 0 {
-		s.fracWins.Add(1)
+		s.scalars[FracBoundWins].Add(1)
 	}
-	s.fracMargin.Observe(margin)
-}
-
-// AddTraceDropped folds the trace ring's wraparound-overwrite count into
-// the counters, so truncated traces are visible in snapshots, ledger
-// lines and /metrics instead of failing silently. Safe on nil.
-func (s *Stats) AddTraceDropped(n int64) {
-	if s != nil && n > 0 {
-		s.traceDropped.Add(n)
-	}
-}
-
-// phaseSnapshot copies the live phase clocks into a PhaseBreakdown.
-func (s *Stats) phaseSnapshot() PhaseBreakdown {
-	var b PhaseBreakdown
-	for i := 0; i < NumPhases; i++ {
-		*b.phaseField(PhaseID(i)) = s.phaseNs[i].Load()
-	}
-	return b
-}
-
-// ruleSnapshot copies the live rule clocks into a RuleBreakdown.
-func (s *Stats) ruleSnapshot() RuleBreakdown {
-	var b RuleBreakdown
-	for i := 0; i < NumRules; i++ {
-		*b.ruleField(RuleID(i)) = s.ruleNs[i].Load()
-	}
-	return b
-}
-
-// addPhaseBreakdown folds a breakdown back into the live clocks.
-func (s *Stats) addPhaseBreakdown(b PhaseBreakdown) {
-	for i := 0; i < NumPhases; i++ {
-		if ns := b.Ns(PhaseID(i)); ns != 0 {
-			s.phaseNs[i].Add(ns)
-		}
-	}
-}
-
-// addRuleBreakdown folds a breakdown back into the live clocks.
-func (s *Stats) addRuleBreakdown(b RuleBreakdown) {
-	for i := 0; i < NumRules; i++ {
-		if ns := b.Ns(RuleID(i)); ns != 0 {
-			s.ruleNs[i].Add(ns)
-		}
-	}
+	s.hists[FracBoundMargin].Observe(margin)
 }

@@ -6,6 +6,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -27,6 +28,16 @@ func sampleRules() []RuleBreakdown {
 	}
 }
 
+// addPhases and addRules merge breakdowns the way the portfolio fold
+// does: through Snapshot.Add.
+func addPhases(a, b PhaseBreakdown) PhaseBreakdown {
+	return Snapshot{Phases: a}.Add(Snapshot{Phases: b}).Phases
+}
+
+func addRules(a, b RuleBreakdown) RuleBreakdown {
+	return Snapshot{Rules: a}.Add(Snapshot{Rules: b}).Rules
+}
+
 // TestPhaseBreakdownAddLaws asserts the merge algebra the portfolio and
 // the bench harness depend on: Add is commutative, associative, and has
 // the zero breakdown as identity — so per-worker breakdowns fold in any
@@ -35,26 +46,26 @@ func TestPhaseBreakdownAddLaws(t *testing.T) {
 	ps := samplePhases()
 	for _, a := range ps {
 		for _, b := range ps {
-			if a.Add(b) != b.Add(a) {
-				t.Fatalf("Add not commutative: %+v vs %+v", a.Add(b), b.Add(a))
+			if addPhases(a, b) != addPhases(b, a) {
+				t.Fatalf("Add not commutative: %+v vs %+v", addPhases(a, b), addPhases(b, a))
 			}
 			for _, c := range ps {
-				if a.Add(b).Add(c) != a.Add(b.Add(c)) {
+				if addPhases(addPhases(a, b), c) != addPhases(a, addPhases(b, c)) {
 					t.Fatalf("Add not associative for %+v %+v %+v", a, b, c)
 				}
 			}
 		}
-		if a.Add(PhaseBreakdown{}) != a {
+		if addPhases(a, PhaseBreakdown{}) != a {
 			t.Fatalf("zero not identity for %+v", a)
 		}
 	}
-	// Total must equal the sum over the Ns accessor — i.e. no field is
-	// missing from either. Guards against adding a phase and forgetting one
-	// of the three places.
+	// Total must equal the sum over every field — i.e. no phase is missing
+	// from the table.
 	for _, a := range ps {
 		var sum int64
-		for p := PhaseID(0); p < PhaseID(NumPhases); p++ {
-			sum += a.Ns(p)
+		v := reflect.ValueOf(a)
+		for i := 0; i < v.NumField(); i++ {
+			sum += v.Field(i).Int()
 		}
 		if sum != a.Total() {
 			t.Fatalf("Total()=%d but field sum=%d for %+v", a.Total(), sum, a)
@@ -66,16 +77,16 @@ func TestRuleBreakdownAddLaws(t *testing.T) {
 	rs := sampleRules()
 	for _, a := range rs {
 		for _, b := range rs {
-			if a.Add(b) != b.Add(a) {
-				t.Fatalf("Add not commutative: %+v vs %+v", a.Add(b), b.Add(a))
+			if addRules(a, b) != addRules(b, a) {
+				t.Fatalf("Add not commutative: %+v vs %+v", addRules(a, b), addRules(b, a))
 			}
 			for _, c := range rs {
-				if a.Add(b).Add(c) != a.Add(b.Add(c)) {
+				if addRules(addRules(a, b), c) != addRules(a, addRules(b, c)) {
 					t.Fatalf("Add not associative for %+v %+v %+v", a, b, c)
 				}
 			}
 		}
-		if a.Add(RuleBreakdown{}) != a {
+		if addRules(a, RuleBreakdown{}) != a {
 			t.Fatalf("zero not identity for %+v", a)
 		}
 	}
@@ -130,8 +141,8 @@ func TestAttributeSinceSubtractsFinePhases(t *testing.T) {
 // treats as no-op) clamp to zero.
 func TestFracBoundOutcome(t *testing.T) {
 	st := new(Stats)
-	st.FracLPEval()
-	st.FracLPEval()
+	st.Add(FracLPEvals, 1)
+	st.Add(FracLPEvals, 1)
 	st.FracBoundOutcome(2)
 	st.FracBoundOutcome(0)
 	st.FracBoundOutcome(-5)
@@ -160,9 +171,9 @@ func TestPhaseClocksNilSafe(t *testing.T) {
 	mark := st.MarkPhase()
 	st.AttributeSince(PhaseBranch, mark)
 	st.RuleSince(RulePR2, time.Now())
-	st.FracLPEval()
+	st.Add(FracLPEvals, 1)
 	st.FracBoundOutcome(1)
-	st.AddTraceDropped(10)
+	st.Add(TraceDropped, 10)
 	// The zero mark from a nil Stats must also disable AttributeSince on a
 	// live Stats (a worker passing marks across a nil boundary).
 	live := new(Stats)
@@ -179,9 +190,9 @@ func TestSnapshotAddMergesPhaseClocks(t *testing.T) {
 	a := new(Stats)
 	a.AddPhase(PhaseBranch, 100*time.Nanosecond)
 	a.RuleSince(RulePR2, time.Now()) // tiny but nonzero
-	a.FracLPEval()
+	a.Add(FracLPEvals, 1)
 	a.FracBoundOutcome(1)
-	a.AddTraceDropped(3)
+	a.Add(TraceDropped, 3)
 	b := new(Stats)
 	b.AddPhase(PhaseBranch, 50*time.Nanosecond)
 	b.AddPhase(PhaseLP, 25*time.Nanosecond)
@@ -238,7 +249,7 @@ func TestDiagnosisFromSnapshot(t *testing.T) {
 	}
 
 	// With cascade activity the bound report appears with a win rate.
-	st.FracLPEval()
+	st.Add(FracLPEvals, 1)
 	st.FracBoundOutcome(1)
 	st.FracBoundOutcome(0)
 	diag = NewDiagnosis(st.Snapshot(), nil, time.Second)

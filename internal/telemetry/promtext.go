@@ -17,167 +17,61 @@ import (
 	"strconv"
 )
 
-// promCounter is one counter family of the exposition.
-type promCounter struct {
-	name string
-	help string
-	val  func(Snapshot) int64
-}
-
-// promHist is one histogram family; values are nanoseconds in the
-// snapshot and seconds on the wire.
-type promHist struct {
-	name string
-	help string
-	val  func(Snapshot) HistSnapshot
-}
-
-var promCounters = []promCounter{
-	{"htd_nodes_total", "Search-tree nodes expanded (BB, A*).", func(s Snapshot) int64 { return s.Nodes }},
-	{"htd_prune_simplicial_total", "Branchings forced by the simplicial reduction rule.", func(s Snapshot) int64 { return s.PruneSimplicial }},
-	{"htd_prune_pr2_total", "Candidates removed by Pruning Rule 2.", func(s Snapshot) int64 { return s.PrunePR2 }},
-	{"htd_prune_cover_bound_total", "Subtrees closed by the PR1 finish/cover bound.", func(s Snapshot) int64 { return s.PruneCoverBound }},
-	{"htd_prune_lb_cutoff_total", "Branches cut by f/g reaching the incumbent.", func(s Snapshot) int64 { return s.PruneLBCutoff }},
-	{"htd_prune_dominance_total", "Revisits cut by the eliminated-set dominance cache.", func(s Snapshot) int64 { return s.PruneDominance }},
-	{"htd_ga_generations_total", "GA / island generations completed.", func(s Snapshot) int64 { return s.GAGenerations }},
-	{"htd_ga_evaluations_total", "GA fitness evaluations.", func(s Snapshot) int64 { return s.GAEvaluations }},
-	{"htd_restarts_total", "SAIGA epoch boundaries (parameter re-orientation).", func(s Snapshot) int64 { return s.Restarts }},
-	{"htd_heur_steps_total", "Greedy-ordering elimination steps.", func(s Snapshot) int64 { return s.HeurSteps }},
-	{"htd_cover_hits_total", "Cover-oracle transposition-table hits.", func(s Snapshot) int64 { return s.CoverHits }},
-	{"htd_cover_misses_total", "Cover-oracle misses (covers actually solved).", func(s Snapshot) int64 { return s.CoverMisses }},
-	{"htd_cover_evictions_total", "Cover-oracle bags evicted by the memory bound.", func(s Snapshot) int64 { return s.CoverEvictions }},
-	{"htd_cq_join_tuples_total", "Tuples emitted by query-engine join kernels.", func(s Snapshot) int64 { return s.CQJoinTuples }},
-	{"htd_cq_semijoin_tuples_total", "Tuples surviving query-engine semijoin kernels.", func(s Snapshot) int64 { return s.CQSemijoinTuples }},
-	{"htd_cq_output_joins_total", "Output-pass join operations (0 for Boolean runs).", func(s Snapshot) int64 { return s.CQOutputJoins }},
-	{"htd_cq_delta_tuples_total", "Standing-query deltas applied (inserts + deletes).", func(s Snapshot) int64 { return s.CQDeltaTuples }},
-	{"htd_cq_batch_shared_joins_total", "Batch-mode base relations served from the shared intern store.", func(s Snapshot) int64 { return s.CQBatchSharedJoins }},
-	{"htd_gc_count_total", "GC cycles observed over the run.", func(s Snapshot) int64 { return s.GCCount }},
-	{"htd_mem_samples_total", "MemStats samples taken by the background sampler.", func(s Snapshot) int64 { return s.MemSamples }},
-	{"htd_frac_lp_evals_total", "LP evaluations performed by the -fracbound cascade.", func(s Snapshot) int64 { return s.FracLPEvals }},
-	{"htd_frac_bound_wins_total", "Cascades where the fractional bound beat k-set-cover.", func(s Snapshot) int64 { return s.FracBoundWins }},
-	{"htd_trace_dropped_total", "Trace-ring events lost to wraparound.", func(s Snapshot) int64 { return s.TraceDropped }},
-}
-
-// promGauges are point-in-time byte/duration readings (not monotone).
-var promGauges = []promCounter{
-	{"htd_heap_high_water_bytes", "Maximum observed live-heap bytes.", func(s Snapshot) int64 { return s.HeapHighWaterBytes }},
-	{"htd_total_alloc_bytes", "Cumulative allocated bytes over the run.", func(s Snapshot) int64 { return s.TotalAllocBytes }},
-	{"htd_gc_pause_total_ns", "Total GC stop-the-world pause nanoseconds over the run.", func(s Snapshot) int64 { return s.GCPauseTotalNs }},
-}
-
-var promHists = []promHist{
-	{"htd_cover_probe_seconds", "Cover-oracle probe latency (hit or miss).", func(s Snapshot) HistSnapshot { return s.CoverProbeNs }},
-	{"htd_cover_solve_seconds", "Exact set-cover solve latency (oracle misses).", func(s Snapshot) HistSnapshot { return s.CoverSolveNs }},
-	{"htd_cover_frac_seconds", "Fractional-cover LP solve latency (frac-memo misses).", func(s Snapshot) HistSnapshot { return s.CoverFracNs }},
-	{"htd_cq_level_wait_seconds", "Per-worker barrier wait at parallel-evaluator level boundaries.", func(s Snapshot) HistSnapshot { return s.CQLevelWaitNs }},
-	{"htd_cq_batch_seconds", "Join/semijoin task batch duration (cq + csp engines).", func(s Snapshot) HistSnapshot { return s.CQBatchNs }},
-	{"htd_cq_delta_apply_seconds", "Standing-query delta apply latency.", func(s Snapshot) HistSnapshot { return s.CQDeltaApplyNs }},
-	{"htd_first_incumbent_seconds", "Time to first incumbent per portfolio worker.", func(s Snapshot) HistSnapshot { return s.FirstIncumbentNs }},
-}
-
-// WriteProm writes the snapshot in Prometheus text format v0.0.4. Every
-// family is always present (scrapers prefer stable family sets); unused
-// histograms expose only their +Inf bucket.
+// WriteProm writes the snapshot in Prometheus text format v0.0.4, one
+// family per table row (the phase and rule clocks share a labeled family
+// each). Every family is always present (scrapers prefer stable family
+// sets); unused histograms expose only their +Inf bucket.
 func WriteProm(w io.Writer, snap Snapshot) error {
-	for _, c := range promCounters {
-		if err := writePromScalar(w, c, "counter", snap); err != nil {
-			return err
+	var prev string
+	for i := range table {
+		m := &table[i]
+		fam, typ := m.family()
+		if fam != prev {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam, m.help, fam, typ); err != nil {
+				return err
+			}
+			prev = fam
 		}
-	}
-	for _, g := range promGauges {
-		if err := writePromScalar(w, g, "gauge", snap); err != nil {
-			return err
-		}
-	}
-	if err := writePromPhases(w, snap); err != nil {
-		return err
-	}
-	for _, h := range promHists {
-		if err := writePromHist(w, h, snap); err != nil {
-			return err
-		}
-	}
-	return writePromRawHist(w, "htd_frac_bound_margin",
-		"Fractional-bound margin over k-set-cover (width units, one sample per completed cascade).",
-		snap.FracBoundMargin)
-}
-
-// writePromPhases emits the labeled attribution families: one
-// htd_phase_seconds sample per PhaseID and one htd_prune_rule_seconds
-// sample per RuleID. Label sets are fixed, so the families are stable
-// across scrapes even when a phase never fired.
-func writePromPhases(w io.Writer, snap Snapshot) error {
-	const phaseName = "htd_phase_seconds"
-	if _, err := fmt.Fprintf(w, "# HELP %s Wall-clock seconds attributed per run phase.\n# TYPE %s counter\n",
-		phaseName, phaseName); err != nil {
-		return err
-	}
-	for i := 0; i < NumPhases; i++ {
-		p := PhaseID(i)
-		if _, err := fmt.Fprintf(w, "%s{phase=%q} %s\n", phaseName, p.String(),
-			strconv.FormatFloat(float64(snap.Phases.Ns(p))/1e9, 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	const ruleName = "htd_prune_rule_seconds"
-	if _, err := fmt.Fprintf(w, "# HELP %s Decision-time seconds spent per prune rule.\n# TYPE %s counter\n",
-		ruleName, ruleName); err != nil {
-		return err
-	}
-	for i := 0; i < NumRules; i++ {
-		r := RuleID(i)
-		if _, err := fmt.Fprintf(w, "%s{rule=%q} %s\n", ruleName, r.String(),
-			strconv.FormatFloat(float64(snap.Rules.Ns(r))/1e9, 'g', -1, 64)); err != nil {
+		if err := writePromSamples(w, m, fam, &snap); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writePromScalar(w io.Writer, c promCounter, typ string, snap Snapshot) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-		c.name, c.help, c.name, typ, c.name, c.val(snap))
+// writePromSamples writes one row's samples. Clock and latency rows hold
+// nanoseconds and go out in seconds; raw histograms (the frac-bound
+// margin, in width units) keep their log₂ bucket scale.
+func writePromSamples(w io.Writer, m *metric, fam string, snap *Snapshot) error {
+	var err error
+	switch m.kind {
+	case kindCounter, kindGauge:
+		_, err = fmt.Fprintf(w, "%s %d\n", fam, *m.val(snap))
+	case kindPhase:
+		_, err = fmt.Fprintf(w, "%s{phase=%q} %s\n", fam, m.stem(), seconds(*m.val(snap)))
+	case kindRule:
+		_, err = fmt.Fprintf(w, "%s{rule=%q} %s\n", fam, m.stem(), seconds(*m.val(snap)))
+	default:
+		unit := seconds
+		if m.kind == kindHist {
+			unit = func(v int64) string { return strconv.FormatInt(v, 10) }
+		}
+		hs := *m.hist(snap)
+		var cum int64
+		for i, c := range hs.Buckets {
+			cum += c
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", fam, unit(HistBucketUpper(i)), cum); err != nil {
+				return err
+			}
+		}
+		_, err = fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
+			fam, hs.Count, fam, unit(hs.Sum), fam, hs.Count)
+	}
 	return err
 }
 
-func writePromHist(w io.Writer, h promHist, snap Snapshot) error {
-	hs := h.val(snap)
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", h.name, h.help, h.name); err != nil {
-		return err
-	}
-	var cum int64
-	for i, c := range hs.Buckets {
-		cum += c
-		le := strconv.FormatFloat(float64(HistBucketUpper(i))/1e9, 'g', -1, 64)
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, le, cum); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
-		h.name, hs.Count,
-		h.name, strconv.FormatFloat(float64(hs.Sum)/1e9, 'g', -1, 64),
-		h.name, hs.Count)
-	return err
-}
-
-// writePromRawHist writes a histogram whose observations are unitless
-// (the frac-bound margin is in width units, not nanoseconds): le bounds
-// and the sum stay in the raw log₂ bucket scale.
-func writePromRawHist(w io.Writer, name, help string, hs HistSnapshot) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name); err != nil {
-		return err
-	}
-	var cum int64
-	for i, c := range hs.Buckets {
-		cum += c
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, HistBucketUpper(i), cum); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-		name, hs.Count, name, hs.Sum, name, hs.Count)
-	return err
-}
+// seconds renders nanoseconds as Prometheus base-unit seconds.
+func seconds(ns int64) string { return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64) }
 
 // PromHandler returns an http.Handler exposing the Stats published under
 // name (via PublishExpvar) in Prometheus text format — the /metrics

@@ -99,17 +99,17 @@ func parseProm(t *testing.T, text string) map[string]*promFamily {
 // +Inf == _count, and counters matching the snapshot.
 func TestWritePromValid(t *testing.T) {
 	var s Stats
-	s.Node()
-	s.Node()
-	s.AddCover(3, 2, 1)
+	s.Add(Nodes, 1)
+	s.Add(Nodes, 1)
+	s.AddSnapshot(Snapshot{CoverHits: 3, CoverMisses: 2, CoverEvictions: 1})
 	for i := 0; i < 100; i++ {
-		s.ObserveCoverProbe(time.Duration(i) * time.Microsecond)
-		s.ObserveCoverSolve(time.Duration(i) * 3 * time.Microsecond)
-		s.ObserveLevelWait(time.Duration(i) * 10 * time.Nanosecond)
-		s.ObserveCQBatch(time.Duration(i) * time.Millisecond)
-		s.ObserveDeltaApply(time.Duration(i) * 7 * time.Microsecond)
+		s.Observe(CoverProbeNs, time.Duration(i)*time.Microsecond)
+		s.Observe(CoverSolveNs, time.Duration(i)*3*time.Microsecond)
+		s.Observe(CQLevelWaitNs, time.Duration(i)*10*time.Nanosecond)
+		s.Observe(CQBatchNs, time.Duration(i)*time.Millisecond)
+		s.Observe(CQDeltaApplyNs, time.Duration(i)*7*time.Microsecond)
 	}
-	s.ObserveFirstIncumbent(42 * time.Millisecond)
+	s.Observe(FirstIncumbentNs, 42*time.Millisecond)
 
 	var b strings.Builder
 	if err := WriteProm(&b, s.Snapshot()); err != nil {
@@ -166,7 +166,7 @@ func TestWritePromValid(t *testing.T) {
 // content type, swappable-holder behaviour, and quantile plausibility.
 func TestPromHandler(t *testing.T) {
 	var a Stats
-	a.ObserveCoverProbe(time.Millisecond)
+	a.Observe(CoverProbeNs, time.Millisecond)
 	PublishExpvar("promtext_test_stats", &a)
 
 	srv := httptest.NewServer(PromHandler("promtext_test_stats"))
@@ -196,7 +196,7 @@ func TestPromHandler(t *testing.T) {
 	// Re-publishing under the same name must swap what /metrics serves.
 	var b2 Stats
 	for i := 0; i < 5; i++ {
-		b2.ObserveCoverProbe(time.Second)
+		b2.Observe(CoverProbeNs, time.Second)
 	}
 	PublishExpvar("promtext_test_stats", &b2)
 	body, _ = scrape()

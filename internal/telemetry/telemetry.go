@@ -1,12 +1,13 @@
 // Package telemetry is the zero-dependency instrumentation layer of the
 // decomposition engines: per-run counters in the spirit of the
 // Gottlob–Samer det-k-decomp evaluation (which reports subproblem and
-// branch counts), an anytime incumbent trace for width-over-time curves,
-// and an Observer hook bundle for live progress reporting.
+// branch counts), declared once in the metric table of metrics.go, an
+// anytime incumbent trace for width-over-time curves, and an Observer
+// hook bundle for live progress reporting.
 //
 // Everything is designed so that a DISABLED instrumentation point costs a
-// single nil check: all Stats counter methods and all Observer emit
-// helpers have nil-receiver fast paths, so engines call them
+// single nil check: Stats.Add, Stats.Observe, the phase clocks and all
+// Observer emit helpers have nil-receiver fast paths, so engines call them
 // unconditionally on whatever pointer their options carry. Enabled
 // counters are atomic and the trace is mutex-protected, so one Stats may
 // be shared by the concurrent workers of a portfolio run.
@@ -25,53 +26,13 @@ import (
 // Stats accumulates the counters of one decomposition run. The zero value
 // is ready to use; a nil *Stats discards every update at the cost of one
 // nil check per instrumentation point. All methods are safe for concurrent
-// use, so a single Stats can aggregate across portfolio workers.
+// use, so a single Stats can aggregate across portfolio workers. The live
+// values are indexed by the IDs of the metric table (metrics.go).
 type Stats struct {
-	nodes           atomic.Int64 // search-tree nodes expanded (BB, A*)
-	pruneSimplicial atomic.Int64 // branchings forced by the reduction rule
-	prunePR2        atomic.Int64 // candidates removed by Pruning Rule 2
-	pruneCoverBound atomic.Int64 // subtrees closed by the PR1 finish/cover bound
-	pruneLBCutoff   atomic.Int64 // branches cut by f/g ≥ incumbent
-	pruneDominance  atomic.Int64 // revisits cut by the eliminated-set cache
-	gaGenerations   atomic.Int64 // GA / island generations completed
-	gaEvaluations   atomic.Int64 // GA fitness evaluations
-	restarts        atomic.Int64 // SAIGA epoch boundaries (parameter re-orientation)
-	heurSteps       atomic.Int64 // greedy-ordering elimination steps (min-fill)
-	coverHits       atomic.Int64 // cover-oracle transposition-table hits
-	coverMisses     atomic.Int64 // cover-oracle misses (covers actually solved)
-	coverEvictions  atomic.Int64 // cover-oracle bags evicted by the memory bound
-
-	// Query-engine counters (the cq Yannakakis evaluator).
-	cqJoinTuples      atomic.Int64 // tuples emitted by join kernels
-	cqSemijoinTuples  atomic.Int64 // tuples surviving semijoin kernels
-	cqOutputJoins     atomic.Int64 // output-pass join operations (0 for Boolean runs)
-	cqDeltaTuples     atomic.Int64 // standing-query deltas applied (inserts + deletes)
-	cqBatchSharedJoin atomic.Int64 // batch-mode base relations served from the shared intern store
-
-	// Memory telemetry, fed by MemSampler (all zero when no sampler ran).
-	memHeapHighWater atomic.Int64 // max observed live-heap bytes
-	memTotalAlloc    atomic.Int64 // cumulative allocated bytes over the run
-	memGCPauseNs     atomic.Int64 // total GC stop-the-world pause over the run
-	memGCCount       atomic.Int64 // GC cycles over the run
-	memSamples       atomic.Int64 // MemStats samples taken
-
-	// Latency distributions (log₂-bucketed nanoseconds; see histogram.go).
-	coverProbeNs  Histogram // cover-oracle probe latency (hit or miss)
-	coverSolveNs  Histogram // exact set-cover solve latency (oracle misses)
-	coverFracNs   Histogram // fractional-cover LP solve latency (frac-memo misses)
-	cqLevelWaitNs Histogram // per-worker barrier wait at cq level boundaries
-	cqBatchNs     Histogram // join/semijoin task batch duration (cq + csp)
-	cqDeltaNs     Histogram // standing-query delta apply latency
-	firstIncNs    Histogram // time to first incumbent, per portfolio worker
-
-	// Cost attribution (phases.go): exclusive phase clocks, per-rule
-	// decision time, and the fractional-bound effectiveness record.
-	phaseNs      [NumPhases]atomic.Int64 // wall attributed per PhaseID
-	ruleNs       [NumRules]atomic.Int64  // decision time per prune RuleID
-	fracLPEvals  atomic.Int64            // LP evaluations by the -fracbound cascade
-	fracWins     atomic.Int64            // cascades where ⌈ρ*⌉ beat k-set-cover
-	fracMargin   Histogram               // margin distribution (width units, all cascades)
-	traceDropped atomic.Int64            // trace-ring events lost to wraparound
+	scalars [numScalars]atomic.Int64
+	hists   [numHists]Histogram
+	phaseNs [NumPhases]atomic.Int64 // exclusive wall per PhaseID (phases.go)
+	ruleNs  [NumRules]atomic.Int64  // decision time per RuleID
 
 	mu    sync.Mutex
 	t0    time.Time
@@ -107,205 +68,6 @@ func (s *Stats) Elapsed() time.Duration {
 	return time.Since(t0)
 }
 
-// Counter increments; each is a single nil check when telemetry is off.
-
-// Node counts one expanded search-tree node.
-func (s *Stats) Node() {
-	if s != nil {
-		s.nodes.Add(1)
-	}
-}
-
-// Simplicial counts one branching forced to a (strongly almost) simplicial
-// vertex by the reduction rule.
-func (s *Stats) Simplicial() {
-	if s != nil {
-		s.pruneSimplicial.Add(1)
-	}
-}
-
-// PR2 counts one candidate successor removed by Pruning Rule 2.
-func (s *Stats) PR2() {
-	if s != nil {
-		s.prunePR2.Add(1)
-	}
-}
-
-// CoverBound counts one subtree closed by the PR1 finish-now bound (the
-// greedy-cover bound in ghw mode).
-func (s *Stats) CoverBound() {
-	if s != nil {
-		s.pruneCoverBound.Add(1)
-	}
-}
-
-// LBCutoff counts one branch cut because its bound reached the incumbent.
-func (s *Stats) LBCutoff() {
-	if s != nil {
-		s.pruneLBCutoff.Add(1)
-	}
-}
-
-// Dominance counts one revisit cut by the eliminated-set dominance cache.
-func (s *Stats) Dominance() {
-	if s != nil {
-		s.pruneDominance.Add(1)
-	}
-}
-
-// GAGeneration counts one completed GA (or island) generation.
-func (s *Stats) GAGeneration() {
-	if s != nil {
-		s.gaGenerations.Add(1)
-	}
-}
-
-// GAEval counts one fitness evaluation.
-func (s *Stats) GAEval() {
-	if s != nil {
-		s.gaEvaluations.Add(1)
-	}
-}
-
-// Restart counts one SAIGA epoch boundary (parameter self-adaptation).
-func (s *Stats) Restart() {
-	if s != nil {
-		s.restarts.Add(1)
-	}
-}
-
-// HeurStep counts one greedy-ordering elimination step.
-func (s *Stats) HeurStep() {
-	if s != nil {
-		s.heurSteps.Add(1)
-	}
-}
-
-// CQJoin counts tuples emitted by one query-engine join. Safe on nil.
-func (s *Stats) CQJoin(tuples int64) {
-	if s != nil {
-		s.cqJoinTuples.Add(tuples)
-	}
-}
-
-// CQSemijoin counts tuples surviving one query-engine semijoin. Safe on
-// nil.
-func (s *Stats) CQSemijoin(tuples int64) {
-	if s != nil {
-		s.cqSemijoinTuples.Add(tuples)
-	}
-}
-
-// CQOutputJoin counts one output-pass join operation of the evaluator. A
-// Boolean run performs none — the regression tests assert this stays 0.
-func (s *Stats) CQOutputJoin() {
-	if s != nil {
-		s.cqOutputJoins.Add(1)
-	}
-}
-
-// CQDelta counts one standing-query delta (an Insert or Delete) applied to
-// the incremental evaluator's state. Safe on nil.
-func (s *Stats) CQDelta() {
-	if s != nil {
-		s.cqDeltaTuples.Add(1)
-	}
-}
-
-// CQBatchShared counts one base relation a batch evaluation served from the
-// shared intern store instead of re-hashing it — the amortization batch
-// mode exists for. Safe on nil.
-func (s *Stats) CQBatchShared() {
-	if s != nil {
-		s.cqBatchSharedJoin.Add(1)
-	}
-}
-
-// AddCover folds a cover-oracle counter snapshot into s. The oracle keeps
-// its own atomics while a run is live (it may be shared by every portfolio
-// worker) and the facade folds the totals in once per run, so per-worker
-// Stats carry zero cover counters and the run-level Stats carry the shared
-// cache's. Safe on a nil receiver.
-func (s *Stats) AddCover(hits, misses, evictions int64) {
-	if s == nil {
-		return
-	}
-	s.coverHits.Add(hits)
-	s.coverMisses.Add(misses)
-	s.coverEvictions.Add(evictions)
-}
-
-// Latency observations; each is one nil check when telemetry is off and
-// one atomic bucket increment when it is on.
-
-// ObserveCoverProbe records one cover-oracle probe latency. Safe on nil.
-func (s *Stats) ObserveCoverProbe(d time.Duration) {
-	if s != nil {
-		s.coverProbeNs.ObserveDuration(d)
-	}
-}
-
-// ObserveCoverSolve records one exact set-cover solve latency. Safe on nil.
-func (s *Stats) ObserveCoverSolve(d time.Duration) {
-	if s != nil {
-		s.coverSolveNs.ObserveDuration(d)
-	}
-}
-
-// ObserveCoverFrac records one fractional-cover LP solve latency (a miss
-// of the oracle's frac memo). Safe on nil.
-func (s *Stats) ObserveCoverFrac(d time.Duration) {
-	if s != nil {
-		s.coverFracNs.ObserveDuration(d)
-	}
-}
-
-// ObserveLevelWait records the time one parallel-evaluator worker idled at
-// a level barrier waiting for the level's slowest worker. Safe on nil.
-func (s *Stats) ObserveLevelWait(d time.Duration) {
-	if s != nil {
-		s.cqLevelWaitNs.ObserveDuration(d)
-	}
-}
-
-// ObserveCQBatch records the duration of one join/semijoin task batch of
-// the Yannakakis evaluator or the CSP solver. Safe on nil.
-func (s *Stats) ObserveCQBatch(d time.Duration) {
-	if s != nil {
-		s.cqBatchNs.ObserveDuration(d)
-	}
-}
-
-// ObserveDeltaApply records the end-to-end latency of one standing-query
-// delta (including conflict rollback, if any). Safe on nil.
-func (s *Stats) ObserveDeltaApply(d time.Duration) {
-	if s != nil {
-		s.cqDeltaNs.ObserveDuration(d)
-	}
-}
-
-// ObserveFirstIncumbent records one worker's time-to-first-incumbent (the
-// anytime metric of Section 9's portfolio runs). Safe on nil.
-func (s *Stats) ObserveFirstIncumbent(d time.Duration) {
-	if s != nil {
-		s.firstIncNs.ObserveDuration(d)
-	}
-}
-
-// AddCoverLatency folds the cover oracle's probe, exact-solve, and
-// fractional-LP latency distributions into s, the histogram analogue of
-// AddCover: the oracle owns live histograms while a run is shared by
-// portfolio workers and the facade folds them in once per run. Safe on a
-// nil receiver.
-func (s *Stats) AddCoverLatency(probe, solve, frac HistSnapshot) {
-	if s == nil {
-		return
-	}
-	s.coverProbeNs.AddSnapshot(probe)
-	s.coverSolveNs.AddSnapshot(solve)
-	s.coverFracNs.AddSnapshot(frac)
-}
-
 // ObserveMem folds one runtime.MemStats sample into s: heapAlloc raises
 // the heap high-water mark, while the totals (deltas against the
 // sampler's baseline) replace the previous observation — they are
@@ -314,20 +76,15 @@ func (s *Stats) ObserveMem(heapAlloc, totalAlloc, gcPauseNs, gcCount int64) {
 	if s == nil {
 		return
 	}
-	for {
-		cur := s.memHeapHighWater.Load()
-		if heapAlloc <= cur || s.memHeapHighWater.CompareAndSwap(cur, heapAlloc) {
-			break
-		}
-	}
-	s.memTotalAlloc.Store(totalAlloc)
-	s.memGCPauseNs.Store(gcPauseNs)
-	s.memGCCount.Store(gcCount)
-	s.memSamples.Add(1)
+	storeMax(&s.scalars[HeapHighWaterBytes], heapAlloc)
+	s.scalars[TotalAllocBytes].Store(totalAlloc)
+	s.scalars[GCPauseTotalNs].Store(gcPauseNs)
+	s.scalars[GCCount].Store(gcCount)
+	s.scalars[MemSamples].Add(1)
 }
 
 // Snapshot is a plain-integer copy of the counters, suitable for JSON
-// encoding and expvar export.
+// encoding and expvar export. Each leaf is one row of the metric table.
 type Snapshot struct {
 	Nodes           int64 `json:"nodes"`
 	PruneSimplicial int64 `json:"prune_simplicial"`
@@ -386,163 +143,6 @@ type Snapshot struct {
 	// TraceDropped counts trace-ring events lost to wraparound (satellite
 	// visibility for truncated traces).
 	TraceDropped int64 `json:"trace_dropped,omitempty"`
-}
-
-// Snapshot reads the counters atomically (individually, not as a group).
-// Safe on a nil receiver, which yields the zero Snapshot.
-func (s *Stats) Snapshot() Snapshot {
-	if s == nil {
-		return Snapshot{}
-	}
-	return Snapshot{
-		Nodes:           s.nodes.Load(),
-		PruneSimplicial: s.pruneSimplicial.Load(),
-		PrunePR2:        s.prunePR2.Load(),
-		PruneCoverBound: s.pruneCoverBound.Load(),
-		PruneLBCutoff:   s.pruneLBCutoff.Load(),
-		PruneDominance:  s.pruneDominance.Load(),
-		GAGenerations:   s.gaGenerations.Load(),
-		GAEvaluations:   s.gaEvaluations.Load(),
-		Restarts:        s.restarts.Load(),
-		HeurSteps:       s.heurSteps.Load(),
-		CoverHits:       s.coverHits.Load(),
-		CoverMisses:     s.coverMisses.Load(),
-		CoverEvictions:  s.coverEvictions.Load(),
-
-		CQJoinTuples:       s.cqJoinTuples.Load(),
-		CQSemijoinTuples:   s.cqSemijoinTuples.Load(),
-		CQOutputJoins:      s.cqOutputJoins.Load(),
-		CQDeltaTuples:      s.cqDeltaTuples.Load(),
-		CQBatchSharedJoins: s.cqBatchSharedJoin.Load(),
-
-		HeapHighWaterBytes: s.memHeapHighWater.Load(),
-		TotalAllocBytes:    s.memTotalAlloc.Load(),
-		GCPauseTotalNs:     s.memGCPauseNs.Load(),
-		GCCount:            s.memGCCount.Load(),
-		MemSamples:         s.memSamples.Load(),
-
-		CoverProbeNs:     s.coverProbeNs.Snapshot(),
-		CoverSolveNs:     s.coverSolveNs.Snapshot(),
-		CoverFracNs:      s.coverFracNs.Snapshot(),
-		CQLevelWaitNs:    s.cqLevelWaitNs.Snapshot(),
-		CQBatchNs:        s.cqBatchNs.Snapshot(),
-		CQDeltaApplyNs:   s.cqDeltaNs.Snapshot(),
-		FirstIncumbentNs: s.firstIncNs.Snapshot(),
-
-		Phases:          s.phaseSnapshot(),
-		Rules:           s.ruleSnapshot(),
-		FracLPEvals:     s.fracLPEvals.Load(),
-		FracBoundWins:   s.fracWins.Load(),
-		FracBoundMargin: s.fracMargin.Snapshot(),
-		TraceDropped:    s.traceDropped.Load(),
-	}
-}
-
-// Add returns the component-wise sum of two snapshots. Memory fields
-// combine by their own semantics: high-water marks take the max (two
-// runs in one process share a heap), while the cumulative totals sum.
-func (a Snapshot) Add(b Snapshot) Snapshot {
-	return Snapshot{
-		Nodes:           a.Nodes + b.Nodes,
-		PruneSimplicial: a.PruneSimplicial + b.PruneSimplicial,
-		PrunePR2:        a.PrunePR2 + b.PrunePR2,
-		PruneCoverBound: a.PruneCoverBound + b.PruneCoverBound,
-		PruneLBCutoff:   a.PruneLBCutoff + b.PruneLBCutoff,
-		PruneDominance:  a.PruneDominance + b.PruneDominance,
-		GAGenerations:   a.GAGenerations + b.GAGenerations,
-		GAEvaluations:   a.GAEvaluations + b.GAEvaluations,
-		Restarts:        a.Restarts + b.Restarts,
-		HeurSteps:       a.HeurSteps + b.HeurSteps,
-		CoverHits:       a.CoverHits + b.CoverHits,
-		CoverMisses:     a.CoverMisses + b.CoverMisses,
-		CoverEvictions:  a.CoverEvictions + b.CoverEvictions,
-
-		CQJoinTuples:       a.CQJoinTuples + b.CQJoinTuples,
-		CQSemijoinTuples:   a.CQSemijoinTuples + b.CQSemijoinTuples,
-		CQOutputJoins:      a.CQOutputJoins + b.CQOutputJoins,
-		CQDeltaTuples:      a.CQDeltaTuples + b.CQDeltaTuples,
-		CQBatchSharedJoins: a.CQBatchSharedJoins + b.CQBatchSharedJoins,
-
-		HeapHighWaterBytes: max64(a.HeapHighWaterBytes, b.HeapHighWaterBytes),
-		TotalAllocBytes:    a.TotalAllocBytes + b.TotalAllocBytes,
-		GCPauseTotalNs:     a.GCPauseTotalNs + b.GCPauseTotalNs,
-		GCCount:            a.GCCount + b.GCCount,
-		MemSamples:         a.MemSamples + b.MemSamples,
-
-		CoverProbeNs:     a.CoverProbeNs.Add(b.CoverProbeNs),
-		CoverSolveNs:     a.CoverSolveNs.Add(b.CoverSolveNs),
-		CoverFracNs:      a.CoverFracNs.Add(b.CoverFracNs),
-		CQLevelWaitNs:    a.CQLevelWaitNs.Add(b.CQLevelWaitNs),
-		CQBatchNs:        a.CQBatchNs.Add(b.CQBatchNs),
-		CQDeltaApplyNs:   a.CQDeltaApplyNs.Add(b.CQDeltaApplyNs),
-		FirstIncumbentNs: a.FirstIncumbentNs.Add(b.FirstIncumbentNs),
-
-		Phases:          a.Phases.Add(b.Phases),
-		Rules:           a.Rules.Add(b.Rules),
-		FracLPEvals:     a.FracLPEvals + b.FracLPEvals,
-		FracBoundWins:   a.FracBoundWins + b.FracBoundWins,
-		FracBoundMargin: a.FracBoundMargin.Add(b.FracBoundMargin),
-		TraceDropped:    a.TraceDropped + b.TraceDropped,
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// AddSnapshot folds a snapshot (typically a finished portfolio worker's
-// counters) into s. Safe on a nil receiver.
-func (s *Stats) AddSnapshot(b Snapshot) {
-	if s == nil {
-		return
-	}
-	s.nodes.Add(b.Nodes)
-	s.pruneSimplicial.Add(b.PruneSimplicial)
-	s.prunePR2.Add(b.PrunePR2)
-	s.pruneCoverBound.Add(b.PruneCoverBound)
-	s.pruneLBCutoff.Add(b.PruneLBCutoff)
-	s.pruneDominance.Add(b.PruneDominance)
-	s.gaGenerations.Add(b.GAGenerations)
-	s.gaEvaluations.Add(b.GAEvaluations)
-	s.restarts.Add(b.Restarts)
-	s.heurSteps.Add(b.HeurSteps)
-	s.coverHits.Add(b.CoverHits)
-	s.coverMisses.Add(b.CoverMisses)
-	s.coverEvictions.Add(b.CoverEvictions)
-	s.cqJoinTuples.Add(b.CQJoinTuples)
-	s.cqSemijoinTuples.Add(b.CQSemijoinTuples)
-	s.cqOutputJoins.Add(b.CQOutputJoins)
-	s.cqDeltaTuples.Add(b.CQDeltaTuples)
-	s.cqBatchSharedJoin.Add(b.CQBatchSharedJoins)
-	// Memory: high-water folds as a max (shared heap), totals accumulate.
-	// Portfolio workers carry zero mem fields by design — the sampler is
-	// attached to the run-level Stats — so this is usually a no-op.
-	for {
-		cur := s.memHeapHighWater.Load()
-		if b.HeapHighWaterBytes <= cur || s.memHeapHighWater.CompareAndSwap(cur, b.HeapHighWaterBytes) {
-			break
-		}
-	}
-	s.memTotalAlloc.Add(b.TotalAllocBytes)
-	s.memGCPauseNs.Add(b.GCPauseTotalNs)
-	s.memGCCount.Add(b.GCCount)
-	s.memSamples.Add(b.MemSamples)
-	s.coverProbeNs.AddSnapshot(b.CoverProbeNs)
-	s.coverSolveNs.AddSnapshot(b.CoverSolveNs)
-	s.coverFracNs.AddSnapshot(b.CoverFracNs)
-	s.cqLevelWaitNs.AddSnapshot(b.CQLevelWaitNs)
-	s.cqBatchNs.AddSnapshot(b.CQBatchNs)
-	s.cqDeltaNs.AddSnapshot(b.CQDeltaApplyNs)
-	s.firstIncNs.AddSnapshot(b.FirstIncumbentNs)
-	s.addPhaseBreakdown(b.Phases)
-	s.addRuleBreakdown(b.Rules)
-	s.fracLPEvals.Add(b.FracLPEvals)
-	s.fracWins.Add(b.FracBoundWins)
-	s.fracMargin.AddSnapshot(b.FracBoundMargin)
-	s.traceDropped.Add(b.TraceDropped)
 }
 
 // Incumbent is one point of the anytime trace: at Elapsed since the run

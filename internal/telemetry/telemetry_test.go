@@ -15,16 +15,17 @@ import (
 func TestNilSafety(t *testing.T) {
 	var s *Stats
 	s.Start()
-	s.Node()
-	s.Simplicial()
-	s.PR2()
-	s.CoverBound()
-	s.LBCutoff()
-	s.Dominance()
-	s.GAGeneration()
-	s.GAEval()
-	s.Restart()
-	s.HeurStep()
+	s.Add(Nodes, 1)
+	s.Add(PruneSimplicial, 1)
+	s.Add(PrunePR2, 1)
+	s.Add(PruneCoverBound, 1)
+	s.Add(PruneLBCutoff, 1)
+	s.Add(PruneDominance, 1)
+	s.Add(GAGenerations, 1)
+	s.Add(GAEvaluations, 1)
+	s.Add(Restarts, 1)
+	s.Add(HeurSteps, 1)
+	s.Observe(CoverProbeNs, time.Millisecond)
 	s.AddSnapshot(Snapshot{Nodes: 5})
 	if _, ok := s.RecordIncumbent(3, "bb"); ok {
 		t.Error("nil Stats recorded an incumbent")
@@ -49,18 +50,18 @@ func TestNilSafety(t *testing.T) {
 func TestCountersAndSnapshot(t *testing.T) {
 	var s Stats
 	for i := 0; i < 3; i++ {
-		s.Node()
+		s.Add(Nodes, 1)
 	}
-	s.PR2()
-	s.CoverBound()
-	s.LBCutoff()
-	s.Simplicial()
-	s.Dominance()
-	s.GAGeneration()
-	s.GAEval()
-	s.GAEval()
-	s.Restart()
-	s.HeurStep()
+	s.Add(PrunePR2, 1)
+	s.Add(PruneCoverBound, 1)
+	s.Add(PruneLBCutoff, 1)
+	s.Add(PruneSimplicial, 1)
+	s.Add(PruneDominance, 1)
+	s.Add(GAGenerations, 1)
+	s.Add(GAEvaluations, 1)
+	s.Add(GAEvaluations, 1)
+	s.Add(Restarts, 1)
+	s.Add(HeurSteps, 1)
 	got := s.Snapshot()
 	want := Snapshot{
 		Nodes: 3, PruneSimplicial: 1, PrunePR2: 1, PruneCoverBound: 1,
@@ -126,7 +127,7 @@ func TestConcurrentTrace(t *testing.T) {
 			defer wg.Done()
 			for w := 100; w > 0; w-- {
 				s.RecordIncumbent(w, "worker")
-				s.Node()
+				s.Add(Nodes, 1)
 			}
 		}(g)
 	}
@@ -161,7 +162,7 @@ func TestStartIdempotent(t *testing.T) {
 
 func TestSnapshotJSON(t *testing.T) {
 	var s Stats
-	s.Node()
+	s.Add(Nodes, 1)
 	s.RecordIncumbent(4, "astar")
 	b, err := json.Marshal(s.Snapshot())
 	if err != nil {
@@ -183,7 +184,7 @@ func TestSnapshotJSON(t *testing.T) {
 
 func TestPublishExpvar(t *testing.T) {
 	var s Stats
-	s.Node()
+	s.Add(Nodes, 1)
 	s.RecordIncumbent(2, "bb")
 	PublishExpvar("telemetry_test_stats", &s)
 	PublishExpvar("telemetry_test_stats", &s) // duplicate must not panic
@@ -203,12 +204,12 @@ func TestPublishExpvar(t *testing.T) {
 // routes through a swappable holder).
 func TestPublishExpvarSwaps(t *testing.T) {
 	var a Stats
-	a.Node()
+	a.Add(Nodes, 1)
 	PublishExpvar("telemetry_test_swap", &a)
 
 	var b Stats
 	for i := 0; i < 7; i++ {
-		b.Node()
+		b.Add(Nodes, 1)
 	}
 	b.RecordIncumbent(9, "astar")
 	PublishExpvar("telemetry_test_swap", &b)
@@ -222,7 +223,7 @@ func TestPublishExpvarSwaps(t *testing.T) {
 	}
 
 	// New counts on the live Stats must be visible on the next read.
-	b.Node()
+	b.Add(Nodes, 1)
 	if out := expvar.Get("telemetry_test_swap").String(); !strings.Contains(out, `"nodes":8`) {
 		t.Errorf("expvar snapshot is stale: %s", out)
 	}

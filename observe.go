@@ -131,7 +131,7 @@ func (sc *scope) incumbentHook() func(width int) {
 		// regardless of whether this width improves the global incumbent —
 		// each worker's anytime behaviour is its own distribution point.
 		sc.first.Do(func() {
-			sc.stats.ObserveFirstIncumbent(sc.root.Elapsed())
+			sc.stats.Observe(telemetry.FirstIncumbentNs, sc.root.Elapsed())
 		})
 		if inc, ok := sc.root.RecordIncumbent(w, method); ok {
 			sc.obs.Incumbent(inc)

@@ -116,10 +116,13 @@ func checkCrossMethod(t *testing.T, results map[Method]Result) {
 	}
 }
 
+// runOracle races the GHW-only balanced-separator search alongside
+// oracleMethods, which TestOracleTreewidth shares.
 func runOracle(t *testing.T, name string, h *Hypergraph, seed int64) {
 	t.Run(name, func(t *testing.T) {
-		results := make(map[Method]Result, len(oracleMethods))
-		for _, m := range oracleMethods {
+		methods := append([]Method{MethodBalSep}, oracleMethods...)
+		results := make(map[Method]Result, len(methods))
+		for _, m := range methods {
 			results[m] = checkGHWResult(t, h, m, seed)
 		}
 		checkCrossMethod(t, results)
@@ -163,6 +166,12 @@ func TestOracleGHWStructured(t *testing.T) {
 	runOracle(t, "grid3x3", gen.Grid2DHypergraph(3, 3), 2)
 	runOracle(t, "clique5", gen.CliqueHypergraph(5), 3)
 	runOracle(t, "circuit", gen.Circuit(4, 8, 3, 7), 4)
+	// ghw 2 but hw 3: balsep's levels fail completely at k = 2, which
+	// proves hw > 2 and nothing about ghw.
+	runOracle(t, "ghw2_hw3", FromEdges(11, [][]int{
+		{1, 8}, {8, 4, 6}, {7, 0, 2}, {0, 4}, {7, 8, 0, 9}, {3, 2, 9, 5},
+		{10, 5, 8, 1}, {10, 6, 2}, {0, 2}, {5, 6}, {10, 5},
+	}), 0)
 }
 
 // TestOracleTreewidth mirrors the GHW oracle on the primal graphs: valid

@@ -20,13 +20,14 @@ func DefaultPortfolio() []Method {
 }
 
 // DefaultGHWPortfolio is the default method set for GHW (and Decompose)
-// portfolio runs: DefaultPortfolio plus the fractional-width local search
-// (which scores its ordering with exact integral covers so it competes on
-// equal terms while populating the shared frac memo) and the
-// balanced-separator search, whose iterative deepening from the tw-ksc
-// bound proves exactness on instances the ordering searches only bound.
+// portfolio runs: DefaultPortfolio plus the balanced-separator search,
+// which deepens from the tw-ksc bound and can reach a witness at that
+// bound where the ordering searches stall. The fractional-width local
+// search (MethodFHW) is not a default seat: it reports no lower bound,
+// so it could only matter by holding the strictly best width. It stays
+// available through Options.Portfolio.
 func DefaultGHWPortfolio() []Method {
-	return append(DefaultPortfolio(), MethodFHW, MethodBalSep)
+	return append(DefaultPortfolio(), MethodBalSep)
 }
 
 // portfolioSeedStride separates the derived seeds of portfolio workers.

@@ -139,8 +139,8 @@ func TestTraceChromeExportGolden(t *testing.T) {
 // component/decompose events, and the GAs emit generation/epoch ticks.
 func TestTraceSingleMethodEngines(t *testing.T) {
 	tr := NewTrace(0)
-	if w, _ := HypertreeWidthTraced(gen.Grid2DHypergraph(3, 3), 4, tr); w < 0 {
-		t.Fatal("detk found no decomposition within k=4")
+	if w, _, err := HypertreeWidthCtx(context.Background(), gen.Grid2DHypergraph(3, 3), 4, nil, tr); err != nil || w < 0 {
+		t.Fatalf("detk found no decomposition within k=4 (err %v)", err)
 	}
 	names := map[string]bool{}
 	for _, e := range tr.Events() {
