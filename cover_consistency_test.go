@@ -119,32 +119,53 @@ func TestPortfolioJobs1CacheReproducible(t *testing.T) {
 	}
 }
 
-// TestPortfolioSharedCoverHits proves the cross-worker sharing is real:
-// a concurrent (Jobs ≥ 2) portfolio over GHW engines must report cover
-// cache hits through telemetry — the acceptance criterion of the shared
-// oracle. Under `go test -race` this also exercises the sharded table
-// from genuinely parallel workers.
+// TestPortfolioSharedCoverHits proves the cross-worker sharing is real.
+// A Jobs=1 {min-fill, BB} portfolio runs its slots in order, and min-fill
+// never reports Exact, so BB always starts on an oracle min-fill has
+// warmed: the portfolio must record more cover hits than its two workers
+// record alone, with the same options and private oracles. Only the
+// shared table can explain the difference. A racing Jobs=3 portfolio over
+// one shared oracle then exercises the sharded table from parallel
+// workers (under `go test -race` in CI). Its hit count depends on which
+// worker closes the instance first, so it must only record misses.
 func TestPortfolioSharedCoverHits(t *testing.T) {
+	coverCounts := func(name string, h *Hypergraph, opt Options) (hits, misses int64) {
+		st := new(Stats)
+		opt.Stats = st
+		if _, err := GHWCtx(context.Background(), h, opt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		snap := st.Snapshot()
+		return snap.CoverHits, snap.CoverMisses
+	}
 	for _, inst := range exp.Hypergraphs(false) {
 		h := inst.Build()
-		st := new(Stats)
-		opt := Options{
+		seq := Options{
+			Method:    MethodPortfolio,
+			Portfolio: []Method{MethodMinFill, MethodBB},
+			Jobs:      1,
+			Seed:      2,
+			MaxNodes:  2000,
+		}
+		hits, _ := coverCounts(inst.Name, h, seq)
+		var alone int64
+		for i, m := range seq.Portfolio {
+			workerHits, _ := coverCounts(inst.Name, h, seq.workerOptions(i, m))
+			alone += workerHits
+		}
+		if hits <= alone {
+			t.Fatalf("%s: shared oracle recorded %d cover hits, its workers alone %d", inst.Name, hits, alone)
+		}
+
+		racing := Options{
 			Method:    MethodPortfolio,
 			Portfolio: []Method{MethodBB, MethodAStar, MethodMinFill},
 			Jobs:      3,
 			Seed:      2,
 			MaxNodes:  2000,
-			Stats:     st,
 		}
-		if _, err := GHWCtx(context.Background(), h, opt); err != nil {
-			t.Fatalf("%s: %v", inst.Name, err)
-		}
-		snap := st.Snapshot()
-		if snap.CoverHits == 0 {
-			t.Fatalf("%s: shared oracle recorded no cover hits (misses=%d)", inst.Name, snap.CoverMisses)
-		}
-		if snap.CoverMisses == 0 {
-			t.Fatalf("%s: shared oracle recorded no cover misses — counters unplumbed?", inst.Name)
+		if _, misses := coverCounts(inst.Name, h, racing); misses == 0 {
+			t.Fatalf("%s: racing portfolio recorded no cover misses — counters unplumbed?", inst.Name)
 		}
 	}
 }

@@ -793,7 +793,7 @@ func evalOptions(opt Options) cq.EvalOptions {
 // a decomposition of the query hypergraph with opt's Method/Seed (see
 // DecomposeCtx), then runs the parallel Yannakakis engine over it with
 // opt.Jobs workers and opt's Stats/Trace sinks attached. On cancellation
-// it returns ctx.Err() and no partial answers.
+// it returns the context's error and no partial answers.
 func AnswerQueryCtx(ctx context.Context, q *Query, db *Database, opt Options) ([][]string, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -835,7 +835,7 @@ func BooleanQueryWithCtx(ctx context.Context, q *Query, db *Database, d *Decompo
 // interning the hashed base relations once for the whole batch and sharing
 // decompositions between shape-identical queries. Answers are bit-identical
 // to calling AnswerQueryCtx per query at every Jobs value; on cancellation
-// it returns ctx.Err() and no partial result set.
+// it returns the context's error and no partial result set.
 func AnswerQueryBatchCtx(ctx context.Context, qs []*Query, db *Database, opt Options) ([][][]string, error) {
 	return cq.EvaluateBatchCtx(ctx, qs, db, evalOptions(opt))
 }

@@ -130,7 +130,7 @@ func writeInt(b *strings.Builder, n int) {
 // plan cache over identical hypergraph shapes and interning the hashed
 // base relations once for the whole batch. Answers are bit-identical to
 // calling EvaluateCtx per query, at every Jobs value. On cancellation it
-// returns ctx.Err() and no partial answer set.
+// returns the context's error and no partial answer set.
 func EvaluateBatchCtx(ctx context.Context, qs []*Query, db *Database, opt EvalOptions) ([][][]string, error) {
 	for _, q := range qs {
 		if err := q.Validate(); err != nil {
@@ -166,7 +166,7 @@ func EvaluateBatchWithCtx(ctx context.Context, qs []*Query, db *Database, ds []*
 	sb := newSharedBase(db, opt.Stats)
 	out := make([][][]string, len(qs))
 	for i, q := range qs {
-		rows, err := evaluateShared(ctx, q, db, ds[i], opt, sb)
+		rows, _, err := evaluate(ctx, q, db, ds[i], opt, sb, true)
 		if err != nil {
 			return nil, err
 		}

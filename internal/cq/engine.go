@@ -1,17 +1,19 @@
 // The context-aware Yannakakis engine: parallel, cancellable evaluation of
 // conjunctive queries over a generalized hypertree decomposition.
 //
-// Every pass (base joins, the two full-reducer sweeps, the output join
-// pass) is level-synchronous: nodes are grouped by depth and a bounded
-// worker pool processes one level at a time, with a barrier between
-// levels. Because each node's relation depends only on relations of
-// adjacent levels — which are complete before the level starts — the
+// Evaluation is one dataflow (flow) with one step function per relation
+// layer. Every pass over a layer (base joins, the two full-reducer sweeps,
+// the output join pass) is level-synchronous: nodes are grouped by depth
+// and a bounded worker pool processes one level at a time, with a barrier
+// between levels. Because each node's relation depends only on relations
+// of adjacent levels — which are complete before the level starts — the
 // result of every pass is bit-identical for every Jobs setting, including
 // sequential. Determinism is by construction, not by locking.
 package cq
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -61,7 +63,8 @@ func (o EvalOptions) jobs(n int) int {
 // EvaluateCtx is Evaluate with cancellation, parallelism, and telemetry:
 // it builds the default decomposition (min-fill ordering, exact covers)
 // and runs the engine over it. On cancellation or deadline expiry it
-// returns ctx.Err() promptly and no partial results.
+// returns the context's error promptly — context.DeadlineExceeded once
+// the deadline has passed — and no partial results.
 func EvaluateCtx(ctx context.Context, q *Query, db *Database, opt EvalOptions) ([][]string, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -84,49 +87,35 @@ func BooleanCtx(ctx context.Context, q *Query, db *Database, opt EvalOptions) (b
 // BooleanWithCtx is BooleanCtx over a caller-supplied decomposition of
 // q.Hypergraph().
 func BooleanWithCtx(ctx context.Context, q *Query, db *Database, d *decomp.Decomposition, opt EvalOptions) (bool, error) {
-	if err := q.Validate(); err != nil {
-		return false, err
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	mark := opt.Stats.MarkPhase()
-	defer opt.Stats.AttributeSince(telemetry.PhaseCQ, mark)
-	in, err := newInstance(q, db, nil)
-	if err != nil {
-		return false, err
-	}
-	if in.empty {
-		return false, nil
-	}
-	e := newEngine(q, in, d, opt)
-	empty, err := e.basePass(ctx)
-	if err != nil || empty {
-		return false, err
-	}
-	empty, err = e.reduceUp(ctx)
-	if err != nil || empty {
-		return false, err
-	}
-	return true, nil
+	_, sat, err := evaluate(ctx, q, db, d, opt, nil, false)
+	return sat, err
 }
 
 // EvaluateWithCtx answers the query over a caller-supplied decomposition
 // of q.Hypergraph() (e.g. a width-optimal one from the exact searches),
 // with cancellation, parallelism, and telemetry per opt.
 func EvaluateWithCtx(ctx context.Context, q *Query, db *Database, d *decomp.Decomposition, opt EvalOptions) ([][]string, error) {
-	return evaluateShared(ctx, q, db, d, opt, nil)
+	rows, _, err := evaluate(ctx, q, db, d, opt, nil, true)
+	return rows, err
 }
 
-// evaluateShared is EvaluateWithCtx with an optional batch-shared base
-// store: when sb is non-nil the instance interns through it, serving plain
-// atoms from the canonical hashed rows instead of re-building them.
-func evaluateShared(ctx context.Context, q *Query, db *Database, d *decomp.Decomposition, opt EvalOptions, sb *sharedBase) ([][]string, error) {
+// errEmptied ends the bottom-up reducer early: some node relation emptied,
+// so the query has no answers.
+var errEmptied = errors.New("cq: node relation emptied")
+
+// evaluate is the one-shot evaluator behind EvaluateWithCtx, BooleanWithCtx
+// and the batch path. It runs the flow's steps pass by pass with base, up
+// and down aliased to one slice, so each reducer step overwrites its
+// node's relation in place. It stops with no answers as soon as a node
+// relation empties, and after the bottom-up reducer when full is false,
+// reporting only satisfiability. When sb is non-nil the instance interns
+// through it, serving plain atoms from the batch's canonical hashed rows.
+func evaluate(ctx context.Context, q *Query, db *Database, d *decomp.Decomposition, opt EvalOptions, sb *sharedBase, full bool) (rows [][]string, sat bool, err error) {
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	// The whole evaluation — base pass, both reducer sweeps, output join,
 	// answer assembly — is conjunctive-query phase time. Worker goroutines
@@ -135,28 +124,77 @@ func evaluateShared(ctx context.Context, q *Query, db *Database, d *decomp.Decom
 	mark := opt.Stats.MarkPhase()
 	defer opt.Stats.AttributeSince(telemetry.PhaseCQ, mark)
 	in, err := newInstance(q, db, sb)
+	if err != nil || in.empty {
+		return nil, false, err
+	}
+	f := newFlow(q, in, d, opt)
+	rel := make([]*csp.Relation, len(f.nodes))
+	f.base, f.up, f.down = rel, rel, rel
+	f.out = make([]*csp.Relation, len(f.nodes))
+	var emptied atomic.Bool
+	settle := func(i int, r *csp.Relation) {
+		rel[i] = r
+		if r.Size() == 0 {
+			emptied.Store(true)
+		}
+	}
+	tr, track := opt.Trace, opt.Track
+
+	// Base joins are mutually independent: one batch over every node.
+	tr.Begin(track, "cq.base")
+	err = runTasks(ctx, opt, len(f.nodes), func(i int) error {
+		r, err := f.baseStep(ctx, i)
+		if err != nil {
+			return err
+		}
+		settle(i, r)
+		tr.Instant(track, "cq.node",
+			telemetry.Arg{Key: "node", Val: int64(i)},
+			telemetry.Arg{Key: "tuples", Val: int64(r.Size())})
+		return nil
+	})
+	tr.End(track, "cq.base")
+	if err != nil || emptied.Load() {
+		return nil, false, err
+	}
+
+	// A leaf's up relation is its base relation, already in place.
+	tr.Begin(track, "cq.reduce.up")
+	err = f.walk(ctx, true, f.hasChildren, func(nodes []int) error {
+		err := f.each(ctx, nodes, func(i int) { settle(i, f.upStep(i)) })
+		if err == nil && emptied.Load() {
+			err = errEmptied
+		}
+		return err
+	})
+	tr.End(track, "cq.reduce.up")
+	if errors.Is(err, errEmptied) {
+		return nil, false, nil
+	}
+	if err != nil || !full {
+		return nil, err == nil, err
+	}
+
+	// The root's down relation is its up relation, already in place.
+	tr.Begin(track, "cq.reduce.down")
+	err = f.walk(ctx, false, f.hasParent, func(nodes []int) error {
+		return f.each(ctx, nodes, func(i int) { rel[i] = f.downStep(i) })
+	})
+	tr.End(track, "cq.reduce.down")
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if in.empty {
-		return nil, nil
+
+	tr.Begin(track, "cq.output")
+	err = f.walk(ctx, true, nil, func(nodes []int) error {
+		return f.each(ctx, nodes, func(i int) { f.out[i] = f.outStep(i) })
+	})
+	tr.End(track, "cq.output")
+	if err != nil {
+		return nil, false, err
 	}
-	e := newEngine(q, in, d, opt)
-	empty, err := e.basePass(ctx)
-	if err != nil || empty {
-		return nil, err
-	}
-	empty, err = e.reduceUp(ctx)
-	if err != nil || empty {
-		return nil, err
-	}
-	if err := e.reduceDown(ctx); err != nil {
-		return nil, err
-	}
-	if err := e.outputPass(ctx); err != nil {
-		return nil, err
-	}
-	return e.assemble()
+	rows, err = assembleAnswers(q, in, f.out[f.root])
+	return rows, err == nil, err
 }
 
 // defaultDecomposition builds the evaluator's stock GHD: min-fill
@@ -167,66 +205,193 @@ func defaultDecomposition(q *Query) *decomp.Decomposition {
 	return order.GHD(h, o, nil, true)
 }
 
-// engine holds the per-evaluation state: the interned instance, the
-// decomposition with its nodes indexed and grouped into depth levels, and
-// the evolving per-node relations.
-type engine struct {
-	q   *Query
+// flow is the Yannakakis dataflow over one completed decomposition: the
+// tree's index — nodes, node → index map, depth levels, head variables —
+// and four relation layers per node,
+//
+//	base[p] = π_χ(⋈ λ)                      (base joins)
+//	up[p]   = base[p] ⋉ up[c1] ⋉ … ⋉ up[ck] (bottom-up full reducer)
+//	down[p] = up[p] ⋉ down[parent(p)]       (top-down full reducer; root: up)
+//	out[p]  = π_{head ∪ connector}(down[p] ⋈ out[c1] ⋈ … ⋈ out[ck])
+//
+// each computed by exactly one step function. The one-shot engine runs
+// the steps pass by pass over the whole tree; a StandingQuery keeps the
+// layers apart and re-runs steps only where a delta reaches.
+type flow struct {
 	in  *instance
-	d   *decomp.Decomposition
 	opt EvalOptions
 
-	idx    map[*decomp.Node]int // node → position in d.Nodes()
-	levels [][]*decomp.Node     // nodes by depth, each level in preorder
-	rel    []*csp.Relation      // R_p per node index (the reducer rewrites these)
-	out    []*csp.Relation      // output-pass relations per node index
+	nodes  []*decomp.Node
+	idx    map[*decomp.Node]int // node → position in nodes
+	levels [][]int              // node positions by depth, each level in preorder
+	root   int                  // position of the root
+	head   map[int]bool         // vertex indices of the head variables
 
-	emptied atomic.Bool // some node relation became empty: no answers
+	base, up, down, out []*csp.Relation
 }
 
-func newEngine(q *Query, in *instance, d *decomp.Decomposition, opt EvalOptions) *engine {
+// newFlow completes d and indexes it. The layers are left for the caller
+// to allocate, since the one-shot engine aliases three of them.
+func newFlow(q *Query, in *instance, d *decomp.Decomposition, opt EvalOptions) *flow {
 	d.Complete()
-	e := &engine{
-		q: q, in: in, d: d, opt: opt,
-		idx: make(map[*decomp.Node]int, d.NumNodes()),
-		rel: make([]*csp.Relation, d.NumNodes()),
-		out: make([]*csp.Relation, d.NumNodes()),
+	f := &flow{
+		in: in, opt: opt,
+		nodes: d.Nodes(),
+		idx:   make(map[*decomp.Node]int, d.NumNodes()),
+		head:  map[int]bool{},
 	}
-	for i, n := range d.Nodes() {
-		e.idx[n] = i
+	for i, n := range f.nodes {
+		f.idx[n] = i
 	}
+	f.root = f.idx[d.Root]
 	// Group nodes into depth levels by preorder walk, so each level is
 	// deterministically ordered and children sit exactly one level below
 	// their parent.
 	var walk func(n *decomp.Node, depth int)
 	walk = func(n *decomp.Node, depth int) {
-		if depth == len(e.levels) {
-			e.levels = append(e.levels, nil)
+		if depth == len(f.levels) {
+			f.levels = append(f.levels, nil)
 		}
-		e.levels[depth] = append(e.levels[depth], n)
+		f.levels[depth] = append(f.levels[depth], f.idx[n])
 		for _, c := range n.Children {
 			walk(c, depth+1)
 		}
 	}
 	walk(d.Root, 0)
-	return e
+	for _, hv := range q.Head {
+		f.head[in.varIndex[hv]] = true
+	}
+	return f
 }
 
-// runLevel executes fn over the tasks of one level batch on the bounded
-// worker pool. Tasks are independent within a batch, so scheduling cannot
-// affect results. Cancellation is checked before each task; the first
-// cause wins, with context errors taking priority so a cancelled run
-// never reports a partial verdict.
-func (e *engine) runLevel(ctx context.Context, tasks []*decomp.Node, fn func(n *decomp.Node) error) error {
-	return runTasks(ctx, e.opt, len(tasks), func(i int) error { return fn(tasks[i]) })
+func (f *flow) hasChildren(i int) bool { return len(f.nodes[i].Children) > 0 }
+func (f *flow) hasParent(i int) bool   { return f.nodes[i].Parent != nil }
+
+// baseStep computes base[i] = π_χ(⋈ λ): the node's atoms joined in λ
+// order, stopping once the join empties, with a cancellation poll between
+// joins.
+func (f *flow) baseStep(ctx context.Context, i int) (*csp.Relation, error) {
+	n := f.nodes[i]
+	if len(n.Lambda) == 0 {
+		return &csp.Relation{Tuples: [][]int{{}}}, nil
+	}
+	chk := interrupt.New(ctx, 1)
+	joined := f.in.atomRel[n.Lambda[0]]
+	for _, a := range n.Lambda[1:] {
+		if chk.Now() {
+			return nil, stopCause(ctx)
+		}
+		joined = csp.Join(joined, f.in.atomRel[a])
+		f.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
+		if joined.Size() == 0 {
+			break
+		}
+	}
+	return csp.Project(joined, n.Chi.Slice()), nil
+}
+
+// upStep computes up[i]: base[i] semijoined with each child's up relation
+// in child order, skipping scope-less operands and stopping once empty.
+func (f *flow) upStep(i int) *csp.Relation {
+	r := f.base[i]
+	for _, ch := range f.nodes[i].Children {
+		cr := f.up[f.idx[ch]]
+		if len(r.Scope) == 0 || len(cr.Scope) == 0 {
+			continue
+		}
+		r = csp.Semijoin(r, cr)
+		f.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(r.Size()))
+		if r.Size() == 0 {
+			break
+		}
+	}
+	return r
+}
+
+// downStep computes down[i]: up[i] semijoined with the parent's down
+// relation (the root's is its up relation), skipping scope-less operands.
+func (f *flow) downStep(i int) *csp.Relation {
+	n, r := f.nodes[i], f.up[i]
+	if n.Parent == nil {
+		return r
+	}
+	pr := f.down[f.idx[n.Parent]]
+	if len(r.Scope) == 0 || len(pr.Scope) == 0 {
+		return r
+	}
+	r = csp.Semijoin(r, pr)
+	f.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(r.Size()))
+	return r
+}
+
+// outStep computes out[i]: down[i] joined with each child's out relation,
+// projected to the head variables plus those shared with the parent.
+func (f *flow) outStep(i int) *csp.Relation {
+	n := f.nodes[i]
+	f.opt.Stats.Add(telemetry.CQOutputJoins, 1)
+	joined := f.down[i]
+	for _, ch := range n.Children {
+		joined = csp.Join(joined, f.out[f.idx[ch]])
+		f.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
+	}
+	var keep []int
+	seen := map[int]bool{}
+	for _, v := range joined.Scope {
+		inParent := n.Parent != nil && n.Parent.Chi.Contains(v)
+		if (f.head[v] || inParent) && !seen[v] {
+			seen[v] = true
+			keep = append(keep, v)
+		}
+	}
+	return csp.Project(joined, keep)
+}
+
+// walk drives one reducer or output layer level by level — deepest level
+// first when bottomUp, root first otherwise — polling for cancellation
+// before each level and handing run the level's nodes that keep accepts
+// (nil keeps all). Levels with no such node are skipped. Because a step
+// reads only its own node and the adjacent level, which the previous
+// batch completed, the nodes of one batch are independent.
+func (f *flow) walk(ctx context.Context, bottomUp bool, keep func(i int) bool, run func(nodes []int) error) error {
+	chk := interrupt.New(ctx, 1)
+	for k := range f.levels {
+		lvl := k
+		if bottomUp {
+			lvl = len(f.levels) - 1 - k
+		}
+		if chk.Now() {
+			return stopCause(ctx)
+		}
+		var nodes []int
+		for _, i := range f.levels[lvl] {
+			if keep == nil || keep(i) {
+				nodes = append(nodes, i)
+			}
+		}
+		if len(nodes) == 0 {
+			continue
+		}
+		if err := run(nodes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// each runs fn over a batch of independent nodes on the worker pool.
+func (f *flow) each(ctx context.Context, nodes []int, fn func(i int)) error {
+	return runTasks(ctx, f.opt, len(nodes), func(k int) error {
+		fn(nodes[k])
+		return nil
+	})
 }
 
 // runTasks executes fn(0..n-1) on a bounded worker pool of opt.jobs(n)
 // goroutines (sequentially for one). Tasks must be mutually independent —
 // scheduling cannot affect results. Cancellation is checked before each
 // task; context errors win over task errors, so a cancelled run never
-// reports a partial verdict. Both the level-synchronous engine and the
-// standing-query delta passes run their per-node batches through this.
+// reports a partial verdict. Every pass of the one-shot engine and of a
+// standing query's deltas runs its per-node batches through this.
 func runTasks(ctx context.Context, opt EvalOptions, n int, fn func(i int) error) error {
 	st := opt.Stats
 	if st != nil {
@@ -246,7 +411,7 @@ func runTasks(ctx context.Context, opt EvalOptions, n int, fn func(i int) error)
 		chk := interrupt.New(ctx, 1)
 		for i := 0; i < n; i++ {
 			if chk.Now() {
-				return ctx.Err()
+				return stopCause(ctx)
 			}
 			if err := fn(i); err != nil {
 				return err
@@ -281,7 +446,7 @@ func runTasks(ctx context.Context, opt EvalOptions, n int, fn func(i int) error)
 					return
 				}
 				if chk.Now() {
-					errs[i] = ctx.Err()
+					errs[i] = stopCause(ctx)
 					return
 				}
 				errs[i] = fn(i)
@@ -297,7 +462,7 @@ func runTasks(ctx context.Context, opt EvalOptions, n int, fn func(i int) error)
 			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	if err := interrupt.Cause(ctx); err != nil {
 		return err
 	}
 	for _, err := range errs {
@@ -308,168 +473,16 @@ func runTasks(ctx context.Context, opt EvalOptions, n int, fn func(i int) error)
 	return nil
 }
 
-// basePass computes R_p = π_χ(⋈ λ) for every node, in parallel across
-// nodes (they are mutually independent). Returns empty=true when some
-// node relation is empty, which settles the query as answerless.
-func (e *engine) basePass(ctx context.Context) (empty bool, err error) {
-	tr, track := e.opt.Trace, e.opt.Track
-	tr.Begin(track, "cq.base")
-	defer tr.End(track, "cq.base")
-	err = e.runLevel(ctx, e.d.Nodes(), func(n *decomp.Node) error {
-		i := e.idx[n]
-		if len(n.Lambda) == 0 {
-			e.rel[i] = &csp.Relation{Tuples: [][]int{{}}}
-			return nil
-		}
-		chk := interrupt.New(ctx, 1)
-		joined := e.in.atomRel[n.Lambda[0]]
-		for _, a := range n.Lambda[1:] {
-			if chk.Now() {
-				return ctx.Err()
-			}
-			joined = csp.Join(joined, e.in.atomRel[a])
-			e.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
-			if joined.Size() == 0 {
-				break
-			}
-		}
-		e.rel[i] = csp.Project(joined, n.Chi.Slice())
-		if e.rel[i].Size() == 0 {
-			e.emptied.Store(true)
-		}
-		tr.Instant(track, "cq.node",
-			telemetry.Arg{Key: "node", Val: int64(i)},
-			telemetry.Arg{Key: "tuples", Val: int64(e.rel[i].Size())})
-		return nil
-	})
-	return e.emptied.Load(), err
-}
-
-// reduceUp runs the bottom-up half of the full reducer: level by level
-// from the deepest parents to the root, each parent semijoins with its
-// children in child order. Within a level parents are independent, so
-// they run in parallel; the level barrier guarantees every child is fully
-// reduced before its parent consumes it — the exact dataflow of the
-// sequential postorder sweep.
-func (e *engine) reduceUp(ctx context.Context) (empty bool, err error) {
-	tr, track := e.opt.Trace, e.opt.Track
-	tr.Begin(track, "cq.reduce.up")
-	defer tr.End(track, "cq.reduce.up")
-	chk := interrupt.New(ctx, 1)
-	for lvl := len(e.levels) - 2; lvl >= 0; lvl-- {
-		if chk.Now() {
-			return false, ctx.Err()
-		}
-		parents := withChildren(e.levels[lvl])
-		err := e.runLevel(ctx, parents, func(p *decomp.Node) error {
-			pi := e.idx[p]
-			pr := e.rel[pi]
-			for _, ch := range p.Children {
-				cr := e.rel[e.idx[ch]]
-				if len(pr.Scope) == 0 || len(cr.Scope) == 0 {
-					continue
-				}
-				pr = csp.Semijoin(pr, cr)
-				e.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(pr.Size()))
-				if pr.Size() == 0 {
-					e.emptied.Store(true)
-					break
-				}
-			}
-			e.rel[pi] = pr
-			return nil
-		})
-		if err != nil {
-			return false, err
-		}
-		if e.emptied.Load() {
-			return true, nil
-		}
+// stopCause is the error a fired cancellation poll reports. It is
+// interrupt.Cause — so a deadline the wall clock has passed reports
+// context.DeadlineExceeded even before the runtime delivers the context's
+// timer and Err turns non-nil — and never nil: a poll that fires on a
+// closed Done channel is a cancellation even if Err lags behind.
+func stopCause(ctx context.Context) error {
+	if err := interrupt.Cause(ctx); err != nil {
+		return err
 	}
-	return false, nil
-}
-
-// reduceDown runs the top-down half of the full reducer: level by level
-// from the root, each parent semijoins its children against itself —
-// again matching the sequential preorder dataflow exactly.
-func (e *engine) reduceDown(ctx context.Context) error {
-	tr, track := e.opt.Trace, e.opt.Track
-	tr.Begin(track, "cq.reduce.down")
-	defer tr.End(track, "cq.reduce.down")
-	chk := interrupt.New(ctx, 1)
-	for lvl := 0; lvl < len(e.levels)-1; lvl++ {
-		if chk.Now() {
-			return ctx.Err()
-		}
-		parents := withChildren(e.levels[lvl])
-		err := e.runLevel(ctx, parents, func(p *decomp.Node) error {
-			pr := e.rel[e.idx[p]]
-			for _, ch := range p.Children {
-				ci := e.idx[ch]
-				if len(pr.Scope) == 0 || len(e.rel[ci].Scope) == 0 {
-					continue
-				}
-				e.rel[ci] = csp.Semijoin(e.rel[ci], pr)
-				e.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(e.rel[ci].Size()))
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// outputPass materializes answers bottom-up: each node joins its reduced
-// relation with its children's output relations and projects to head ∪
-// parent-connector variables. Levels run deepest first so children are
-// complete before their parent joins them; nodes within a level are
-// independent and run in parallel.
-func (e *engine) outputPass(ctx context.Context) error {
-	tr, track := e.opt.Trace, e.opt.Track
-	tr.Begin(track, "cq.output")
-	defer tr.End(track, "cq.output")
-	headSet := map[int]bool{}
-	for _, hv := range e.q.Head {
-		headSet[e.in.varIndex[hv]] = true
-	}
-	chk := interrupt.New(ctx, 1)
-	for lvl := len(e.levels) - 1; lvl >= 0; lvl-- {
-		if chk.Now() {
-			return ctx.Err()
-		}
-		err := e.runLevel(ctx, e.levels[lvl], func(n *decomp.Node) error {
-			i := e.idx[n]
-			e.opt.Stats.Add(telemetry.CQOutputJoins, 1)
-			joined := e.rel[i]
-			for _, ch := range n.Children {
-				joined = csp.Join(joined, e.out[e.idx[ch]])
-				e.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
-			}
-			var keep []int
-			seen := map[int]bool{}
-			for _, v := range joined.Scope {
-				inParent := n.Parent != nil && n.Parent.Chi.Contains(v)
-				if (headSet[v] || inParent) && !seen[v] {
-					seen[v] = true
-					keep = append(keep, v)
-				}
-			}
-			e.out[i] = csp.Project(joined, keep)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// assemble renders the root's output relation as sorted, deduplicated
-// answer rows in head order.
-func (e *engine) assemble() ([][]string, error) {
-	return assembleAnswers(e.q, e.in, e.out[e.idx[e.d.Root]])
+	return context.Canceled
 }
 
 // assembleAnswers renders a root output relation as sorted, deduplicated
@@ -512,16 +525,4 @@ func assembleAnswers(q *Query, in *instance, root *csp.Relation) ([][]string, er
 	}
 	sortRows(rows)
 	return rows, nil
-}
-
-// withChildren filters a level down to its internal nodes, preserving
-// order.
-func withChildren(nodes []*decomp.Node) []*decomp.Node {
-	var out []*decomp.Node
-	for _, n := range nodes {
-		if len(n.Children) > 0 {
-			out = append(out, n)
-		}
-	}
-	return out
 }

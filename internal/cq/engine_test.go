@@ -3,6 +3,7 @@ package cq
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -187,6 +188,60 @@ func TestExpiredContextReturnsPromptly(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancelled runs took %v; cancellation must be prompt", elapsed)
+	}
+}
+
+// lateTimerCtx is a context whose deadline has passed but whose timer the
+// runtime has not delivered yet: Done is still open and Err still nil.
+// interrupt.Checker stops on the wall clock in this window, so whatever a
+// fired poll reports must not come from Err.
+type lateTimerCtx struct{}
+
+var lateTimerDone = make(chan struct{})
+
+func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Unix(1, 0), true }
+func (lateTimerCtx) Done() <-chan struct{}       { return lateTimerDone }
+func (lateTimerCtx) Err() error                  { return nil }
+func (lateTimerCtx) Value(any) any               { return nil }
+
+// TestFiredPollNeverReportsNil pins what a cancellation poll reports when
+// it fires while ctx.Err() is still nil. With the deadline past but its
+// timer not yet delivered, every one-shot entry point reports
+// context.DeadlineExceeded; with Done closed but Err lagging (the
+// countdown harness at its limit), context.Canceled. Either way there are
+// no rows and no verdict, and no pass runs on with half-computed node
+// relations.
+func TestFiredPollNeverReportsNil(t *testing.T) {
+	q, db := movieData()
+	unsat, err := Parse("ans() :- cast(M, A), directed(nobody, M).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"deadline passed before its timer fired", lateTimerCtx{}, context.DeadlineExceeded},
+		{"done closed before Err is set", &cancelCtx{after: math.MaxInt32}, context.Canceled},
+	} {
+		for _, jobs := range []int{1, 2} {
+			opt := EvalOptions{Jobs: jobs}
+			rows, err := EvaluateCtx(tc.ctx, q, db, opt)
+			if err != tc.want || rows != nil {
+				t.Fatalf("%s, jobs=%d: EvaluateCtx = %v, %v; want no rows, %v", tc.name, jobs, rows, err, tc.want)
+			}
+			batch, err := EvaluateBatchCtx(tc.ctx, []*Query{q, q}, db, opt)
+			if err != tc.want || batch != nil {
+				t.Fatalf("%s, jobs=%d: EvaluateBatchCtx = %v, %v; want no rows, %v", tc.name, jobs, batch, err, tc.want)
+			}
+			for _, bq := range []*Query{q, unsat} {
+				sat, err := BooleanCtx(tc.ctx, bq, db, opt)
+				if err != tc.want || sat {
+					t.Fatalf("%s, jobs=%d: BooleanCtx(%s) = %v, %v; want false, %v", tc.name, jobs, bq, sat, err, tc.want)
+				}
+			}
+		}
 	}
 }
 

@@ -338,6 +338,45 @@ func TestStandingCancelMidDeltaRollsBack(t *testing.T) {
 	}
 }
 
+// TestStandingDeadlinePassedBeforeTimerFires pins the rollback contract for
+// a deadline the runtime has not yet delivered (see lateTimerCtx): opening
+// and applying a delta both report context.DeadlineExceeded, the delta
+// leaves the answer set untouched, and the next delta still agrees with a
+// full re-evaluation.
+func TestStandingDeadlinePassedBeforeTimerFires(t *testing.T) {
+	q, db := movieData()
+	ctx := context.Background()
+	for _, jobs := range []int{1, 2} {
+		opt := EvalOptions{Jobs: jobs}
+		if sq, err := NewStandingQuery(lateTimerCtx{}, q, db, nil, opt); err != context.DeadlineExceeded || sq != nil {
+			t.Fatalf("jobs=%d: NewStandingQuery = %v, %v; want nil, DeadlineExceeded", jobs, sq, err)
+		}
+		sq, err := NewStandingQuery(ctx, q, db, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := sq.Answers()
+		if err := sq.Insert(lateTimerCtx{}, "cast", "taxi", "pacino"); err != context.DeadlineExceeded {
+			t.Fatalf("jobs=%d: Insert error = %v, want context.DeadlineExceeded", jobs, err)
+		}
+		if got := sq.Answers(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("jobs=%d: expired delta changed the answers\n got %v\nwant %v", jobs, got, before)
+		}
+		if err := sq.Insert(ctx, "cast", "taxi", "pacino"); err != nil {
+			t.Fatal(err)
+		}
+		shadow := db.Clone()
+		shadow.Add("cast", "taxi", "pacino")
+		want, err := EvaluateCtx(ctx, q, shadow, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sq.Answers(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("jobs=%d: delta after the expired one diverged\n got %v\nwant %v", jobs, got, want)
+		}
+	}
+}
+
 // TestBatchCancelReturnsNoPartial pins batch cancellation: both a
 // pre-cancelled context and one expiring mid-batch yield ctx.Err() and a
 // nil result set.

@@ -2,33 +2,28 @@
 // answer set maintained under single-tuple inserts and deletes without
 // re-running the full evaluation.
 //
-// The standing state is the engine's dataflow made explicit. Per node of
-// the (completed) decomposition four relation layers are kept:
+// The standing state is the engine's dataflow (flow) kept whole: the four
+// relation layers base/up/down/out per node of the (completed)
+// decomposition, each in its own slice, plus, per body atom, a
+// multiplicity count of the database rows matching it, so set-semantics
+// per-atom relations survive duplicate inserts and partial deletes.
 //
-//	base[p] = π_χ(⋈ λ)                      (the base pass)
-//	up[p]   = base[p] ⋉ up[c1] ⋉ … ⋉ up[ck] (bottom-up full reducer)
-//	down[p] = up[p] ⋉ down[parent(p)]       (top-down full reducer; root: up)
-//	out[p]  = π_{head ∪ connector}(down[p] ⋈ out[c1] ⋈ … ⋈ out[ck])
+// A delta first rewrites the per-atom relations it touches, then
+// propagates: it sweeps each layer in the engine's level order, re-running
+// the layer's step only on nodes whose inputs changed and cutting off
+// with a set-equality test (csp.SameSet): every kernel consumes its
+// inputs with set semantics, so an unchanged recomputed relation proves
+// the delta cannot reach past that node. For a delta touching one atom
+// this is exactly the root-leaf path through the owning node — up along
+// its ancestors, down and out through the subtrees the path borders — and
+// the cutoff usually stops far earlier. Opening a standing query is the
+// same propagation with every node dirty against empty layers.
 //
-// plus, per body atom, a multiplicity count of the database rows matching
-// it, so set-semantics per-atom relations survive duplicate inserts and
-// partial deletes.
-//
-// A delta first rewrites the per-atom relations it touches, then sweeps
-// each layer in the engine's level order, recomputing only nodes whose
-// inputs changed and cutting off with a set-equality test (csp.SameSet):
-// every kernel consumes its inputs with set semantics, so an unchanged
-// recomputed relation proves the delta cannot reach past that node. For a
-// delta touching one atom this is exactly the root-leaf path through the
-// owning node — up along its ancestors, down and out through the subtrees
-// the path borders — and the cutoff usually stops far earlier.
-//
-// All recomputation uses the same kernels, the same skip rules, and the
-// same level-synchronous runTasks pool as the one-shot engine, so Answers
-// is bit-identical to a fresh EvaluateCtx over the mutated database at
-// every Jobs value. A cancelled delta rolls back through an undo journal —
-// relations are replaced, never mutated in place — leaving no partial
-// answer state.
+// Every recompute runs the engine's own step functions on the same
+// level-synchronous runTasks pool, so Answers is bit-identical to a fresh
+// EvaluateCtx over the mutated database at every Jobs value. A cancelled
+// delta rolls back through an undo journal — relations are replaced,
+// never mutated in place — leaving no partial answer state.
 package cq
 
 import (
@@ -55,23 +50,14 @@ type atomState struct {
 // Insert/Delete by delta propagation over the decomposition. Safe for
 // concurrent use; deltas serialize on an internal mutex.
 type StandingQuery struct {
-	mu  sync.Mutex
-	q   *Query
-	d   *decomp.Decomposition
-	opt EvalOptions
-	in  *instance
+	mu sync.Mutex
+	q  *Query
+	*flow
 
-	nodes     []*decomp.Node
-	idx       map[*decomp.Node]int
-	levels    [][]*decomp.Node
 	atomNodes [][]int // atom index → indices of nodes whose λ contains it
-	headSet   map[int]bool
-
-	atoms []atomState
-
-	base, up, down, out []*csp.Relation
-	isEmpty             bool // some base/up relation is empty: no answers
-	answers             [][]string
+	atoms     []atomState
+	isEmpty   bool // some base/up relation is empty: no answers
+	answers   [][]string
 
 	undo []func() // rollback journal of the in-flight delta
 }
@@ -94,35 +80,15 @@ func NewStandingQuery(ctx context.Context, q *Query, db *Database, d *decomp.Dec
 	if err != nil {
 		return nil, err
 	}
-	d.Complete()
-	s := &StandingQuery{
-		q: q, d: d, opt: opt, in: in,
-		nodes:   d.Nodes(),
-		idx:     make(map[*decomp.Node]int, d.NumNodes()),
-		headSet: map[int]bool{},
-	}
-	for i, n := range s.nodes {
-		s.idx[n] = i
-	}
-	var walk func(n *decomp.Node, depth int)
-	walk = func(n *decomp.Node, depth int) {
-		if depth == len(s.levels) {
-			s.levels = append(s.levels, nil)
-		}
-		s.levels[depth] = append(s.levels[depth], n)
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(d.Root, 0)
+	f := newFlow(q, in, d, opt)
+	layer := func() []*csp.Relation { return make([]*csp.Relation, len(f.nodes)) }
+	f.base, f.up, f.down, f.out = layer(), layer(), layer(), layer()
+	s := &StandingQuery{q: q, flow: f}
 	s.atomNodes = make([][]int, len(q.Body))
 	for i, n := range s.nodes {
 		for _, a := range n.Lambda {
 			s.atomNodes[a] = append(s.atomNodes[a], i)
 		}
-	}
-	for _, hv := range q.Head {
-		s.headSet[in.varIndex[hv]] = true
 	}
 
 	s.atoms = make([]atomState, len(q.Body))
@@ -150,9 +116,16 @@ func NewStandingQuery(ctx context.Context, q *Query, db *Database, d *decomp.Dec
 			st.counts[s.rowKey(st, binding)]++
 		}
 	}
-	if err := s.rebuild(ctx); err != nil {
+	// Opening is one full propagation: every node is dirty and every layer
+	// empty, so each step runs once on every node.
+	dirty := make([]bool, len(s.nodes))
+	for i := range dirty {
+		dirty[i] = true
+	}
+	if _, err := s.propagate(ctx, dirty); err != nil {
 		return nil, err
 	}
+	s.undo = nil
 	return s, nil
 }
 
@@ -163,120 +136,6 @@ func (s *StandingQuery) rowKey(st *atomState, binding map[string]string) string 
 		key += binding[name] + "\x00"
 	}
 	return key
-}
-
-// rebuild computes every layer from scratch (construction only — deltas
-// go through propagate).
-func (s *StandingQuery) rebuild(ctx context.Context) error {
-	n := len(s.nodes)
-	s.base = make([]*csp.Relation, n)
-	s.up = make([]*csp.Relation, n)
-	s.down = make([]*csp.Relation, n)
-	s.out = make([]*csp.Relation, n)
-	err := runTasks(ctx, s.opt, n, func(i int) error {
-		s.base[i] = s.computeBase(i)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for lvl := len(s.levels) - 1; lvl >= 0; lvl-- {
-		if err := s.runLayer(ctx, s.levels[lvl], s.up, s.computeUp); err != nil {
-			return err
-		}
-	}
-	for lvl := 0; lvl < len(s.levels); lvl++ {
-		if err := s.runLayer(ctx, s.levels[lvl], s.down, s.computeDown); err != nil {
-			return err
-		}
-	}
-	for lvl := len(s.levels) - 1; lvl >= 0; lvl-- {
-		if err := s.runLayer(ctx, s.levels[lvl], s.out, s.computeOut); err != nil {
-			return err
-		}
-	}
-	s.isEmpty = s.anyEmpty()
-	return s.refreshAnswers()
-}
-
-// runLayer computes one layer function over a full level into dst.
-func (s *StandingQuery) runLayer(ctx context.Context, nodes []*decomp.Node, dst []*csp.Relation, fn func(n *decomp.Node) *csp.Relation) error {
-	return runTasks(ctx, s.opt, len(nodes), func(k int) error {
-		dst[s.idx[nodes[k]]] = fn(nodes[k])
-		return nil
-	})
-}
-
-// computeBase is the engine's base pass for one node: R_p = π_χ(⋈ λ).
-func (s *StandingQuery) computeBase(i int) *csp.Relation {
-	n := s.nodes[i]
-	if len(n.Lambda) == 0 {
-		return &csp.Relation{Tuples: [][]int{{}}}
-	}
-	joined := s.in.atomRel[n.Lambda[0]]
-	for _, a := range n.Lambda[1:] {
-		joined = csp.Join(joined, s.in.atomRel[a])
-		s.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
-		if joined.Size() == 0 {
-			break
-		}
-	}
-	return csp.Project(joined, n.Chi.Slice())
-}
-
-// computeUp is the bottom-up reducer step for one node, with the engine's
-// scope-empty skip rule and empty short-circuit.
-func (s *StandingQuery) computeUp(n *decomp.Node) *csp.Relation {
-	pr := s.base[s.idx[n]]
-	for _, ch := range n.Children {
-		cr := s.up[s.idx[ch]]
-		if len(pr.Scope) == 0 || len(cr.Scope) == 0 {
-			continue
-		}
-		pr = csp.Semijoin(pr, cr)
-		s.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(pr.Size()))
-		if pr.Size() == 0 {
-			break
-		}
-	}
-	return pr
-}
-
-// computeDown is the top-down reducer step for one node.
-func (s *StandingQuery) computeDown(n *decomp.Node) *csp.Relation {
-	cr := s.up[s.idx[n]]
-	if n.Parent == nil {
-		return cr
-	}
-	pr := s.down[s.idx[n.Parent]]
-	if len(cr.Scope) == 0 || len(pr.Scope) == 0 {
-		return cr
-	}
-	red := csp.Semijoin(cr, pr)
-	s.opt.Stats.Add(telemetry.CQSemijoinTuples, int64(red.Size()))
-	return red
-}
-
-// computeOut is the output-pass step for one node: join the reduced
-// relation with the children's outputs and project to head ∪ connector.
-func (s *StandingQuery) computeOut(n *decomp.Node) *csp.Relation {
-	i := s.idx[n]
-	s.opt.Stats.Add(telemetry.CQOutputJoins, 1)
-	joined := s.down[i]
-	for _, ch := range n.Children {
-		joined = csp.Join(joined, s.out[s.idx[ch]])
-		s.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
-	}
-	var keep []int
-	seen := map[int]bool{}
-	for _, v := range joined.Scope {
-		inParent := n.Parent != nil && n.Parent.Chi.Contains(v)
-		if (s.headSet[v] || inParent) && !seen[v] {
-			seen[v] = true
-			keep = append(keep, v)
-		}
-	}
-	return csp.Project(joined, keep)
 }
 
 // anyEmpty reports whether some base or bottom-up-reduced relation is
@@ -297,7 +156,7 @@ func (s *StandingQuery) refreshAnswers() error {
 		s.answers = nil
 		return nil
 	}
-	rows, err := assembleAnswers(s.q, s.in, s.out[s.idx[s.d.Root]])
+	rows, err := assembleAnswers(s.q, s.in, s.out[s.root])
 	if err != nil {
 		return err
 	}
@@ -318,15 +177,17 @@ func (s *StandingQuery) Answers() [][]string {
 }
 
 // Insert adds one tuple to the named relation and re-answers the query.
-// On cancellation it returns ctx.Err() and the standing state rolls back
-// to before the call.
+// On cancellation it returns the context's error (DeadlineExceeded once
+// the deadline has passed) and the standing state rolls back to before
+// the call.
 func (s *StandingQuery) Insert(ctx context.Context, relation string, tuple ...string) error {
 	return s.apply(ctx, relation, tuple, true)
 }
 
 // Delete removes one occurrence of the tuple from the named relation and
 // re-answers the query. Deleting an absent tuple is a no-op. On
-// cancellation it returns ctx.Err() and the standing state rolls back.
+// cancellation it returns the context's error and the standing state
+// rolls back.
 func (s *StandingQuery) Delete(ctx context.Context, relation string, tuple ...string) error {
 	return s.apply(ctx, relation, tuple, false)
 }
@@ -379,7 +240,14 @@ func (s *StandingQuery) apply(ctx context.Context, relation string, tuple []stri
 	}
 	tr, track := s.opt.Trace, s.opt.Track
 	tr.Begin(track, "cq.delta")
-	err := s.propagate(ctx, dirty)
+	n, err := s.propagate(ctx, dirty)
+	if err == nil {
+		tr.Instant(track, "cq.delta.nodes",
+			telemetry.Arg{Key: "base", Val: int64(n[0])},
+			telemetry.Arg{Key: "up", Val: int64(n[1])},
+			telemetry.Arg{Key: "down", Val: int64(n[2])},
+			telemetry.Arg{Key: "out", Val: int64(n[3])})
+	}
 	tr.End(track, "cq.delta")
 	if err != nil {
 		s.rollback()
@@ -468,140 +336,101 @@ func equalRow(a, b []int) bool {
 	return true
 }
 
-// propagate sweeps the four layers in engine level order, recomputing only
-// nodes whose inputs changed and stopping where csp.SameSet proves the
-// recomputation a no-op. Commits journal the old relation pointers so a
-// cancelled sweep rolls back cleanly.
-func (s *StandingQuery) propagate(ctx context.Context, baseDirty []bool) error {
-	n := len(s.nodes)
-	changedBase := make([]bool, n)
-	var tasks []*decomp.Node
+// propagate sweeps the four layers in the engine's level order from the
+// nodes whose base is dirty, re-running a layer's step only on nodes with
+// a changed input — their own node's previous layer, or the same layer at
+// the children (up, out) or the parent (down) — and stopping where
+// csp.SameSet proves a recomputation a no-op. Every commit journals the
+// old relation so a cancelled sweep rolls back cleanly. Returns the number
+// of nodes changed per layer.
+func (s *StandingQuery) propagate(ctx context.Context, baseDirty []bool) (changedNodes [4]int, err error) {
+	var changed [4][]bool
+	for l := range changed {
+		changed[l] = make([]bool, len(s.nodes))
+	}
+	var dirty []int
 	for i, d := range baseDirty {
 		if d {
-			tasks = append(tasks, s.nodes[i])
+			dirty = append(dirty, i)
 		}
 	}
-	nBase, err := s.sweep(ctx, tasks, s.base, changedBase, func(n *decomp.Node) *csp.Relation {
-		return s.computeBase(s.idx[n])
+	changedNodes[0], err = s.sweep(ctx, dirty, s.base, changed[0], func(i int) (*csp.Relation, error) {
+		return s.baseStep(ctx, i)
 	})
 	if err != nil {
-		return err
+		return changedNodes, err
 	}
-
-	changedUp := make([]bool, n)
-	nUp := 0
-	for lvl := len(s.levels) - 1; lvl >= 0; lvl-- {
-		nodes := filterNodes(s.levels[lvl], func(nd *decomp.Node) bool {
-			if changedBase[s.idx[nd]] {
+	for l, p := range []struct {
+		layer    []*csp.Relation
+		step     func(i int) *csp.Relation
+		bottomUp bool // reads the children's relation of its own layer, not the parent's
+	}{{s.up, s.upStep, true}, {s.down, s.downStep, false}, {s.out, s.outStep, true}} {
+		in, self := changed[l], changed[l+1]
+		reached := func(i int) bool {
+			if in[i] {
 				return true
 			}
-			for _, ch := range nd.Children {
-				if changedUp[s.idx[ch]] {
+			n := s.nodes[i]
+			if !p.bottomUp {
+				return n.Parent != nil && self[s.idx[n.Parent]]
+			}
+			for _, ch := range n.Children {
+				if self[s.idx[ch]] {
 					return true
 				}
 			}
 			return false
-		})
-		k, err := s.sweep(ctx, nodes, s.up, changedUp, s.computeUp)
-		if err != nil {
-			return err
 		}
-		nUp += k
-	}
-
-	changedDown := make([]bool, n)
-	nDown := 0
-	for lvl := 0; lvl < len(s.levels); lvl++ {
-		nodes := filterNodes(s.levels[lvl], func(nd *decomp.Node) bool {
-			return changedUp[s.idx[nd]] ||
-				(nd.Parent != nil && changedDown[s.idx[nd.Parent]])
-		})
-		k, err := s.sweep(ctx, nodes, s.down, changedDown, s.computeDown)
-		if err != nil {
+		err = s.walk(ctx, p.bottomUp, reached, func(nodes []int) error {
+			k, err := s.sweep(ctx, nodes, p.layer, self, func(i int) (*csp.Relation, error) {
+				return p.step(i), nil
+			})
+			changedNodes[l+1] += k
 			return err
-		}
-		nDown += k
-	}
-
-	changedOut := make([]bool, n)
-	nOut := 0
-	for lvl := len(s.levels) - 1; lvl >= 0; lvl-- {
-		nodes := filterNodes(s.levels[lvl], func(nd *decomp.Node) bool {
-			if changedDown[s.idx[nd]] {
-				return true
-			}
-			for _, ch := range nd.Children {
-				if changedOut[s.idx[ch]] {
-					return true
-				}
-			}
-			return false
 		})
-		k, err := s.sweep(ctx, nodes, s.out, changedOut, s.computeOut)
 		if err != nil {
-			return err
+			return changedNodes, err
 		}
-		nOut += k
 	}
-
-	s.opt.Trace.Instant(s.opt.Track, "cq.delta.nodes",
-		telemetry.Arg{Key: "base", Val: int64(nBase)},
-		telemetry.Arg{Key: "up", Val: int64(nUp)},
-		telemetry.Arg{Key: "down", Val: int64(nDown)},
-		telemetry.Arg{Key: "out", Val: int64(nOut)})
 
 	empty := s.anyEmpty()
-	if changedOut[s.idx[s.d.Root]] || empty != s.isEmpty {
+	if changed[3][s.root] || empty != s.isEmpty {
 		oldAns, oldEmpty := s.answers, s.isEmpty
 		s.undo = append(s.undo, func() { s.answers, s.isEmpty = oldAns, oldEmpty })
 		s.isEmpty = empty
-		if err := s.refreshAnswers(); err != nil {
-			return err
-		}
+		err = s.refreshAnswers()
 	}
-	return nil
+	return changedNodes, err
 }
 
-// sweep recomputes one layer over a batch of independent nodes on the
-// worker pool, committing (and journaling) only relations whose set of
-// tuples actually changed. Returns the number of changed nodes.
-func (s *StandingQuery) sweep(ctx context.Context, nodes []*decomp.Node, layer []*csp.Relation, changed []bool, fn func(n *decomp.Node) *csp.Relation) (int, error) {
-	if len(nodes) == 0 {
-		return 0, nil
-	}
+// sweep runs step over a batch of independent nodes on the worker pool,
+// committing (and journaling) only relations whose set of tuples differs
+// from the layer's current one; a layer starts out empty (nil) before the
+// opening propagation. Returns the number of changed nodes.
+func (s *StandingQuery) sweep(ctx context.Context, nodes []int, layer []*csp.Relation, changed []bool, step func(i int) (*csp.Relation, error)) (int, error) {
 	rels := make([]*csp.Relation, len(nodes))
-	diff := make([]bool, len(nodes))
 	err := runTasks(ctx, s.opt, len(nodes), func(k int) error {
-		rels[k] = fn(nodes[k])
-		diff[k] = !csp.SameSet(layer[s.idx[nodes[k]]], rels[k])
-		return nil
+		r, err := step(nodes[k])
+		if old := layer[nodes[k]]; err == nil && (old == nil || !csp.SameSet(old, r)) {
+			rels[k] = r
+		}
+		return err
 	})
 	if err != nil {
 		return 0, err
 	}
 	committed := 0
-	for k, nd := range nodes {
-		if !diff[k] {
+	for k, i := range nodes {
+		if rels[k] == nil {
 			continue
 		}
 		committed++
-		i := s.idx[nd]
 		old := layer[i]
 		s.undo = append(s.undo, func() { layer[i] = old })
 		layer[i] = rels[k]
 		changed[i] = true
 	}
 	return committed, nil
-}
-
-func filterNodes(nodes []*decomp.Node, keep func(*decomp.Node) bool) []*decomp.Node {
-	var out []*decomp.Node
-	for _, n := range nodes {
-		if keep(n) {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // rollback replays the undo journal in reverse, restoring counts, per-atom
