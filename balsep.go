@@ -47,7 +47,6 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 	// can make.
 	for k := lb; k < w0; k += approx + 1 {
 		r := detk.DecomposeBalancedCtx(ctx, h, k, detk.BalancedOptions{
-			Jobs:       opt.Jobs,
 			MaxGuesses: opt.MaxNodes,
 			Approx:     approx,
 			Seed:       opt.Seed,

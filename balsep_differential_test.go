@@ -3,10 +3,10 @@
 // reference can certify within budget, MethodBalSep must agree — succeed
 // at the exact width with a decomposition that validates and satisfies
 // the descendant condition, and never fabricate a witness below it. The
-// battery also pins the concurrency contract: Jobs=1 runs are bit-for-bit
+// battery also pins the engine's run contract: runs are bit-for-bit
 // reproducible, an 8-goroutine pile-up on one shared cover oracle is
 // race-clean, and mid-recursion cancellation surfaces ctx.Err() without
-// leaking pool workers.
+// leaking goroutines.
 package htd
 
 import (
@@ -87,31 +87,29 @@ func TestBalSepDifferentialCatalog(t *testing.T) {
 			compared.Add(1)
 
 			orc := cover.New(h, cover.Options{})
-			for _, jobs := range []int{1, 3} {
-				ctx, cancel := context.WithTimeout(context.Background(), diffBudget())
-				r := detk.DecomposeBalancedCtx(ctx, h, w, detk.BalancedOptions{
-					Jobs: jobs, Seed: 42, Oracle: orc,
-				})
-				cancel()
-				if r.Err != nil {
-					t.Fatalf("%s (jobs=%d): balsep timed out at k=%d where det-k decided", inst.Name, jobs, w)
+			ctx, cancel = context.WithTimeout(context.Background(), diffBudget())
+			r := detk.DecomposeBalancedCtx(ctx, h, w, detk.BalancedOptions{
+				Seed: 42, Oracle: orc,
+			})
+			cancel()
+			if r.Err != nil {
+				t.Fatalf("%s: balsep timed out at k=%d where det-k decided", inst.Name, w)
+			}
+			if !r.Complete {
+				t.Fatalf("%s: uncancelled balsep run at k=%d reported incomplete", inst.Name, w)
+			}
+			if r.Found != refOK {
+				t.Fatalf("%s: balsep found=%v at k=%d, det-k says %v", inst.Name, r.Found, w, refOK)
+			}
+			if r.Found {
+				if err := r.Decomposition.ValidateGHD(); err != nil {
+					t.Fatalf("%s: %v", inst.Name, err)
 				}
-				if !r.Complete {
-					t.Fatalf("%s (jobs=%d): uncancelled balsep run at k=%d reported incomplete", inst.Name, jobs, w)
+				if !detk.CheckSpecial(r.Decomposition) {
+					t.Fatalf("%s: descendant condition violated", inst.Name)
 				}
-				if r.Found != refOK {
-					t.Fatalf("%s (jobs=%d): balsep found=%v at k=%d, det-k says %v", inst.Name, jobs, r.Found, w, refOK)
-				}
-				if r.Found {
-					if err := r.Decomposition.ValidateGHD(); err != nil {
-						t.Fatalf("%s (jobs=%d): %v", inst.Name, jobs, err)
-					}
-					if !detk.CheckSpecial(r.Decomposition) {
-						t.Fatalf("%s (jobs=%d): descendant condition violated", inst.Name, jobs)
-					}
-					if got := r.Decomposition.GHWidth(); got > w {
-						t.Fatalf("%s (jobs=%d): width %d > certified %d", inst.Name, jobs, got, w)
-					}
+				if got := r.Decomposition.GHWidth(); got > w {
+					t.Fatalf("%s: width %d > certified %d", inst.Name, got, w)
 				}
 			}
 
@@ -121,7 +119,7 @@ func TestBalSepDifferentialCatalog(t *testing.T) {
 				// even on truncation; completeness only when uncancelled.
 				ctx, cancel := context.WithTimeout(context.Background(), diffBudget())
 				r := detk.DecomposeBalancedCtx(ctx, h, w-1, detk.BalancedOptions{
-					Jobs: 3, Seed: 42, Oracle: orc,
+					Seed: 42, Oracle: orc,
 				})
 				cancel()
 				if r.Found {
@@ -136,9 +134,9 @@ func TestBalSepDifferentialCatalog(t *testing.T) {
 }
 
 // TestBalSepJobs1Reproducible runs the engine twice per instance with an
-// identical seed at Jobs=1 and demands bit-for-bit identical trees, the
-// reproducibility half of the determinism contract (Jobs-invariance is
-// pinned in the engine's own package).
+// identical seed and demands bit-for-bit identical trees, the
+// reproducibility half of the determinism contract (the engine's own
+// package pins the trees themselves in testdata/balsep.golden).
 func TestBalSepJobs1Reproducible(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -162,16 +160,16 @@ func TestBalSepJobs1Reproducible(t *testing.T) {
 			if run == 0 {
 				want = buf.Bytes()
 			} else if !bytes.Equal(want, buf.Bytes()) {
-				t.Fatalf("%s: two Jobs=1 runs with one seed produced different trees", c.name)
+				t.Fatalf("%s: two runs with one seed produced different trees", c.name)
 			}
 		}
 	}
 }
 
-// TestBalSepSharedOracleRace piles 8 concurrent engine runs — each with
-// its own internal worker pool — onto one shared cover oracle. Run under
-// -race this is the battery's data-race probe for the oracle, the failure
-// memos, and the pool; the width assertions keep it from passing vacuously.
+// TestBalSepSharedOracleRace piles 8 concurrent engine runs onto one
+// shared cover oracle. Run under -race this is the battery's data-race
+// probe for the oracle and the failure memos; the width assertions keep it
+// from passing vacuously.
 func TestBalSepSharedOracleRace(t *testing.T) {
 	h := gen.Adder(12)
 	orc := cover.New(h, cover.Options{})
@@ -179,7 +177,7 @@ func TestBalSepSharedOracleRace(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(seed int64) {
 			d, ok, complete := detk.DecomposeBalanced(h, 2, detk.BalancedOptions{
-				Jobs: 2, Seed: seed, Oracle: orc,
+				Seed: seed, Oracle: orc,
 			})
 			switch {
 			case !ok || !complete:
@@ -204,7 +202,7 @@ func TestBalSepSharedOracleRace(t *testing.T) {
 // TestBalSepCancellationMidRecursion cancels a run that is provably deep
 // inside the recursion (the stats node counter is past the root) and
 // asserts the anytime contract: ctx.Err() comes back, no partial result
-// leaks out, and every pool worker has drained.
+// leaks out, and no goroutine outlives the run.
 func TestBalSepCancellationMidRecursion(t *testing.T) {
 	// Plain adder_99 at k=2 runs for minutes; the watcher cancels within
 	// milliseconds of the search passing 200 expanded nodes.
@@ -220,7 +218,7 @@ func TestBalSepCancellationMidRecursion(t *testing.T) {
 		cancel()
 	}()
 	r := detk.DecomposeBalancedCtx(ctx, h, 2, detk.BalancedOptions{
-		Jobs: 4, Stats: st,
+		Stats: st,
 	})
 	if r.Found || r.Decomposition != nil {
 		t.Skip("instance solved before the watcher fired; cancellation not exercised")
@@ -231,15 +229,14 @@ func TestBalSepCancellationMidRecursion(t *testing.T) {
 	if r.Complete {
 		t.Fatal("cancelled run claimed a complete search")
 	}
-	// The pool shuts down synchronously before DecomposeBalancedCtx
-	// returns; the retry loop only absorbs unrelated runtime goroutines
-	// winding down.
+	// The engine starts no goroutines; the retry loop only absorbs the
+	// watcher and unrelated runtime goroutines winding down.
 	for i := 0; ; i++ {
 		if runtime.NumGoroutine() <= before+2 {
 			break
 		}
 		if i > 200 {
-			t.Fatalf("worker goroutines leaked after cancellation: %d -> %d", before, runtime.NumGoroutine())
+			t.Fatalf("goroutines leaked after cancellation: %d -> %d", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

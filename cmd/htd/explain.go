@@ -24,7 +24,7 @@ func cmdExplain(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	maxNodes := fs.Int64("maxnodes", 0, "search node budget (0 = unbounded)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget (0 = none); on expiry the incumbent found so far is diagnosed")
-	jobs := fs.Int("jobs", 0, "max concurrent portfolio workers (0 = one per method); for -method balsep, the engine's internal worker-pool size")
+	jobs := fs.Int("jobs", 0, "max concurrent portfolio workers (0 = one per method); -method balsep is sequential and ignores it")
 	approx := fs.Int("approx", 0, "balsep width slack (see htd decompose -approx)")
 	fracBound := fs.Bool("fracbound", false, "prune bb/astar with the fractional (LP) residual lower bound and report its effectiveness")
 	jsonOut := fs.Bool("json", false, "emit the diagnosis as a JSON document instead of text")

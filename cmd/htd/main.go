@@ -143,7 +143,7 @@ func cmdDecompose(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	maxNodes := fs.Int64("maxnodes", 0, "search node budget (0 = unbounded)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget, e.g. 500ms or 10s (0 = none); on expiry the best decomposition found so far is returned")
-	jobs := fs.Int("jobs", 0, "max concurrent portfolio workers (0 = one per method); for -method balsep, the engine's internal worker-pool size")
+	jobs := fs.Int("jobs", 0, "max concurrent portfolio workers (0 = one per method); -method balsep is sequential and ignores it")
 	approx := fs.Int("approx", 0, "balsep width slack: each level k may spend up to k+N separator edges before declaring failure (results beyond the level are flagged inexact); other methods ignore it")
 	fracBound := fs.Bool("fracbound", false, "prune bb/astar with the fractional (LP) residual lower bound — same widths, fewer nodes on tightly covered instances")
 	show := fs.Bool("print", false, "print the decomposition tree")

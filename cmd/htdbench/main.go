@@ -14,8 +14,8 @@
 //	                         # workload catalog through the parallel
 //	                         # Yannakakis engine (answer counts gated too)
 //	htdbench -hw -timeout 10s  # BENCH_balsep.json: the hypertree-width
-//	                         # shoot-out — sequential det-k vs the balanced-
-//	                         # separator engine at Jobs 1 and 4
+//	                         # shoot-out — det-k vs the balanced-separator
+//	                         # engine, whose records run at Jobs 1 and 4
 //	htdbench -compare BENCH_portfolio.json new.json               # perf gate
 //	htdbench -compare -max-wall 2 -max-heap 1.5 base.json new.json
 //
@@ -49,7 +49,7 @@ func main() {
 	runs := flag.Int("runs", 0, "repetitions for stochastic algorithms (0 = default)")
 	jsonOut := flag.Bool("json", false, "run the JSON bench harness over the instance catalog instead of rendering tables")
 	queries := flag.Bool("queries", false, "with -json: run the conjunctive-query workload catalog (BENCH_query.json) instead of the decomposition catalog")
-	hw := flag.Bool("hw", false, "run the hypertree-width engine shoot-out (detk vs balsep at Jobs 1 and 4) over the hypergraph catalog (BENCH_balsep.json); implies -json")
+	hw := flag.Bool("hw", false, "run the hypertree-width engine shoot-out (detk vs balsep, recorded as balsep-j1 and balsep-j4; balsep is sequential and ignores Jobs) over the hypergraph catalog (BENCH_balsep.json); implies -json")
 	out := flag.String("o", "BENCH_portfolio.json", "output path for -json ('-' = stdout)")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-(instance, method) wall-clock budget for -json")
 	methods := flag.String("methods", "portfolio", "comma-separated methods for -json: minfill|ga|saiga|bb|astar|portfolio|fhw|balsep")

@@ -149,11 +149,11 @@ const (
 	MethodFHW
 	// MethodBalSep runs the BalancedGo-style balanced-separator search
 	// (Gottlob–Okulmus–Pichler) as an anytime engine: iterative deepening
-	// from the tw-ksc lower bound, each level exploring separator components
-	// in parallel through a work-stealing pool (Options.Jobs), separator
-	// enumeration fed by the run's shared cover oracle, with a min-fill
-	// incumbent as the anytime fallback. Options.Approx trades width slack
-	// for speed. GHW and Decompose only; not valid for treewidth.
+	// from the tw-ksc lower bound, each level one sequential search with
+	// separator enumeration fed by the run's shared cover oracle, and a
+	// min-fill incumbent as the anytime fallback. Options.Approx trades
+	// width slack for speed; Options.Jobs does not apply. GHW and
+	// Decompose only; not valid for treewidth.
 	MethodBalSep
 )
 
@@ -224,9 +224,8 @@ type Options struct {
 	// method). Queued workers that a deadline or an exact answer overtakes
 	// never start. Jobs=1 runs the methods sequentially in slot order,
 	// which makes the whole portfolio result — witness ordering included —
-	// reproducible for a fixed Seed. For MethodBalSep, Jobs instead sizes
-	// the engine's internal work-stealing pool; the decomposition a
-	// complete balsep search finds is identical at every Jobs value.
+	// reproducible for a fixed Seed. MethodBalSep is one sequential
+	// search and ignores Jobs.
 	Jobs int
 	// Approx is MethodBalSep's width slack (the CLI's -approx N): each
 	// deepening level k may spend up to k+Approx separator edges before
@@ -650,14 +649,13 @@ func HypertreeDecompose(h *Hypergraph, k int) (*Decomposition, bool) {
 }
 
 // HypertreeDecomposeBalanced is the BalancedGo-style variant: feasible
-// separators are tried most-balanced first, giving shallow trees, and the
-// components of each separator recurse in parallel on a small worker
-// pool. complete distinguishes a proof of hw(H) > k (ok=false,
-// complete=true) from a truncated search; with unbounded guesses it is
-// always true. Use MethodBalSep via DecomposeCtx/GHWCtx for the full
-// engine (context, approx slack, shared cover oracle, telemetry).
+// separators are tried most-balanced first, giving shallow trees, in one
+// sequential search. complete distinguishes a proof of hw(H) > k
+// (ok=false, complete=true) from a truncated search; with unbounded
+// guesses it is always true. Use MethodBalSep via DecomposeCtx/GHWCtx for
+// the full engine (context, approx slack, shared cover oracle, telemetry).
 func HypertreeDecomposeBalanced(h *Hypergraph, k int) (d *Decomposition, ok, complete bool) {
-	return detk.DecomposeBalanced(h, k, detk.BalancedOptions{Jobs: 4})
+	return detk.DecomposeBalanced(h, k, detk.BalancedOptions{})
 }
 
 // FractionalCover returns ρ*(target): the minimum total weight of a

@@ -1,6 +1,6 @@
-// The hypertree-width engine shoot-out behind `htdbench -hw`: the
-// sequential det-k width search against the balanced-separator facade at
-// Jobs 1 and 4, per hypergraph catalog instance, under one shared budget.
+// The hypertree-width engine shoot-out behind `htdbench -hw`: the det-k
+// width search against the balanced-separator facade, per hypergraph
+// catalog instance, under one shared budget.
 // The records pin the promoted balsep engine's reason to exist — on
 // edge-order-hostile instances (adder_48_perm) the det-k row exhausts its
 // deadline and errors while balsep still closes the instance exactly —
@@ -16,14 +16,16 @@ import (
 	"hypertree/internal/telemetry"
 )
 
-// hwJobs are the balsep worker-pool sizes benchmarked per instance; each
-// contributes one "balsep-jN" record.
+// hwJobs are the Jobs values of the balsep runs per instance; each
+// contributes one "balsep-jN" record. Balsep is sequential and ignores
+// Jobs, so the records repeat one search (CI asserts they agree on width
+// and work); both stay because the committed baseline is keyed by them.
 var hwJobs = []int{1, 4}
 
 // RunHW executes the hypertree-width harness: per catalog hypergraph, one
 // "detk" record (the sequential exact width search, an error record when
 // the budget kills it — Compare then gates nothing on that row) and one
-// "balsep-jN" record per pool size, all Kind "hw".
+// "balsep-jN" record per hwJobs entry, all Kind "hw".
 func RunHW(cfg Config) Report {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second

@@ -1,20 +1,17 @@
 // Balanced-separator hypertree decomposition in the style of BalancedGo
 // (Gottlob–Okulmus–Pichler): at every subproblem the feasible λ-separators
 // are tried balanced-first (largest [λ]-component at most half the
-// component), which yields shallow trees and natural AND-parallelism
-// across a separator's components. This file holds the promoted engine
-// behind MethodBalSep: a context-aware anytime search with a bounded
-// work-stealing worker pool, separator enumeration fed by the shared
-// cover oracle and failure memo, an approx mode that widens k before
-// declaring failure, and a sequential det-k fallback on small components.
+// component), which yields shallow trees. This file holds the engine
+// behind MethodBalSep: a context-aware sequential search, separator
+// enumeration fed by the shared cover oracle and failure memo, an approx
+// mode that widens k before declaring failure, and the det-k enumeration
+// order on small components.
 package detk
 
 import (
 	"context"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/cover"
@@ -26,17 +23,9 @@ import (
 
 // BalancedOptions configures the balanced-separator decomposer.
 type BalancedOptions struct {
-	// Jobs is the size of the engine's bounded worker pool: sibling
-	// components of one separator are explored concurrently through a
-	// shared LIFO task queue that idle workers steal from (≤ 1 runs the
-	// whole search on the calling goroutine). The decomposition found by a
-	// complete search is identical at every Jobs value: parallelism is
-	// AND-parallelism over components whose subsearches are individually
-	// deterministic, so only wall time depends on scheduling.
-	Jobs int
-	// MaxGuesses bounds separator enumeration globally across all workers
-	// (0 = unbounded). When the cap trips the result reports
-	// Complete=false: a failure no longer proves hw(H) > k.
+	// MaxGuesses bounds separator enumeration (0 = unbounded). When the
+	// cap trips the result reports Complete=false: a failure no longer
+	// proves hw(H) > k.
 	MaxGuesses int64
 	// Approx is the width slack of the approx mode: a subproblem that
 	// exhausts its separators at budget b < k+Approx retries at b+1 before
@@ -45,13 +34,8 @@ type BalancedOptions struct {
 	// proves hw(H) > k+Approx when Complete.
 	Approx int
 	// Seed drives the per-subproblem separator shuffle. Fixing it makes
-	// the search bit-for-bit reproducible (see Jobs).
+	// the search bit-for-bit reproducible.
 	Seed int64
-	// SmallComponent is the component size (in edges) at or below which
-	// the engine falls back to the sequential det-k enumeration order —
-	// first feasible separator in sorted edge order, no balance scoring,
-	// no forking (0 = a small default, < 0 = never).
-	SmallComponent int
 	// Oracle, when non-nil, feeds separator enumeration: the exact-cover
 	// size of a connector prunes subproblems whose connector alone needs
 	// more than the budget, and a subproblem whose full scope has a cover
@@ -92,9 +76,10 @@ type BalancedResult struct {
 	Err error
 }
 
-// smallComponentDefault is the det-k fallback threshold when
-// BalancedOptions.SmallComponent is zero.
-const smallComponentDefault = 6
+// smallComponent is the component size (in edges) at or below which the
+// engine falls back to the det-k enumeration order: first feasible
+// separator in sorted edge order, no balance scoring.
+const smallComponent = 6
 
 // DecomposeBalanced computes a hypertree decomposition of width ≤ k with
 // the balanced-separator engine. It returns the decomposition, whether
@@ -108,8 +93,8 @@ func DecomposeBalanced(h *hypergraph.Hypergraph, k int, opt BalancedOptions) (*d
 }
 
 // DecomposeBalancedCtx is DecomposeBalanced under a context: cancellation
-// or a deadline aborts the search at the next poll, drains the worker
-// pool, and reports the context error with Complete=false.
+// or a deadline aborts the search at the next poll and reports the
+// context error with Complete=false.
 func DecomposeBalancedCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, opt BalancedOptions) BalancedResult {
 	if k < 1 {
 		// Non-trivial hypergraphs have hw ≥ 1; an empty one decomposes at
@@ -120,14 +105,6 @@ func DecomposeBalancedCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, 
 	defer opt.Stats.AttributeSince(telemetry.PhaseBranch, mark)
 	if opt.Approx < 0 {
 		opt.Approx = 0
-	}
-	small := opt.SmallComponent
-	if small == 0 {
-		small = smallComponentDefault
-	}
-	jobs := opt.Jobs
-	if jobs < 1 {
-		jobs = 1
 	}
 	maxEdge := 0
 	for ed := 0; ed < h.NumEdges(); ed++ {
@@ -140,47 +117,26 @@ func DecomposeBalancedCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, 
 		geo:     &solver{h: h},
 		k:       k,
 		opt:     opt,
-		small:   small,
+		chk:     interrupt.New(ctx, 64),
 		maxEdge: maxEdge,
-		pool:    jobs > 1,
+		memos:   make([]*cover.FailMemo, opt.Approx+1),
+		wins:    make([]winMemo, opt.Approx+1),
 	}
-	e.cond = sync.NewCond(&e.mu)
-	e.memos = make([]*cover.FailMemo, opt.Approx+1)
-	e.wins = make([]*winMemo, opt.Approx+1)
 	for i := range e.memos {
 		e.memos[i] = cover.NewFailMemo(0)
-		e.wins[i] = &winMemo{}
 	}
 	if opt.Trace != nil {
 		opt.Trace.Begin(opt.Track, "balsep.decompose",
-			telemetry.Arg{Key: "k", Val: int64(k)},
-			telemetry.Arg{Key: "jobs", Val: int64(jobs)})
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < jobs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.workerLoop(ctx)
-		}()
+			telemetry.Arg{Key: "k", Val: int64(k)})
 	}
 
 	all := bitset.New(h.NumEdges())
 	for ed := 0; ed < h.NumEdges(); ed++ {
 		all.Add(ed)
 	}
-	w0 := &balWorker{chk: interrupt.New(ctx, 64)}
-	root, complete := e.solve(w0, all, bitset.New(h.NumVertices()), k, 0, nil)
+	root, complete := e.solve(all, bitset.New(h.NumVertices()), k, 0)
 
-	// Shutdown: the root returning implies every fork joined, so the task
-	// queue is empty; workers exit at the broadcast and none leak.
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	wg.Wait()
-
-	res := BalancedResult{Guesses: e.guesses.Load()}
+	res := BalancedResult{Guesses: e.guesses}
 	if opt.Trace != nil {
 		found := int64(0)
 		if root != nil {
@@ -196,29 +152,28 @@ func DecomposeBalancedCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, 
 		d.Complete()
 		res.Decomposition = d
 		res.Found = true
-		res.Complete = !e.capped.Load() && !e.cancelled.Load()
+		res.Complete = !e.capped && !e.cancelled
 		if w := d.GHWidth(); w > k {
 			res.SlackUsed = w - k
 		}
 		return res
 	}
 	res.Complete = complete
-	if e.cancelled.Load() {
+	if e.cancelled {
 		res.Err = interrupt.Cause(ctx)
 	}
 	return res
 }
 
-// balEngine is the shared state of one balanced-separator run.
+// balEngine is the state of one balanced-separator run.
 type balEngine struct {
 	h   *hypergraph.Hypergraph
 	geo *solver // stateless geometry helpers (components, candidates)
 	k   int
 	opt BalancedOptions
+	chk *interrupt.Checker // amortized cancellation poll
 
-	small   int  // det-k fallback threshold (edges)
-	maxEdge int  // largest hyperedge cardinality, for the b·maxEdge prune
-	pool    bool // workers exist; forking is worthwhile
+	maxEdge int // largest hyperedge cardinality, for the b·maxEdge prune
 
 	// memos[b-k] records (component, connector) pairs proven infeasible
 	// at budget b. Only complete failures are recorded — a cap- or
@@ -227,139 +182,40 @@ type balEngine struct {
 	// wins[b-k] memoizes the witness subtree of (component, connector)
 	// pairs solved at budget b. Unlike failures, a witness is sound to
 	// reuse unconditionally, and per-level keying keeps every hit
-	// byte-identical to a fresh solve, preserving Jobs-invariance.
-	wins []*winMemo
+	// byte-identical to a fresh solve.
+	wins []winMemo
 
-	guesses   atomic.Int64
-	calls     atomic.Int64
-	capped    atomic.Bool
-	cancelled atomic.Bool
-
-	// Work-stealing pool state: a LIFO stack of forked component tasks.
-	// Forking workers help — they pop and run queued tasks while their
-	// own children are pending — so the pool can never deadlock: a join
-	// blocks only when all of its children are being executed by others.
-	mu     sync.Mutex
-	cond   *sync.Cond
-	stack  []*balTask
-	closed bool
-}
-
-// balWorker is the per-goroutine state: the amortized cancellation
-// checker (interrupt.Checker is not concurrency-safe).
-type balWorker struct {
-	chk *interrupt.Checker
-}
-
-// balTask is one forked component subproblem.
-type balTask struct {
-	run  func(w *balWorker)
-	join *balJoin
-}
-
-// balJoin tracks one fork's outstanding children (guarded by balEngine.mu)
-// and the sibling-abort flag (atomic: read on hot paths without the lock).
-type balJoin struct {
-	pending int
-	failed  atomic.Bool
-	parent  *balJoin
-}
-
-// aborted reports whether this fork or any enclosing one has failed,
-// letting sibling subsearches bail out without producing certificates.
-func (j *balJoin) aborted() bool {
-	for n := j; n != nil; n = n.parent {
-		if n.failed.Load() {
-			return true
-		}
-	}
-	return false
+	guesses   int64
+	calls     int64 // subproblems entered, for trace sampling
+	capped    bool
+	cancelled bool
 }
 
 // stopped reports (and latches) cancellation.
-func (e *balEngine) stopped(w *balWorker) bool {
-	if e.cancelled.Load() {
-		return true
+func (e *balEngine) stopped() bool {
+	if !e.cancelled && e.chk.Stop() {
+		e.cancelled = true
 	}
-	if w.chk.Stop() {
-		e.cancelled.Store(true)
-		return true
-	}
-	return false
+	return e.cancelled
 }
 
-// guess counts one separator candidate against the global budget,
-// reporting true when the cap trips.
+// guess counts one separator candidate against the budget, reporting
+// true when the cap trips.
 func (e *balEngine) guess() bool {
-	g := e.guesses.Add(1)
-	if e.opt.MaxGuesses > 0 && g > e.opt.MaxGuesses {
-		e.capped.Store(true)
+	e.guesses++
+	if e.opt.MaxGuesses > 0 && e.guesses > e.opt.MaxGuesses {
+		e.capped = true
 		return true
 	}
 	return false
-}
-
-// workerLoop is the body of one pool worker: steal the newest task, run
-// it, sleep when the queue is dry, exit at shutdown.
-func (e *balEngine) workerLoop(ctx context.Context) {
-	w := &balWorker{chk: interrupt.New(ctx, 64)}
-	e.mu.Lock()
-	for {
-		if n := len(e.stack); n > 0 {
-			t := e.stack[n-1]
-			e.stack = e.stack[:n-1]
-			e.mu.Unlock()
-			e.exec(w, t)
-			e.mu.Lock()
-			continue
-		}
-		if e.closed {
-			break
-		}
-		e.cond.Wait()
-	}
-	e.mu.Unlock()
-}
-
-// exec runs one task and signals its join.
-func (e *balEngine) exec(w *balWorker, t *balTask) {
-	t.run(w)
-	e.mu.Lock()
-	t.join.pending--
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// fork pushes the children of one separator onto the shared queue and
-// joins: while any child is pending the forking worker helps by stealing
-// queued tasks (its own children included), so saturation cannot deadlock.
-func (e *balEngine) fork(w *balWorker, j *balJoin, fns []func(w *balWorker)) {
-	e.mu.Lock()
-	j.pending = len(fns)
-	for _, fn := range fns {
-		e.stack = append(e.stack, &balTask{run: fn, join: j})
-	}
-	e.cond.Broadcast()
-	for j.pending > 0 {
-		if n := len(e.stack); n > 0 {
-			t := e.stack[n-1]
-			e.stack = e.stack[:n-1]
-			e.mu.Unlock()
-			e.exec(w, t)
-			e.mu.Lock()
-			continue
-		}
-		e.cond.Wait()
-	}
-	e.mu.Unlock()
 }
 
 // solve finds a hypertree for comp whose root covers conn, widening the
 // budget up to k+Approx before declaring failure. The second return is
 // the completeness of a failure (true = proof at k+Approx).
-func (e *balEngine) solve(w *balWorker, comp, conn *bitset.Set, budget, depth int, abort *balJoin) (*node, bool) {
+func (e *balEngine) solve(comp, conn *bitset.Set, budget, depth int) (*node, bool) {
 	for b := budget; b <= e.k+e.opt.Approx; b++ {
-		n, complete := e.solveAt(w, comp, conn, b, depth, abort)
+		n, complete := e.solveAt(comp, conn, b, depth)
 		if n != nil {
 			e.wins[b-e.k].put(comp, conn, n)
 			return n, true
@@ -372,8 +228,8 @@ func (e *balEngine) solve(w *balWorker, comp, conn *bitset.Set, budget, depth in
 }
 
 // solveAt is one budget level of solve.
-func (e *balEngine) solveAt(w *balWorker, comp, conn *bitset.Set, b, depth int, abort *balJoin) (*node, bool) {
-	if e.stopped(w) || abort.aborted() {
+func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) {
+	if e.stopped() {
 		return nil, false
 	}
 	memo := e.memos[b-e.k]
@@ -383,7 +239,8 @@ func (e *balEngine) solveAt(w *balWorker, comp, conn *bitset.Set, b, depth int, 
 	if n := e.wins[b-e.k].get(comp, conn); n != nil {
 		return n, true
 	}
-	if calls := e.calls.Add(1); e.opt.Trace != nil && (depth <= 1 || calls&63 == 0) {
+	e.calls++
+	if e.opt.Trace != nil && (depth <= 1 || e.calls&63 == 0) {
 		e.opt.Trace.Instant(e.opt.Track, "balsep.component",
 			telemetry.Arg{Key: "depth", Val: int64(depth)},
 			telemetry.Arg{Key: "edges", Val: int64(comp.Len())},
@@ -415,8 +272,8 @@ func (e *balEngine) solveAt(w *balWorker, comp, conn *bitset.Set, b, depth int, 
 	if e.opt.Oracle != nil && scope.Len() <= b*e.maxEdge {
 		// Oracle base case: a single leaf must have χ ⊇ compVars ∪ conn, so
 		// it exists iff the scope has a cover within budget — strictly
-		// stronger than the |comp| ≤ b test below, and shared across
-		// workers through the oracle's memo table. Only consulted when the
+		// stronger than the |comp| ≤ b test below, and shared with other
+		// engines through the oracle's memo table. Only consulted when the
 		// counting bound says a b-cover of the scope is possible at all,
 		// which keeps the exact solve off whole-graph targets.
 		if e.opt.Oracle.ExactSizeStats(scope, e.opt.Stats) <= b {
@@ -437,11 +294,11 @@ func (e *balEngine) solveAt(w *balWorker, comp, conn *bitset.Set, b, depth int, 
 	}
 
 	candidates := e.geo.candidateEdges(comp, conn, compVars)
-	if comp.Len() <= e.small && e.small >= 0 {
-		// Hybrid fallback: sequential det-k on small components — first
-		// feasible separator in sorted edge order, no balance scoring, no
-		// forking. Shares the budget memo and the global guess cap.
-		n, complete := e.enumerate(w, comp, conn, compVars, candidates, b, depth, abort, sepAll, true)
+	if comp.Len() <= smallComponent {
+		// Hybrid fallback: det-k order on small components — first
+		// feasible separator in sorted edge order, no balance scoring.
+		// Shares the budget memo and the guess cap.
+		n, complete := e.enumerate(comp, conn, compVars, candidates, b, depth, sepAll)
 		if n == nil && complete {
 			memo.MarkFailed(comp, conn)
 		}
@@ -449,16 +306,15 @@ func (e *balEngine) solveAt(w *balWorker, comp, conn *bitset.Set, b, depth int, 
 	}
 
 	// Seeded separator order: a deterministic per-subproblem shuffle —
-	// reproducible for a fixed Seed at every Jobs value, and vastly better
-	// than sorted order at hitting balanced separators early on chain-like
-	// instances.
+	// reproducible for a fixed Seed, and vastly better than sorted order
+	// at hitting balanced separators early on chain-like instances.
 	ordered := e.shuffled(candidates, comp, conn, b)
 
-	n, balComplete := e.enumerate(w, comp, conn, compVars, ordered, b, depth, abort, sepBalanced, false)
+	n, balComplete := e.enumerate(comp, conn, compVars, ordered, b, depth, sepBalanced)
 	if n != nil {
 		return n, true
 	}
-	n, unbComplete := e.enumerate(w, comp, conn, compVars, ordered, b, depth, abort, sepUnbalanced, false)
+	n, unbComplete := e.enumerate(comp, conn, compVars, ordered, b, depth, sepUnbalanced)
 	if n != nil {
 		return n, true
 	}
@@ -491,19 +347,15 @@ const (
 // enumerate walks λ ⊆ candidates with |λ| ≤ b lazily, trying each feasible
 // separator admitted by mode as soon as it is generated. It returns the
 // first success, plus the completeness of failure: false when the guess
-// cap, cancellation, a sibling abort, or an incomplete child truncated it.
-func (e *balEngine) enumerate(w *balWorker, comp, conn, compVars *bitset.Set, cand []int, b, depth int, abort *balJoin, mode sepMode, seq bool) (*node, bool) {
+// cap, cancellation, or an incomplete child truncated it.
+func (e *balEngine) enumerate(comp, conn, compVars *bitset.Set, cand []int, b, depth int, mode sepMode) (*node, bool) {
 	half := (comp.Len() + 1) / 2
 	complete := true
 	var out *node
 	var dfs func(from int, lambda []int) bool
 	dfs = func(from int, lambda []int) bool {
 		if len(lambda) > 0 {
-			if e.guess() {
-				complete = false
-				return true
-			}
-			if e.stopped(w) || abort.aborted() {
+			if e.guess() || e.stopped() {
 				complete = false
 				return true
 			}
@@ -522,7 +374,7 @@ func (e *balEngine) enumerate(w *balWorker, comp, conn, compVars *bitset.Set, ca
 					}
 				}
 				if progress && (mode == sepAll || (mode == sepBalanced) == (worst <= half)) {
-					n, cc := e.trySep(w, comp, conn, compVars, lambda, sepVars, comps, b, depth, abort, seq)
+					n, cc := e.trySep(comp, conn, compVars, lambda, sepVars, comps, b, depth)
 					if n != nil {
 						out = n
 						return true
@@ -553,11 +405,10 @@ func (e *balEngine) enumerate(w *balWorker, comp, conn, compVars *bitset.Set, ca
 }
 
 // trySep builds the node for one separator and recurses into its
-// components — concurrently through the pool when they are large enough.
-// The second return is the completeness of a failure: a separator is
-// provably dead as soon as one child fails completely, even if siblings
-// were aborted early.
-func (e *balEngine) trySep(w *balWorker, comp, conn, compVars *bitset.Set, lambda []int, sepVars *bitset.Set, comps []component, b, depth int, abort *balJoin, seq bool) (*node, bool) {
+// components, smallest first. The second return is the completeness of a
+// failure: a separator is provably dead as soon as one child fails
+// completely.
+func (e *balEngine) trySep(comp, conn, compVars *bitset.Set, lambda []int, sepVars *bitset.Set, comps []component, b, depth int) (*node, bool) {
 	chi := sepVars.Clone()
 	scope := compVars.Clone()
 	scope.UnionWith(conn)
@@ -573,11 +424,9 @@ func (e *balEngine) trySep(w *balWorker, comp, conn, compVars *bitset.Set, lambd
 	// Screen every child's connector for provable infeasibility before
 	// recursing into any: without this, a doomed separator can burn the
 	// full cost of solving its big components before the cheap failure of
-	// a small one surfaces — the classic balanced-separation thrash (and
-	// the reason sequential runs would otherwise be far slower than
-	// pooled ones, where sibling aborts mask it). The screen must use the
-	// widest budget a child may reach, so a discarded separator is a
-	// complete-failure proof even in approx mode.
+	// a small one surfaces — the classic balanced-separation thrash. The
+	// screen must use the widest budget a child may reach, so a discarded
+	// separator is a complete-failure proof even in approx mode.
 	bMax := e.k + e.opt.Approx
 	childConns := make([]*bitset.Set, len(comps))
 	for i, c := range comps {
@@ -601,50 +450,14 @@ func (e *balEngine) trySep(w *balWorker, comp, conn, compVars *bitset.Set, lambd
 		return comps[order[a]].edges.Len() < comps[order[b]].edges.Len()
 	})
 
-	results := make([]*node, len(comps))
-	completes := make([]bool, len(comps))
-	if seq || !e.pool || len(comps) < 2 {
-		for _, i := range order {
-			child, cc := e.solve(w, comps[i].edges, childConns[i], b, depth+1, abort)
-			if child == nil {
-				return nil, cc
-			}
-			results[i], completes[i] = child, cc
+	n.children = make([]*node, len(comps))
+	for _, i := range order {
+		child, cc := e.solve(comps[i].edges, childConns[i], b, depth+1)
+		if child == nil {
+			return nil, cc
 		}
-		n.children = results
-		return n, true
+		n.children[i] = child
 	}
-
-	j := &balJoin{parent: abort}
-	fns := make([]func(w *balWorker), len(comps))
-	for slot, i := range order {
-		i := i
-		fns[slot] = func(w *balWorker) {
-			child, cc := e.solve(w, comps[i].edges, childConns[i], b, depth+1, j)
-			results[i], completes[i] = child, cc
-			if child == nil {
-				// Siblings of a failed component bail at their next abort
-				// poll; their truncated searches stay un-memoized.
-				j.failed.Store(true)
-			}
-		}
-	}
-	e.fork(w, j, fns)
-
-	failComplete := false
-	for i := range results {
-		if results[i] == nil {
-			if completes[i] {
-				failComplete = true
-			}
-		}
-	}
-	for i := range results {
-		if results[i] == nil {
-			return nil, failComplete
-		}
-	}
-	n.children = results
 	return n, true
 }
 
@@ -692,13 +505,10 @@ const maxWinEntries = 1 << 17
 // separator trial — the dominant cost on chain-like instances, where the
 // same single-edge tails reappear under thousands of candidate separators.
 // Entries are interned clones with Equal-verified hash chains, mirroring
-// cover.FailMemo; one mutex suffices because hits replace entire
-// subsearches, so the map is touched orders of magnitude less often than
-// the work it saves.
+// cover.FailMemo.
 type winMemo struct {
-	mu sync.Mutex
-	m  map[uint64]*winEntry
-	n  int
+	m map[uint64]*winEntry
+	n int
 }
 
 type winEntry struct {
@@ -713,10 +523,7 @@ func winPairHash(comp, conn *bitset.Set) uint64 {
 }
 
 func (m *winMemo) get(comp, conn *bitset.Set) *node {
-	hash := winPairHash(comp, conn)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for e := m.m[hash]; e != nil; e = e.next {
+	for e := m.m[winPairHash(comp, conn)]; e != nil; e = e.next {
 		if e.comp.Equal(comp) && e.conn.Equal(conn) {
 			return e.node
 		}
@@ -725,24 +532,17 @@ func (m *winMemo) get(comp, conn *bitset.Set) *node {
 }
 
 func (m *winMemo) put(comp, conn *bitset.Set, n *node) {
-	hash := winPairHash(comp, conn)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for e := m.m[hash]; e != nil; e = e.next {
-		if e.comp.Equal(comp) && e.conn.Equal(conn) {
-			return
-		}
+	if m.get(comp, conn) != nil {
+		return
 	}
-	if m.m == nil {
-		m.m = make(map[uint64]*winEntry)
-	}
-	if m.n >= maxWinEntries {
+	if m.m == nil || m.n >= maxWinEntries {
 		// Cheap pressure valve: drop everything rather than tracking
 		// recency. Re-derivation is deterministic, so this is purely a
 		// time/space trade.
 		m.m = make(map[uint64]*winEntry)
 		m.n = 0
 	}
+	hash := winPairHash(comp, conn)
 	m.m[hash] = &winEntry{comp: comp.Clone(), conn: conn.Clone(), node: n, next: m.m[hash]}
 	m.n++
 }

@@ -3,6 +3,12 @@ package detk
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"hypertree/internal/cover"
@@ -24,23 +30,21 @@ func TestBalancedOnKnownFamilies(t *testing.T) {
 		{"cycle_9", hypergraph.FromGraph(gen.Cycle(9)), 2},
 	}
 	for _, c := range cases {
-		for _, jobs := range []int{1, 4} {
-			d, ok, complete := DecomposeBalanced(c.h, c.k, BalancedOptions{Jobs: jobs})
-			if !ok {
-				t.Fatalf("%s (jobs=%d): balanced decomposer failed at k=%d", c.name, jobs, c.k)
-			}
-			if !complete {
-				t.Fatalf("%s (jobs=%d): uncapped run reported incomplete", c.name, jobs)
-			}
-			if err := d.ValidateGHD(); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			if !CheckSpecial(d) {
-				t.Fatalf("%s: descendant condition violated", c.name)
-			}
-			if got := d.GHWidth(); got > c.k {
-				t.Fatalf("%s: width %d > k=%d", c.name, got, c.k)
-			}
+		d, ok, complete := DecomposeBalanced(c.h, c.k, BalancedOptions{})
+		if !ok {
+			t.Fatalf("%s: balanced decomposer failed at k=%d", c.name, c.k)
+		}
+		if !complete {
+			t.Fatalf("%s: uncapped run reported incomplete", c.name)
+		}
+		if err := d.ValidateGHD(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !CheckSpecial(d) {
+			t.Fatalf("%s: descendant condition violated", c.name)
+		}
+		if got := d.GHWidth(); got > c.k {
+			t.Fatalf("%s: width %d > k=%d", c.name, got, c.k)
 		}
 	}
 }
@@ -110,35 +114,6 @@ func TestBalancedApproxSlack(t *testing.T) {
 	}
 }
 
-// The pooled search is AND-parallelism over components whose subsearches
-// are individually deterministic, so a complete run returns the identical
-// tree at every Jobs value.
-func TestBalancedJobsInvariance(t *testing.T) {
-	for _, h := range []*hypergraph.Hypergraph{
-		gen.Adder(12),
-		gen.Chain(16, 4, 2),
-		gen.RandomHypergraph(16, 14, 4, 2),
-	} {
-		k, _ := Width(h, 0, Options{})
-		var want []byte
-		for _, jobs := range []int{1, 2, 8} {
-			d, ok, complete := DecomposeBalanced(h, k, BalancedOptions{Jobs: jobs, Seed: 7})
-			if !ok || !complete {
-				t.Fatalf("jobs=%d: ok=%v complete=%v at k=%d", jobs, ok, complete, k)
-			}
-			var buf bytes.Buffer
-			if err := d.WriteTD(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = buf.Bytes()
-			} else if !bytes.Equal(want, buf.Bytes()) {
-				t.Fatalf("jobs=%d produced a different tree than jobs=1", jobs)
-			}
-		}
-	}
-}
-
 // The oracle feeds enumeration two ways — connector-size pruning and
 // whole-scope leaf covers — neither of which may change feasibility or
 // validity.
@@ -147,7 +122,7 @@ func TestBalancedWithOracle(t *testing.T) {
 		h := gen.RandomHypergraph(10, 8, 3, seed)
 		hw, _ := Width(h, 0, Options{})
 		orc := cover.New(h, cover.Options{})
-		d, ok, complete := DecomposeBalanced(h, hw, BalancedOptions{Jobs: 2, Oracle: orc})
+		d, ok, complete := DecomposeBalanced(h, hw, BalancedOptions{Oracle: orc})
 		if !ok || !complete {
 			t.Fatalf("seed %d: oracle run failed at hw=%d", seed, hw)
 		}
@@ -157,7 +132,7 @@ func TestBalancedWithOracle(t *testing.T) {
 		if !CheckSpecial(d) {
 			t.Fatalf("seed %d: descendant condition violated", seed)
 		}
-		if _, ok, complete := DecomposeBalanced(h, hw-1, BalancedOptions{Jobs: 2, Oracle: orc}); ok || !complete {
+		if _, ok, complete := DecomposeBalanced(h, hw-1, BalancedOptions{Oracle: orc}); ok || !complete {
 			t.Fatalf("seed %d: below-width run ok=%v complete=%v", seed, ok, complete)
 		}
 		if c := orc.Counters(); c.Hits+c.Misses == 0 {
@@ -185,7 +160,7 @@ func TestBalancedRandomAgainstExact(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		h := gen.RandomHypergraph(9, 7, 3, seed)
 		hw, _ := Width(h, 0, Options{})
-		d, ok, complete := DecomposeBalanced(h, hw, BalancedOptions{Jobs: 2, Seed: seed})
+		d, ok, complete := DecomposeBalanced(h, hw, BalancedOptions{Seed: seed})
 		if !ok || !complete {
 			t.Fatalf("seed %d: balanced failed at exact width %d", seed, hw)
 		}
@@ -199,9 +174,102 @@ func TestBalancedRandomAgainstExact(t *testing.T) {
 			t.Fatalf("seed %d: width %d > hw %d", seed, d.GHWidth(), hw)
 		}
 		if hw > 1 {
-			if _, ok, complete := DecomposeBalanced(h, hw-1, BalancedOptions{Jobs: 2, Seed: seed}); ok || !complete {
+			if _, ok, complete := DecomposeBalanced(h, hw-1, BalancedOptions{Seed: seed}); ok || !complete {
 				t.Fatalf("seed %d: hw-1 run ok=%v complete=%v", seed, ok, complete)
 			}
+		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/balsep.golden from the current engine")
+
+const balsepGolden = "testdata/balsep.golden"
+
+// TestBalancedGolden pins the engine's witnesses and work, not just its
+// verdicts: per input, budget k, Approx and oracle on/off it records
+// found, complete, Guesses, the witness width and the SHA-256 of the
+// witness's WriteTD, and compares them with testdata/balsep.golden. The
+// inputs are the fast detk instances at hw and hw−1, plus K8 at k=2 with
+// approx slack. Regenerate with
+// `go test ./internal/detk -run TestBalancedGolden -update`.
+func TestBalancedGolden(t *testing.T) {
+	type input struct {
+		name string
+		h    *hypergraph.Hypergraph
+	}
+	clique := input{"clique_8", gen.CliqueHypergraph(8)}
+	inputs := []input{
+		{"adder_12", gen.Adder(12)},
+		{"chain_16", gen.Chain(16, 4, 2)},
+		{"rand16", gen.RandomHypergraph(16, 14, 4, 2)},
+		{"adder_8", gen.Adder(8)},
+		{"bridge_8", gen.Bridge(8)},
+		clique,
+		{"chain_10", gen.Chain(10, 4, 2)},
+		{"cycle_9", hypergraph.FromGraph(gen.Cycle(9))},
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		inputs = append(inputs, input{fmt.Sprintf("rand9_%d", seed), gen.RandomHypergraph(9, 7, 3, seed)})
+	}
+	type run struct {
+		in        input
+		k, approx int
+	}
+	var runs []run
+	for _, in := range inputs {
+		hw, _ := Width(in.h, 0, Options{})
+		for _, k := range []int{hw, hw - 1} {
+			if k >= 1 {
+				runs = append(runs, run{in, k, 0})
+			}
+		}
+	}
+	runs = append(runs, run{clique, 2, 1}, run{clique, 2, 2})
+
+	var got []string
+	for _, r := range runs {
+		for _, withOracle := range []bool{false, true} {
+			opt := BalancedOptions{Approx: r.approx, Seed: 7}
+			mode := "off"
+			if withOracle {
+				opt.Oracle = cover.New(r.in.h, cover.Options{})
+				mode = "on"
+			}
+			res := DecomposeBalancedCtx(context.Background(), r.in.h, r.k, opt)
+			width, digest := 0, "-"
+			if res.Found {
+				var buf bytes.Buffer
+				if err := res.Decomposition.WriteTD(&buf); err != nil {
+					t.Fatal(err)
+				}
+				width = res.Decomposition.GHWidth()
+				digest = fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+			}
+			got = append(got, fmt.Sprintf("%s k=%d approx=%d oracle=%s found=%v complete=%v guesses=%d width=%d td=%s",
+				r.in.name, r.k, r.approx, mode, res.Found, res.Complete, res.Guesses, width, digest))
+		}
+	}
+	text := strings.Join(got, "\n") + "\n"
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(balsepGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(balsepGolden, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(balsepGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(got) {
+		t.Fatalf("golden has %d lines, run produced %d", len(wantLines), len(got))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("balsep drift:\n got %s\nwant %s", got[i], wantLines[i])
 		}
 	}
 }

@@ -135,8 +135,9 @@ func TestTraceChromeExportGolden(t *testing.T) {
 }
 
 // TestTraceSingleMethodEngines checks each engine's sampled
-// instrumentation reaches the ring through the facade: detk emits
-// component/decompose events, and the GAs emit generation/epoch ticks.
+// instrumentation reaches the ring through the facade: detk and balsep
+// emit component/decompose events, and the GAs emit generation/epoch
+// ticks.
 func TestTraceSingleMethodEngines(t *testing.T) {
 	tr := NewTrace(0)
 	if w, _, err := HypertreeWidthCtx(context.Background(), gen.Grid2DHypergraph(3, 3), 4, nil, tr); err != nil || w < 0 {
@@ -170,6 +171,31 @@ func TestTraceSingleMethodEngines(t *testing.T) {
 		if !found {
 			t.Errorf("%v: no %q events in the trace", m, want)
 		}
+	}
+
+	// rand16 reaches the balsep engine itself: min-fill does not meet the
+	// tw-ksc bound there, so at least one deepening level runs.
+	opt := oracleOpts(MethodBalSep, 1)
+	opt.Trace = NewTrace(0)
+	if _, err := GHW(gen.RandomHypergraph(16, 14, 4, 2), opt); err != nil {
+		t.Fatalf("%v: %v", MethodBalSep, err)
+	}
+	begins, ends, components := 0, 0, 0
+	for _, e := range opt.Trace.Events() {
+		switch {
+		case e.Name == "balsep.decompose" && e.Kind == telemetry.KindBegin:
+			begins++
+		case e.Name == "balsep.decompose" && e.Kind == telemetry.KindEnd:
+			ends++
+		case e.Name == "balsep.component":
+			components++
+		}
+	}
+	if begins == 0 || begins != ends {
+		t.Errorf("balsep: want a balanced balsep.decompose span, saw %d begins and %d ends", begins, ends)
+	}
+	if components == 0 {
+		t.Error("balsep: no balsep.component events in the trace")
 	}
 }
 
