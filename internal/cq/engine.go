@@ -16,6 +16,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,9 +215,12 @@ func defaultDecomposition(q *Query) *decomp.Decomposition {
 //	down[p] = up[p] ⋉ down[parent(p)]       (top-down full reducer; root: up)
 //	out[p]  = π_{head ∪ connector}(down[p] ⋈ out[c1] ⋈ … ⋈ out[ck])
 //
-// each computed by exactly one step function. The one-shot engine runs
-// the steps pass by pass over the whole tree; a StandingQuery keeps the
-// layers apart and re-runs steps only where a delta reaches.
+// each computed by exactly one step function. The joins of base and out
+// project as they go (csp.JoinProject): each keeps only the variables of
+// the result and those a later operand still shares, so no step builds a
+// join it would project away. The one-shot engine runs the steps pass by
+// pass over the whole tree; a StandingQuery keeps the layers apart and
+// re-runs steps only where a delta reaches.
 type flow struct {
 	in  *instance
 	opt EvalOptions
@@ -267,27 +271,73 @@ func newFlow(q *Query, in *instance, d *decomp.Decomposition, opt EvalOptions) *
 func (f *flow) hasChildren(i int) bool { return len(f.nodes[i].Children) > 0 }
 func (f *flow) hasParent(i int) bool   { return f.nodes[i].Parent != nil }
 
-// baseStep computes base[i] = π_χ(⋈ λ): the node's atoms joined in λ
-// order, stopping once the join empties, with a cancellation poll between
-// joins.
+// baseStep computes base[i] = π_χ(⋈ λ) without building the whole join.
+// First it drops from each λ atom the variables outside χ that no other
+// atom of the node holds: such a variable constrains its own atom only, so
+// π_χ(⋈ λ) does not change. Then it joins the atoms in λ order, each join
+// projecting to χ plus the variables that atoms still to be joined hold,
+// so the last join lands on χ. It stops once the join empties, with a
+// cancellation poll between joins.
 func (f *flow) baseStep(ctx context.Context, i int) (*csp.Relation, error) {
 	n := f.nodes[i]
-	if len(n.Lambda) == 0 {
+	chi := n.Chi.Slice()
+	switch len(n.Lambda) {
+	case 0:
 		return &csp.Relation{Tuples: [][]int{{}}}, nil
+	case 1:
+		return csp.Project(f.in.atomRel[n.Lambda[0]], chi), nil
+	}
+	// pending[v] counts the atoms not yet joined whose scope holds v.
+	pending := map[int]int{}
+	for _, a := range n.Lambda {
+		for _, v := range f.in.atomRel[a].Scope {
+			pending[v]++
+		}
+	}
+	rels := make([]*csp.Relation, len(n.Lambda))
+	for k, a := range n.Lambda {
+		r := f.in.atomRel[a]
+		vars := keepVars(func(v int) bool { return n.Chi.Contains(v) || pending[v] > 1 }, r.Scope)
+		if len(vars) < len(r.Scope) {
+			r = csp.Project(r, vars)
+		}
+		rels[k] = r
 	}
 	chk := interrupt.New(ctx, 1)
-	joined := f.in.atomRel[n.Lambda[0]]
-	for _, a := range n.Lambda[1:] {
+	var joined *csp.Relation
+	for k, r := range rels {
+		for _, v := range r.Scope {
+			pending[v]--
+		}
+		if k == 0 {
+			joined = r
+			continue
+		}
 		if chk.Now() {
 			return nil, stopCause(ctx)
 		}
-		joined = csp.Join(joined, f.in.atomRel[a])
+		later := keepVars(func(v int) bool { return !n.Chi.Contains(v) && pending[v] > 0 }, joined.Scope, r.Scope)
+		joined = csp.JoinProject(joined, r, append(chi[:len(chi):len(chi)], later...))
 		f.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
 		if joined.Size() == 0 {
-			break
+			return csp.Project(joined, chi), nil
 		}
 	}
-	return csp.Project(joined, n.Chi.Slice()), nil
+	return joined, nil
+}
+
+// keepVars returns the variables of the given scopes that keep accepts, in
+// scope order and each once.
+func keepVars(keep func(v int) bool, scopes ...[]int) []int {
+	var out []int
+	for _, s := range scopes {
+		for _, v := range s {
+			if keep(v) && !slices.Contains(out, v) {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
 }
 
 // upStep computes up[i]: base[i] semijoined with each child's up relation
@@ -324,26 +374,37 @@ func (f *flow) downStep(i int) *csp.Relation {
 	return r
 }
 
-// outStep computes out[i]: down[i] joined with each child's out relation,
-// projected to the head variables plus those shared with the parent.
+// outStep computes out[i]: down[i] joined with each child's out relation in
+// child order, projected to the head variables plus those shared with the
+// parent. Each join projects as it goes: it keeps those variables and the
+// ones a later child's out relation still holds, so the last join lands on
+// the result.
 func (f *flow) outStep(i int) *csp.Relation {
 	n := f.nodes[i]
 	f.opt.Stats.Add(telemetry.CQOutputJoins, 1)
-	joined := f.down[i]
+	// pending[v] counts the children not yet joined whose out scope holds v.
+	pending := map[int]int{}
 	for _, ch := range n.Children {
-		joined = csp.Join(joined, f.out[f.idx[ch]])
-		f.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
-	}
-	var keep []int
-	seen := map[int]bool{}
-	for _, v := range joined.Scope {
-		inParent := n.Parent != nil && n.Parent.Chi.Contains(v)
-		if (f.head[v] || inParent) && !seen[v] {
-			seen[v] = true
-			keep = append(keep, v)
+		for _, v := range f.out[f.idx[ch]].Scope {
+			pending[v]++
 		}
 	}
-	return csp.Project(joined, keep)
+	keep := func(v int) bool {
+		return f.head[v] || (n.Parent != nil && n.Parent.Chi.Contains(v)) || pending[v] > 0
+	}
+	joined := f.down[i]
+	if len(n.Children) == 0 {
+		return csp.Project(joined, keepVars(keep, joined.Scope))
+	}
+	for _, ch := range n.Children {
+		cr := f.out[f.idx[ch]]
+		for _, v := range cr.Scope {
+			pending[v]--
+		}
+		joined = csp.JoinProject(joined, cr, keepVars(keep, joined.Scope, cr.Scope))
+		f.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
+	}
+	return joined
 }
 
 // walk drives one reducer or output layer level by level — deepest level
@@ -485,9 +546,12 @@ func stopCause(ctx context.Context) error {
 	return context.Canceled
 }
 
-// assembleAnswers renders a root output relation as sorted, deduplicated
-// answer rows in head order — shared between the one-shot engine and the
-// standing evaluator so both produce byte-identical answer sets.
+// assembleAnswers renders a root output relation as sorted answer rows in
+// head order — shared between the one-shot engine and the standing
+// evaluator so both produce byte-identical answer sets. The rows need no
+// deduplication: the root's out rows are distinct, every root column is a
+// head variable, and interning is one-to-one, so distinct tuples render as
+// distinct rows even when the head repeats a variable.
 func assembleAnswers(q *Query, in *instance, root *csp.Relation) ([][]string, error) {
 	colOf := make([]int, len(q.Head))
 	for i, hv := range q.Head {
@@ -502,26 +566,22 @@ func assembleAnswers(q *Query, in *instance, root *csp.Relation) ([][]string, er
 			return nil, errHeadLost(hv)
 		}
 	}
-	if len(q.Head) == 0 {
-		// Boolean-shaped query: report one empty row when satisfiable.
-		if root.Size() > 0 {
-			return [][]string{{}}, nil
-		}
+	if root.Size() == 0 {
 		return nil, nil
 	}
-	dedupe := map[string]bool{}
-	var rows [][]string
-	for _, t := range root.Tuples {
-		row := make([]string, len(q.Head))
-		key := ""
+	if len(q.Head) == 0 {
+		// Boolean-shaped query: report one empty row when satisfiable.
+		return [][]string{{}}, nil
+	}
+	w := len(q.Head)
+	block := make([]string, len(root.Tuples)*w)
+	rows := make([][]string, len(root.Tuples))
+	for r, t := range root.Tuples {
+		row := block[r*w : (r+1)*w : (r+1)*w]
 		for i, c := range colOf {
 			row[i] = in.value(t[c])
-			key += row[i] + "\x00"
 		}
-		if !dedupe[key] {
-			dedupe[key] = true
-			rows = append(rows, row)
-		}
+		rows[r] = row
 	}
 	sortRows(rows)
 	return rows, nil

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"hypertree/internal/bitset"
+	"hypertree/internal/decomp"
 	"hypertree/internal/telemetry"
 )
 
@@ -322,4 +324,155 @@ func TestEngineTraceSpansBalanced(t *testing.T) {
 			t.Fatalf("missing %s span; saw %v", name, seen)
 		}
 	}
+}
+
+// TestAnswerRowsDistinctWithoutDedupe pins the invariant assembleAnswers
+// relies on instead of a seen-set: the root's out rows are distinct and all
+// its columns are head variables. A head that repeats a variable and a head
+// that is a strict subset of the root bag both make many body matches
+// collapse onto one answer; each must yield distinct rows equal to
+// NaiveEvaluate's, one-shot and standing, over the default decomposition
+// and over one bag holding the whole body.
+func TestAnswerRowsDistinctWithoutDedupe(t *testing.T) {
+	db := NewDatabase()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		db.Add("e", fmt.Sprint(rng.Intn(6)), fmt.Sprint(rng.Intn(6)))
+	}
+	ctx := context.Background()
+	for _, text := range []string{
+		"ans(X, X) :- e(X, Y), e(Y, Z).",
+		"ans(Y, Y, X) :- e(X, Y), e(Y, Z), e(Z, X).",
+		"ans(Y) :- e(X, Y), e(Y, Z), e(Z, X).",
+	} {
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NaiveEvaluate(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oneBag := decomp.New(q.Hypergraph())
+		root := addBag(oneBag, nil, q.Vars())
+		for e := range q.Body {
+			root.Lambda = append(root.Lambda, e)
+		}
+		distinct := map[string]bool{}
+		for _, hv := range q.Head {
+			distinct[hv] = true
+		}
+		if len(distinct) >= root.Chi.Len() {
+			t.Fatalf("%s: the head is no strict subset of the root bag", text)
+		}
+		for _, d := range []*decomp.Decomposition{defaultDecomposition(q), oneBag} {
+			got, err := EvaluateWithCtx(ctx, q, db, d, EvalOptions{Jobs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s:\n got %v\nwant %v", text, got, want)
+			}
+			for i := 1; i < len(got); i++ {
+				if reflect.DeepEqual(got[i-1], got[i]) {
+					t.Fatalf("%s: duplicate answer row %v", text, got[i])
+				}
+			}
+			sq, err := NewStandingQuery(ctx, q, db, d, EvalOptions{Jobs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans := sq.Answers(); !reflect.DeepEqual(ans, want) {
+				t.Fatalf("%s: standing answers\n got %v\nwant %v", text, ans, want)
+			}
+		}
+	}
+}
+
+// TestProjectingStepsKeepJoinKeys pins the keep sets of the projecting
+// steps on a decomposition built to need each of them. The root's λ joins
+// r(A,X), t(A,B), s(X,B) with χ = {A,B}: X lies outside χ, but r and s
+// share it, so trimming must keep it, and so must the join of r with t,
+// which s still follows. The root's three children all share B, which is
+// neither a head nor a parent variable, so the output join with the first
+// child must keep B for the later two. Every base relation must equal
+// π_χ(⋈λ) and the answers NaiveEvaluate's.
+func TestProjectingStepsKeepJoinKeys(t *testing.T) {
+	q := mustParse(t, "ans(C, D) :- r(A, X), t(A, B), s(X, B), u(B, C), w(B, D).")
+	// Only X ties A to B, and only B ties C to D: t holds every (A, B) pair,
+	// but r and s admit (a1, b1) and (a2, b2) alone, so the answers are
+	// (c1, d1) and (c2, d2), not all four pairs.
+	db := NewDatabase()
+	for _, row := range [][3]string{
+		{"r", "a1", "x1"}, {"r", "a2", "x2"},
+		{"s", "x1", "b1"}, {"s", "x2", "b2"},
+		{"t", "a1", "b1"}, {"t", "a1", "b2"}, {"t", "a2", "b1"}, {"t", "a2", "b2"},
+		{"u", "b1", "c1"}, {"u", "b2", "c2"},
+		{"w", "b1", "d1"}, {"w", "b2", "d2"},
+	} {
+		db.Add(row[0], row[1], row[2])
+	}
+	d := decomp.New(q.Hypergraph())
+	root := addBag(d, nil, []string{"A", "B"}, 0, 1, 2)
+	addBag(d, root, []string{"A", "X", "B"}, 0, 2)
+	addBag(d, root, []string{"B", "C"}, 3)
+	addBag(d, root, []string{"B", "D"}, 4)
+	if err := d.ValidateGHD(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	in, err := newInstance(q, db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := map[int]string{}
+	for v, i := range in.varIndex {
+		name[i] = v
+	}
+	f := newFlow(q, in, d, EvalOptions{Jobs: 1})
+	for i, n := range f.nodes {
+		base, err := f.baseStep(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// π_χ(⋈λ) by the nested-loop reference: λ as body, χ as head.
+		bag := &Query{}
+		for _, a := range n.Lambda {
+			bag.Body = append(bag.Body, q.Body[a])
+		}
+		for _, v := range n.Chi.Slice() {
+			bag.Head = append(bag.Head, name[v])
+		}
+		want, err := NaiveEvaluate(bag, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := assembleAnswers(bag, in, base); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d: base %v (%v), want %v", i, got, err, want)
+		}
+	}
+
+	want, err := NaiveEvaluate(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EvaluateWithCtx(ctx, q, db, d, EvalOptions{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || len(want) != 2 {
+		t.Fatalf("answers\n got %v\nwant %v (two rows)", got, want)
+	}
+}
+
+// addBag adds a node to d with χ the named variables and λ the given atoms.
+func addBag(d *decomp.Decomposition, parent *decomp.Node, vars []string, atoms ...int) *decomp.Node {
+	chi := bitset.New(d.H.NumVertices())
+	for _, v := range vars {
+		chi.Add(d.H.VertexIndex(v))
+	}
+	n := d.AddNode(chi, parent)
+	n.Lambda = atoms
+	return n
 }

@@ -9,12 +9,13 @@ import (
 // Relation is a finite relation over a scope of variable indices: Tuples[i]
 // is a row whose j-th entry is the value of variable Scope[j].
 //
-// The relational kernels below (Join, Semijoin, Project) never mutate their
-// inputs, but for allocation economy their outputs may alias input rows:
-// Semijoin's output shares the surviving rows of its left input, and a
-// degenerate Join (no right-private columns) shares rows likewise. Callers
-// must therefore treat tuple rows as immutable once handed to a kernel —
-// which every consumer in this repository already does.
+// The relational kernels below (Join, JoinProject, Semijoin, Project) never
+// mutate their inputs, but for allocation economy some outputs alias input
+// rows: Semijoin's output shares the surviving rows of its left input, and
+// a degenerate Join (no right-private columns) shares rows likewise.
+// JoinProject's and Project's rows never alias their inputs. Callers must
+// treat tuple rows as immutable once handed to a kernel — which every
+// consumer in this repository already does.
 type Relation struct {
 	Scope  []int
 	Tuples [][]int
@@ -121,59 +122,129 @@ func equalAt(ta []int, pa []int, tb []int, pb []int) bool {
 	return true
 }
 
-// tupleIndex is a hash index over one relation's tuples keyed by the values
-// at a fixed set of column positions: buckets chain tuple indices, and
-// lookups verify candidates by equality, so hash collisions cost a probe
-// but never an answer.
+// tupleIndex is a chained hash index over one relation's tuples, keyed by
+// the values at a fixed set of column positions. head maps a key hash to
+// the first tuple of its chain and next[i] is the tuple after i in the same
+// chain (−1 ends it): one map entry per distinct hash plus one int32 per
+// tuple, with no per-bucket slice. Probes verify candidates by equality,
+// so hash collisions cost a probe but never an answer.
 type tupleIndex struct {
-	rel     *Relation
-	pos     []int
-	buckets map[uint64][]int32
+	rel  *Relation
+	pos  []int
+	head map[uint64]int32
+	next []int32
 }
 
 // indexTuples builds a tupleIndex over r keyed by the columns at pos.
+// Tuples are linked from last to first, so every chain runs in tuple order
+// and a probe meets its matches in the order they occur in r.
 func indexTuples(r *Relation, pos []int) *tupleIndex {
 	idx := &tupleIndex{
-		rel:     r,
-		pos:     pos,
-		buckets: make(map[uint64][]int32, len(r.Tuples)),
+		rel:  r,
+		pos:  pos,
+		head: make(map[uint64]int32, len(r.Tuples)),
+		next: make([]int32, len(r.Tuples)),
 	}
-	for i, t := range r.Tuples {
-		h := hashTuple(t, pos)
-		idx.buckets[h] = append(idx.buckets[h], int32(i))
+	for i := len(r.Tuples) - 1; i >= 0; i-- {
+		h := hashTuple(r.Tuples[i], pos)
+		idx.next[i] = idx.first(h)
+		idx.head[h] = int32(i)
 	}
 	return idx
 }
 
-// lookup appends to dst the indices of tuples matching probe (a tuple of
-// another relation, read through probePos) and returns the extended slice.
-// The dst convention lets the join loop reuse one scratch slice across
-// probes instead of allocating per tuple.
-func (idx *tupleIndex) lookup(dst []int32, probe []int, probePos []int) []int32 {
-	h := hashTuple(probe, probePos)
-	for _, ti := range idx.buckets[h] {
-		if equalAt(probe, probePos, idx.rel.Tuples[ti], idx.pos) {
-			dst = append(dst, ti)
-		}
+// first returns the first tuple of chain h, or −1 when the chain is empty.
+func (idx *tupleIndex) first(h uint64) int32 {
+	if i, ok := idx.head[h]; ok {
+		return i
 	}
-	return dst
+	return -1
 }
 
-// contains reports whether some indexed tuple matches probe.
-func (idx *tupleIndex) contains(probe []int, probePos []int) bool {
-	h := hashTuple(probe, probePos)
-	for _, ti := range idx.buckets[h] {
-		if equalAt(probe, probePos, idx.rel.Tuples[ti], idx.pos) {
-			return true
+// find returns the first indexed tuple that matches probe (a tuple read
+// through probePos), or −1 when none does.
+func (idx *tupleIndex) find(probe []int, probePos []int) int32 {
+	for i := idx.first(hashTuple(probe, probePos)); i >= 0; i = idx.next[i] {
+		if equalAt(probe, probePos, idx.rel.Tuples[i], idx.pos) {
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// arenaRows is the number of rows a kernel carves from one allocation.
+const arenaRows = 512
+
+// rowArena hands out fixed-width output rows carved from blocks of
+// arenaRows rows, so a kernel allocates once per block, not once per row.
+type rowArena []int
+
+// newRowArena returns an arena for an output of at most rows rows. Its
+// first block holds min(rows, arenaRows) rows, so a small output does not
+// pin a full block. The block is never nil, so a width-0 row is a non-nil
+// empty slice, like any other row.
+func newRowArena(rows, width int) rowArena {
+	return make(rowArena, min(rows, arenaRows)*width)
+}
+
+func (a *rowArena) row(width int) []int {
+	if len(*a) < width {
+		*a = make([]int, arenaRows*width)
+	}
+	r := (*a)[:width:width]
+	*a = (*a)[width:]
+	return r
+}
+
+// rowSet collects distinct rows in first-occurrence order: a tupleIndex
+// over the rows kept so far, keyed by all their columns.
+type rowSet struct {
+	tupleIndex
+	arena rowArena
+}
+
+// newRowSet returns an empty set over scope that will be offered at most
+// rows rows.
+func newRowSet(scope []int, rows int) *rowSet {
+	pos := make([]int, len(scope))
+	for i := range pos {
+		pos[i] = i
+	}
+	return &rowSet{
+		tupleIndex: tupleIndex{
+			rel:  &Relation{Scope: scope},
+			pos:  pos,
+			head: map[uint64]int32{},
+		},
+		arena: newRowArena(rows, len(scope)),
+	}
+}
+
+// add returns the position of row in the set, first appending a copy of
+// it unless the set already holds an equal row. A new row goes to the
+// front of its chain; a set needs no chain order.
+func (s *rowSet) add(row []int) int32 {
+	h := hashTuple(row, s.pos)
+	first := s.first(h)
+	for i := first; i >= 0; i = s.next[i] {
+		if equalAt(row, s.pos, s.rel.Tuples[i], s.pos) {
+			return i
+		}
+	}
+	kept := s.arena.row(len(row))
+	copy(kept, row)
+	i := int32(len(s.next))
+	s.head[h] = i
+	s.next = append(s.next, first)
+	s.rel.Tuples = append(s.rel.Tuples, kept)
+	return i
 }
 
 // Join returns the natural join a ⋈ b: a hash join on the shared variables,
-// with b indexed once and a probing. All position maps are computed once up
-// front; the per-tuple work is one hash, the chain probes, and one output
-// row allocation per result tuple.
+// with b indexed once and a probing in tuple order, each probe meeting its
+// matches in b's tuple order. All position maps are computed once up front;
+// the per-tuple work is one hash and the chain walk, and output rows are
+// carved from block allocations.
 func Join(a, b *Relation) *Relation {
 	shared := sharedVars(a, b)
 	// Output scope: a's scope followed by b's private variables.
@@ -191,28 +262,24 @@ func Join(a, b *Relation) *Relation {
 
 	idx := indexTuples(b, bShared)
 	out := &Relation{Scope: outScope}
-	var matches []int32 // scratch reused across probes
-	rowLen := len(outScope)
-	var arena []int // output rows are carved from block allocations
-	const arenaRows = 512
+	var arena rowArena // only a join that adds columns carves rows
+	if len(bPriv) > 0 {
+		arena = newRowArena(len(a.Tuples)*len(b.Tuples), len(outScope))
+	}
 	for _, ta := range a.Tuples {
-		matches = idx.lookup(matches[:0], ta, aShared)
-		if len(bPriv) == 0 {
-			// b adds no columns: output rows alias a's row, once per match
-			// (same multiplicity as the general path, no per-tuple clone).
-			for range matches {
-				out.Tuples = append(out.Tuples, ta)
-			}
-			continue
-		}
-		for _, ti := range matches {
-			if len(arena) < rowLen {
-				arena = make([]int, arenaRows*rowLen)
-			}
-			row := arena[:rowLen:rowLen]
-			arena = arena[rowLen:]
-			copy(row, ta)
+		for ti := idx.first(hashTuple(ta, aShared)); ti >= 0; ti = idx.next[ti] {
 			tb := b.Tuples[ti]
+			if !equalAt(ta, aShared, tb, bShared) {
+				continue
+			}
+			if len(bPriv) == 0 {
+				// b adds no columns: the output row aliases a's row, once
+				// per match (same multiplicity, no per-tuple clone).
+				out.Tuples = append(out.Tuples, ta)
+				continue
+			}
+			row := arena.row(len(outScope))
+			copy(row, ta)
 			for i, p := range bPriv {
 				row[len(a.Scope)+i] = tb[p]
 			}
@@ -220,6 +287,48 @@ func Join(a, b *Relation) *Relation {
 		}
 	}
 	return out
+}
+
+// JoinProject returns π_vars(a ⋈ b) without materialising the join: it
+// probes exactly as Join does and drops every projected row it has already
+// emitted, so its output is Project(Join(a, b), vars) row for row — the
+// same scope and the same rows in the same order. Variables in neither
+// scope are ignored.
+func JoinProject(a, b *Relation, vars []int) *Relation {
+	shared := sharedVars(a, b)
+	aShared := a.positions(shared)
+	bShared := b.positions(shared)
+	// src[i] locates output column i in a's row followed by b's row; a
+	// shared variable is read from a, as Join's output holds it.
+	var keep, src []int
+	for _, v := range vars {
+		if p := a.pos(v); p >= 0 {
+			keep, src = append(keep, v), append(src, p)
+		} else if p := b.pos(v); p >= 0 {
+			keep, src = append(keep, v), append(src, len(a.Scope)+p)
+		}
+	}
+
+	idx := indexTuples(b, bShared)
+	out := newRowSet(keep, len(a.Tuples)*len(b.Tuples))
+	row := make([]int, len(keep))
+	for _, ta := range a.Tuples {
+		for ti := idx.first(hashTuple(ta, aShared)); ti >= 0; ti = idx.next[ti] {
+			tb := b.Tuples[ti]
+			if !equalAt(ta, aShared, tb, bShared) {
+				continue
+			}
+			for i, p := range src {
+				if p < len(ta) {
+					row[i] = ta[p]
+				} else {
+					row[i] = tb[p-len(ta)]
+				}
+			}
+			out.add(row)
+		}
+	}
+	return out.rel
 }
 
 // Semijoin returns a ⋉ b: the tuples of a that join with some tuple of b.
@@ -240,17 +349,15 @@ func Semijoin(a, b *Relation) *Relation {
 	idx := indexTuples(b, bShared)
 	out := &Relation{Scope: append([]int(nil), a.Scope...)}
 	for _, ta := range a.Tuples {
-		if idx.contains(ta, aShared) {
+		if idx.find(ta, aShared) >= 0 {
 			out.Tuples = append(out.Tuples, ta)
 		}
 	}
 	return out
 }
 
-// Project returns π_vars(r) with duplicates removed. Variables not in r's
-// scope are ignored. Deduplication hashes the projected row and verifies
-// candidates against already-kept output rows, so collisions never drop a
-// distinct tuple.
+// Project returns π_vars(r) with duplicates removed, keeping each row's
+// first occurrence. Variables not in r's scope are ignored.
 func Project(r *Relation, vars []int) *Relation {
 	var keep []int
 	for _, v := range vars {
@@ -259,33 +366,15 @@ func Project(r *Relation, vars []int) *Relation {
 		}
 	}
 	keepPos := r.positions(keep)
-	out := &Relation{Scope: keep}
-	// identity positions of an output row (its columns are already 0..k-1).
-	outPos := make([]int, len(keep))
-	for i := range outPos {
-		outPos[i] = i
-	}
-	seen := make(map[uint64][]int32, len(r.Tuples))
+	out := newRowSet(keep, len(r.Tuples))
+	row := make([]int, len(keep))
 	for _, t := range r.Tuples {
-		h := hashTuple(t, keepPos)
-		dup := false
-		for _, oi := range seen[h] {
-			if equalAt(t, keepPos, out.Tuples[oi], outPos) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		row := make([]int, len(keep))
 		for i, p := range keepPos {
 			row[i] = t[p]
 		}
-		seen[h] = append(seen[h], int32(len(out.Tuples)))
-		out.Tuples = append(out.Tuples, row)
+		out.add(row)
 	}
-	return out
+	return out.rel
 }
 
 // SameSet reports whether a and b hold the same set of tuples over the same
@@ -310,7 +399,7 @@ func SameSet(a, b *Relation) bool {
 	}
 	idx := indexTuples(b, bPos)
 	for _, ta := range a.Tuples {
-		if !idx.contains(ta, aPos) {
+		if idx.find(ta, aPos) < 0 {
 			return false
 		}
 	}
@@ -319,35 +408,26 @@ func SameSet(a, b *Relation) bool {
 
 // groupSums sums weight[i] over r's tuples grouped by their values at the
 // given variables, returning a lookup function for other relations' tuples.
-// This is the hashed replacement of the old string-keyed count aggregation.
+// The groups are a rowSet over those values, and sums[g] is the total of
+// group g, the set's g-th row.
 func groupSums(r *Relation, vars []int, weight []int) func(t []int, tPos []int) int {
 	rPos := r.positions(vars)
-	type group struct {
-		tuple int32 // representative tuple index in r
-		sum   int
-	}
-	buckets := make(map[uint64][]group, len(r.Tuples))
+	groups := newRowSet(vars, len(r.Tuples))
+	var sums []int
+	key := make([]int, len(rPos))
 	for i, t := range r.Tuples {
-		h := hashTuple(t, rPos)
-		gs := buckets[h]
-		found := false
-		for gi := range gs {
-			if equalAt(t, rPos, r.Tuples[gs[gi].tuple], rPos) {
-				gs[gi].sum += weight[i]
-				found = true
-				break
-			}
+		for j, p := range rPos {
+			key[j] = t[p]
 		}
-		if !found {
-			buckets[h] = append(gs, group{tuple: int32(i), sum: weight[i]})
+		g := groups.add(key)
+		if int(g) == len(sums) {
+			sums = append(sums, 0)
 		}
+		sums[g] += weight[i]
 	}
 	return func(t []int, tPos []int) int {
-		h := hashTuple(t, tPos)
-		for _, g := range buckets[h] {
-			if equalAt(t, tPos, r.Tuples[g.tuple], rPos) {
-				return g.sum
-			}
+		if g := groups.find(t, tPos); g >= 0 {
+			return sums[g]
 		}
 		return 0
 	}

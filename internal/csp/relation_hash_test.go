@@ -132,12 +132,32 @@ func sameRelation(t *testing.T, op string, got, want *Relation) {
 	}
 }
 
+// sameRows asserts equal scope and equal rows in the same order.
+func sameRows(t *testing.T, op string, got, want *Relation) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: got %v %v\nwant %v %v", op, got.Scope, got.Tuples, want.Scope, want.Tuples)
+	}
+}
+
+// checkJoinProject asserts the fused kernel's contract: JoinProject(a, b,
+// vars) is Project(Join(a, b), vars) row for row.
+func checkJoinProject(t *testing.T, a, b *Relation, vars []int) {
+	t.Helper()
+	sameRows(t, fmt.Sprintf("JoinProject %v", vars), JoinProject(a, b, vars), Project(Join(a, b), vars))
+}
+
 func testKernelsAgainstReference(t *testing.T, trials int) {
 	rng := rand.New(rand.NewSource(7))
+	// JoinProject's vars come from their own stream, so the relations and
+	// keep lists the other checks draw are those they always drew.
+	varRng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < trials; trial++ {
 		a := randRelation(rng, 6, 4, 24, 3)
 		b := randRelation(rng, 6, 4, 24, 3)
 		sameRelation(t, "Join", Join(a, b), refJoin(a, b))
+		// Unsorted: the chained index must keep refJoin's probe order.
+		sameRows(t, "Join order", Join(a, b), refJoin(a, b))
 		sameRelation(t, "Semijoin", Semijoin(a, b), refSemijoin(a, b))
 		var keep []int
 		for _, v := range a.Scope {
@@ -147,6 +167,14 @@ func testKernelsAgainstReference(t *testing.T, trials int) {
 		}
 		keep = append(keep, 99) // out-of-scope vars must be ignored
 		sameRelation(t, "Project", Project(a, keep), refProject(a, keep))
+		var vars []int
+		for _, v := range append(append([]int(nil), a.Scope...), b.Scope...) {
+			if varRng.Intn(2) == 0 {
+				vars = append(vars, v)
+			}
+		}
+		varRng.Shuffle(len(vars), func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
+		checkJoinProject(t, a, b, append(vars, 99))
 	}
 }
 
@@ -215,6 +243,27 @@ func TestSemijoinAliasesLeftRows(t *testing.T) {
 	}
 }
 
+// TestKernelRowsSpanArenaBlocks runs the kernels on outputs larger than
+// one arena block: the rows must still match the references, and each row
+// must be capped at its width so no row can grow into its neighbour.
+func TestKernelRowsSpanArenaBlocks(t *testing.T) {
+	a, b := benchRelations()
+	outs := []*Relation{Join(a, b), Project(a, a.Scope), JoinProject(a, b, []int{3, 0})}
+	sameRows(t, "Join", outs[0], refJoin(a, b))
+	sameRelation(t, "Project", outs[1], refProject(a, a.Scope))
+	checkJoinProject(t, a, b, []int{3, 0})
+	for _, out := range outs {
+		if out.Size() <= arenaRows {
+			t.Fatalf("scope %v: %d rows fit one arena block", out.Scope, out.Size())
+		}
+		for _, row := range out.Tuples {
+			if cap(row) != len(out.Scope) {
+				t.Fatalf("scope %v: row cap %d, want %d", out.Scope, cap(row), len(out.Scope))
+			}
+		}
+	}
+}
+
 // benchRelations builds a pair of relations sized for the allocation
 // benchmarks: 64-way key overlap so joins produce real output.
 func benchRelations() (*Relation, *Relation) {
@@ -233,6 +282,14 @@ func BenchmarkJoinHash(bm *testing.B) {
 	bm.ReportAllocs()
 	for i := 0; i < bm.N; i++ {
 		Join(a, b)
+	}
+}
+
+func BenchmarkJoinProjectHash(bm *testing.B) {
+	a, b := benchRelations()
+	bm.ReportAllocs()
+	for i := 0; i < bm.N; i++ {
+		JoinProject(a, b, []int{0, 3})
 	}
 }
 
