@@ -112,10 +112,9 @@ var (
 	WriteDIMACS = hypergraph.WriteDIMACS
 	// NewRelation builds a CSP relation over a scope.
 	NewRelation = csp.NewRelation
-	// BuildJoinTree attempts to build a join tree (acyclic CSPs only).
+	// BuildJoinTree attempts to build a join tree (acyclic CSPs only): a
+	// width-1 GHD that SolveCSPFromDecomposition solves.
 	BuildJoinTree = csp.BuildJoinTree
-	// SolveAcyclic runs algorithm Acyclic Solving over a join tree.
-	SolveAcyclic = csp.SolveAcyclic
 	// IsAcyclic reports whether a CSP has a join tree.
 	IsAcyclic = csp.IsAcyclic
 )
@@ -578,42 +577,66 @@ func DecomposeOrdering(h *Hypergraph, o Ordering) (*Decomposition, error) {
 
 // SolveCSP solves a CSP through a decomposition of its constraint
 // hypergraph built with the given options, returning one solution (or
-// ok=false when unsatisfiable).
+// ok=false when unsatisfiable). SolveCSP is SolveCSPCtx without
+// cancellation.
 func SolveCSP(c *CSP, opt Options) (solution []int, ok bool, err error) {
-	if err := c.Validate(); err != nil {
-		return nil, false, err
-	}
-	h := c.Hypergraph()
-	d, err := Decompose(h, opt)
+	return SolveCSPCtx(context.Background(), c, opt)
+}
+
+// SolveCSPCtx is SolveCSP under a context: it decomposes c with
+// DecomposeCtx and solves it on the query engine's dataflow, with the
+// parallelism and telemetry of opt. On cancellation it returns the
+// context's error and no solution.
+func SolveCSPCtx(ctx context.Context, c *CSP, opt Options) ([]int, bool, error) {
+	d, err := cspPlan(ctx, c, nil, opt)
 	if err != nil {
 		return nil, false, err
 	}
-	return csp.SolveFromGHDStats(c, d, opt.Stats)
+	return cq.SolveCSP(ctx, c, d, evalOptions(opt))
 }
 
-// SolveCSPFromDecomposition solves c using an existing decomposition: via
-// generalized-hypertree semantics when λ labels are present, via join-tree
-// clustering otherwise.
+// SolveCSPFromDecomposition solves c using an existing decomposition of
+// its constraint hypergraph: a GHD, join tree (BuildJoinTree) included,
+// joins each node's λ constraints; any other tree decomposition is solved
+// by join-tree clustering, each node enumerating its bag.
 func SolveCSPFromDecomposition(c *CSP, d *Decomposition) ([]int, bool, error) {
-	if len(d.Nodes()) > 0 && d.Nodes()[0].Lambda != nil {
-		return csp.SolveFromGHD(c, d)
+	d, err := cspPlan(context.Background(), c, d, Options{})
+	if err != nil {
+		return nil, false, err
 	}
-	return csp.SolveFromTD(c, d)
+	return cq.SolveCSP(context.Background(), c, d, cq.EvalOptions{})
 }
 
 // CountCSP counts the complete consistent assignments of c through a
 // decomposition built with the given options (#CSP via the join-tree
-// dynamic program — polynomial for bounded width, unlike enumeration).
+// dynamic program — polynomial for bounded width, unlike enumeration). It
+// returns an error when the count overflows int. CountCSP is CountCSPCtx
+// without cancellation.
 func CountCSP(c *CSP, opt Options) (int, error) {
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	h := c.Hypergraph()
-	d, err := Decompose(h, opt)
+	return CountCSPCtx(context.Background(), c, opt)
+}
+
+// CountCSPCtx is CountCSP under a context. On cancellation it returns the
+// context's error and no count.
+func CountCSPCtx(ctx context.Context, c *CSP, opt Options) (int, error) {
+	d, err := cspPlan(ctx, c, nil, opt)
 	if err != nil {
 		return 0, err
 	}
-	return csp.CountFromGHD(c, d)
+	return cq.CountCSP(ctx, c, d, evalOptions(opt))
+}
+
+// cspPlan is the one entry of every CSP path: it validates c, then returns
+// d, or when d is nil the decomposition opt builds for c's constraint
+// hypergraph.
+func cspPlan(ctx context.Context, c *CSP, d *Decomposition, opt Options) (*Decomposition, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if d != nil {
+		return d, nil
+	}
+	return DecomposeCtx(ctx, c.Hypergraph(), opt)
 }
 
 // ReadHypergraphFile parses a TU-Wien format hypergraph from r.

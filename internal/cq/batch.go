@@ -90,11 +90,12 @@ func (sb *sharedBase) canonical(name string, arity int) ([][]int, error) {
 	return sr.tuples, nil
 }
 
-// hypergraphSig renders the index structure of a query hypergraph — vertex
-// count plus each edge's vertex indices in edge order — as a plan-cache
-// key. Two queries with equal signatures induce identical decompositions
-// (the decomposition machinery sees only indices), so a batch decomposes
-// each distinct shape once.
+// hypergraphSig renders the index structure of a hypergraph — vertex count
+// plus each edge's vertex indices in edge order — as a plan-cache key. Two
+// queries with equal signatures induce identical decompositions (the
+// decomposition machinery sees only indices), so a batch decomposes each
+// distinct shape once, and a flow accepts a decomposition only of its
+// instance's signature.
 func hypergraphSig(h *hypergraph.Hypergraph) string {
 	var b strings.Builder
 	b.WriteString("v")

@@ -14,6 +14,7 @@ package cq
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -105,12 +106,12 @@ func EvaluateWithCtx(ctx context.Context, q *Query, db *Database, d *decomp.Deco
 var errEmptied = errors.New("cq: node relation emptied")
 
 // evaluate is the one-shot evaluator behind EvaluateWithCtx, BooleanWithCtx
-// and the batch path. It runs the flow's steps pass by pass with base, up
-// and down aliased to one slice, so each reducer step overwrites its
-// node's relation in place. It stops with no answers as soon as a node
-// relation empties, and after the bottom-up reducer when full is false,
-// reporting only satisfiability. When sb is non-nil the instance interns
-// through it, serving plain atoms from the batch's canonical hashed rows.
+// and the batch path: the flow's two reducer sweeps (reduce), then, when
+// full is set, the output join pass and answer assembly. It stops with no
+// answers as soon as a node relation empties, and after the bottom-up
+// reducer when full is false, reporting only satisfiability. When sb is
+// non-nil the instance interns through it, serving plain atoms from the
+// batch's canonical hashed rows.
 func evaluate(ctx context.Context, q *Query, db *Database, d *decomp.Decomposition, opt EvalOptions, sb *sharedBase, full bool) (rows [][]string, sat bool, err error) {
 	if err := q.Validate(); err != nil {
 		return nil, false, err
@@ -125,67 +126,18 @@ func evaluate(ctx context.Context, q *Query, db *Database, d *decomp.Decompositi
 	mark := opt.Stats.MarkPhase()
 	defer opt.Stats.AttributeSince(telemetry.PhaseCQ, mark)
 	in, err := newInstance(q, db, sb)
-	if err != nil || in.empty {
-		return nil, false, err
-	}
-	f := newFlow(q, in, d, opt)
-	rel := make([]*csp.Relation, len(f.nodes))
-	f.base, f.up, f.down = rel, rel, rel
-	f.out = make([]*csp.Relation, len(f.nodes))
-	var emptied atomic.Bool
-	settle := func(i int, r *csp.Relation) {
-		rel[i] = r
-		if r.Size() == 0 {
-			emptied.Store(true)
-		}
-	}
-	tr, track := opt.Trace, opt.Track
-
-	// Base joins are mutually independent: one batch over every node.
-	tr.Begin(track, "cq.base")
-	err = runTasks(ctx, opt, len(f.nodes), func(i int) error {
-		r, err := f.baseStep(ctx, i)
-		if err != nil {
-			return err
-		}
-		settle(i, r)
-		tr.Instant(track, "cq.node",
-			telemetry.Arg{Key: "node", Val: int64(i)},
-			telemetry.Arg{Key: "tuples", Val: int64(r.Size())})
-		return nil
-	})
-	tr.End(track, "cq.base")
-	if err != nil || emptied.Load() {
-		return nil, false, err
-	}
-
-	// A leaf's up relation is its base relation, already in place.
-	tr.Begin(track, "cq.reduce.up")
-	err = f.walk(ctx, true, f.hasChildren, func(nodes []int) error {
-		err := f.each(ctx, nodes, func(i int) { settle(i, f.upStep(i)) })
-		if err == nil && emptied.Load() {
-			err = errEmptied
-		}
-		return err
-	})
-	tr.End(track, "cq.reduce.up")
-	if errors.Is(err, errEmptied) {
-		return nil, false, nil
-	}
-	if err != nil || !full {
-		return nil, err == nil, err
-	}
-
-	// The root's down relation is its up relation, already in place.
-	tr.Begin(track, "cq.reduce.down")
-	err = f.walk(ctx, false, f.hasParent, func(nodes []int) error {
-		return f.each(ctx, nodes, func(i int) { rel[i] = f.downStep(i) })
-	})
-	tr.End(track, "cq.reduce.down")
 	if err != nil {
 		return nil, false, err
 	}
-
+	f, err := newFlow(in, d, q.Head, opt)
+	if err != nil || in.empty {
+		return nil, false, err
+	}
+	if sat, err = f.reduce(ctx, full); err != nil || !sat || !full {
+		return nil, sat, err
+	}
+	tr, track := opt.Trace, opt.Track
+	f.out = make([]*csp.Relation, len(f.nodes))
 	tr.Begin(track, "cq.output")
 	err = f.walk(ctx, true, nil, func(nodes []int) error {
 		return f.each(ctx, nodes, func(i int) { f.out[i] = f.outStep(i) })
@@ -196,6 +148,75 @@ func evaluate(ctx context.Context, q *Query, db *Database, d *decomp.Decompositi
 	}
 	rows, err = assembleAnswers(q, in, f.out[f.root])
 	return rows, err == nil, err
+}
+
+// basePass fills the base layer in one batch over every node, since base
+// joins are mutually independent. It reports false when some base relation
+// is empty: the instance then has no answers.
+func (f *flow) basePass(ctx context.Context) (bool, error) {
+	f.base = make([]*csp.Relation, len(f.nodes))
+	var emptied atomic.Bool
+	tr, track := f.opt.Trace, f.opt.Track
+	tr.Begin(track, "cq.base")
+	err := runTasks(ctx, f.opt, len(f.nodes), func(i int) error {
+		r, err := f.baseStep(ctx, i)
+		if err != nil {
+			return err
+		}
+		f.base[i] = r
+		if r.Size() == 0 {
+			emptied.Store(true)
+		}
+		tr.Instant(track, "cq.node",
+			telemetry.Arg{Key: "node", Val: int64(i)},
+			telemetry.Arg{Key: "tuples", Val: int64(r.Size())})
+		return nil
+	})
+	tr.End(track, "cq.base")
+	return err == nil && !emptied.Load(), err
+}
+
+// reduce runs the base pass and the bottom-up full reducer, then the
+// top-down one when full is set, with base, up and down aliased to one
+// slice, so each reducer step overwrites its node's relation in place. It
+// reports false as soon as a node relation empties.
+func (f *flow) reduce(ctx context.Context, full bool) (bool, error) {
+	if ok, err := f.basePass(ctx); !ok {
+		return false, err
+	}
+	f.up, f.down = f.base, f.base
+	tr, track := f.opt.Trace, f.opt.Track
+
+	// A leaf's up relation is its base relation, already in place.
+	var emptied atomic.Bool
+	tr.Begin(track, "cq.reduce.up")
+	err := f.walk(ctx, true, f.hasChildren, func(nodes []int) error {
+		err := f.each(ctx, nodes, func(i int) {
+			f.up[i] = f.upStep(i)
+			if f.up[i].Size() == 0 {
+				emptied.Store(true)
+			}
+		})
+		if err == nil && emptied.Load() {
+			err = errEmptied
+		}
+		return err
+	})
+	tr.End(track, "cq.reduce.up")
+	if errors.Is(err, errEmptied) {
+		return false, nil
+	}
+	if err != nil || !full {
+		return err == nil, err
+	}
+
+	// The root's down relation is its up relation, already in place.
+	tr.Begin(track, "cq.reduce.down")
+	err = f.walk(ctx, false, f.hasParent, func(nodes []int) error {
+		return f.each(ctx, nodes, func(i int) { f.down[i] = f.downStep(i) })
+	})
+	tr.End(track, "cq.reduce.down")
+	return err == nil, err
 }
 
 // defaultDecomposition builds the evaluator's stock GHD: min-fill
@@ -234,9 +255,23 @@ type flow struct {
 	base, up, down, out []*csp.Relation
 }
 
-// newFlow completes d and indexes it. The layers are left for the caller
-// to allocate, since the one-shot engine aliases three of them.
-func newFlow(q *Query, in *instance, d *decomp.Decomposition, opt EvalOptions) *flow {
+// errPlanShape reports a decomposition of another hypergraph than the
+// instance's.
+var errPlanShape = errors.New("cq: decomposition is not of the instance's hypergraph")
+
+// newFlow checks d against the instance, then completes and indexes it.
+// The check runs once, before d.Complete: d.H must have the instance
+// hypergraph's vertex count and edge sets, and d must be a valid GHD of
+// it, so a caller's decomposition of another hypergraph ends in an error
+// here and not in a worker's panic. The layers are left for the caller to
+// allocate.
+func newFlow(in *instance, d *decomp.Decomposition, head []string, opt EvalOptions) (*flow, error) {
+	if d.H != in.h && hypergraphSig(d.H) != hypergraphSig(in.h) {
+		return nil, errPlanShape
+	}
+	if err := d.ValidateGHD(); err != nil {
+		return nil, fmt.Errorf("cq: invalid decomposition: %w", err)
+	}
 	d.Complete()
 	f := &flow{
 		in: in, opt: opt,
@@ -262,10 +297,10 @@ func newFlow(q *Query, in *instance, d *decomp.Decomposition, opt EvalOptions) *
 		}
 	}
 	walk(d.Root, 0)
-	for _, hv := range q.Head {
+	for _, hv := range head {
 		f.head[in.varIndex[hv]] = true
 	}
-	return f
+	return f, nil
 }
 
 func (f *flow) hasChildren(i int) bool { return len(f.nodes[i].Children) > 0 }

@@ -430,7 +430,10 @@ func TestProjectingStepsKeepJoinKeys(t *testing.T) {
 	for v, i := range in.varIndex {
 		name[i] = v
 	}
-	f := newFlow(q, in, d, EvalOptions{Jobs: 1})
+	f, err := newFlow(in, d, q.Head, EvalOptions{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, n := range f.nodes {
 		base, err := f.baseStep(ctx, i)
 		if err != nil {

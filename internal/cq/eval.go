@@ -7,6 +7,7 @@ import (
 
 	"hypertree/internal/csp"
 	"hypertree/internal/decomp"
+	"hypertree/internal/hypergraph"
 )
 
 // Evaluate answers the query over the database by building a generalized
@@ -78,10 +79,11 @@ func (it *interner) value(i int) string { return it.dict[i] }
 
 // instance interns the database against the query structure.
 type instance struct {
-	varIndex map[string]int  // query variable → hypergraph vertex index
-	terms    *interner       // constant dictionary (shared across a batch)
-	atomRel  []*csp.Relation // per body atom, scope = its vertex indices
-	empty    bool            // a ground atom failed: no answers
+	h        *hypergraph.Hypergraph // one vertex per variable, one edge per atom
+	varIndex map[string]int         // query variable → hypergraph vertex index
+	terms    *interner              // constant dictionary (shared across a batch)
+	atomRel  []*csp.Relation        // per body atom, scope = its vertex indices
+	empty    bool                   // a ground atom failed: no answers
 }
 
 // newInstance interns db against q with a private dictionary; sb, when
@@ -91,6 +93,7 @@ type instance struct {
 func newInstance(q *Query, db *Database, sb *sharedBase) (*instance, error) {
 	h := q.Hypergraph()
 	in := &instance{
+		h:        h,
 		varIndex: map[string]int{},
 		terms:    newInterner(),
 	}

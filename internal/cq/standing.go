@@ -80,7 +80,10 @@ func NewStandingQuery(ctx context.Context, q *Query, db *Database, d *decomp.Dec
 	if err != nil {
 		return nil, err
 	}
-	f := newFlow(q, in, d, opt)
+	f, err := newFlow(in, d, q.Head, opt)
+	if err != nil {
+		return nil, err
+	}
 	layer := func() []*csp.Relation { return make([]*csp.Relation, len(f.nodes)) }
 	f.base, f.up, f.down, f.out = layer(), layer(), layer(), layer()
 	s := &StandingQuery{q: q, flow: f}

@@ -1,9 +1,10 @@
-package csp
+package csp_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"hypertree/internal/csp"
 	"hypertree/internal/order"
 )
 
@@ -18,7 +19,7 @@ func TestCountMatchesBacktracking(t *testing.T) {
 		o := order.Random(h.NumVertices(), rng)
 
 		td := order.VertexElimination(h, o)
-		got, err := CountFromTD(c, td)
+		got, err := count(c, td)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -27,7 +28,7 @@ func TestCountMatchesBacktracking(t *testing.T) {
 		}
 
 		ghd := order.GHD(h, o, rng, true)
-		got2, err := CountFromGHD(c, ghd)
+		got2, err := count(c, ghd)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -38,11 +39,11 @@ func TestCountMatchesBacktracking(t *testing.T) {
 }
 
 func TestCountAustralia(t *testing.T) {
-	c := australia()
+	c := csp.Australia()
 	h := c.Hypergraph()
 	o := order.Random(h.NumVertices(), rand.New(rand.NewSource(2)))
 	td := order.VertexElimination(h, o)
-	got, err := CountFromTD(c, td)
+	got, err := count(c, td)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestCountAustralia(t *testing.T) {
 		t.Fatalf("Australia 3-colourings = %d, want 18", got)
 	}
 	ghd := order.GHD(h, o, nil, true)
-	got2, err := CountFromGHD(c, ghd)
+	got2, err := count(c, ghd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +62,18 @@ func TestCountAustralia(t *testing.T) {
 
 func TestCountUnsat(t *testing.T) {
 	neq := [][]int{{0, 1}, {1, 0}}
-	c := &CSP{
+	c := &csp.CSP{
 		VarNames: []string{"x", "y", "z"},
 		Domains:  [][]int{{0, 1}, {0, 1}, {0, 1}},
-		Constraints: []*Constraint{
-			{Name: "xy", Rel: NewRelation([]int{0, 1}, clone2(neq))},
-			{Name: "yz", Rel: NewRelation([]int{1, 2}, clone2(neq))},
-			{Name: "xz", Rel: NewRelation([]int{0, 2}, clone2(neq))},
+		Constraints: []*csp.Constraint{
+			{Name: "xy", Rel: csp.NewRelation([]int{0, 1}, clone2(neq))},
+			{Name: "yz", Rel: csp.NewRelation([]int{1, 2}, clone2(neq))},
+			{Name: "xz", Rel: csp.NewRelation([]int{0, 2}, clone2(neq))},
 		},
 	}
 	h := c.Hypergraph()
 	td := order.VertexElimination(h, order.Identity(3))
-	if got, err := CountFromTD(c, td); err != nil || got != 0 {
+	if got, err := count(c, td); err != nil || got != 0 {
 		t.Fatalf("unsat count = %d (%v), want 0", got, err)
 	}
 }
@@ -80,16 +81,16 @@ func TestCountUnsat(t *testing.T) {
 func TestCountUnconstrainedVariables(t *testing.T) {
 	// One binary constraint plus two free variables with domain sizes 3
 	// and 4: count = |R| × 12.
-	c := &CSP{
+	c := &csp.CSP{
 		VarNames: []string{"a", "b", "f1", "f2"},
 		Domains:  [][]int{{0, 1}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}},
-		Constraints: []*Constraint{
-			{Name: "ab", Rel: NewRelation([]int{0, 1}, [][]int{{0, 0}, {1, 1}})},
+		Constraints: []*csp.Constraint{
+			{Name: "ab", Rel: csp.NewRelation([]int{0, 1}, [][]int{{0, 0}, {1, 1}})},
 		},
 	}
 	h := c.Hypergraph()
 	td := order.VertexElimination(h, order.Identity(4))
-	got, err := CountFromTD(c, td)
+	got, err := count(c, td)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestCountUnconstrainedVariables(t *testing.T) {
 		t.Fatalf("count = %d, want 24", got)
 	}
 	ghd := order.GHD(h, order.Identity(4), nil, true)
-	got2, err := CountFromGHD(c, ghd)
+	got2, err := count(c, ghd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +108,10 @@ func TestCountUnconstrainedVariables(t *testing.T) {
 }
 
 func TestCountShapeMismatch(t *testing.T) {
-	c := australia()
+	c := csp.Australia()
 	other := example5CSP()
 	td := order.VertexElimination(other.Hypergraph(), order.Identity(6))
-	if _, err := CountFromTD(c, td); err == nil {
+	if _, err := count(c, td); err == nil {
 		t.Fatal("mismatched decomposition accepted")
 	}
 }

@@ -1,9 +1,10 @@
 // Package csp implements the constraint-satisfaction substrate of the
-// thesis (ch. 2): CSP instances (Def. 5), relational algebra over
-// constraint relations, join trees and acyclic CSPs (Def. 8–9), algorithm
-// Acyclic Solving (Fig. 2.4), and solving arbitrary CSPs from tree
-// decompositions (Join Tree Clustering, §2.4) and from complete generalized
-// hypertree decompositions (Fig. 2.9).
+// thesis (ch. 2): CSP instances (Def. 5) with their backtracking baseline,
+// relational algebra over constraint relations, and join trees of acyclic
+// CSPs (Def. 8–9) as width-1 GHDs. Solving and counting over a
+// decomposition — Acyclic Solving (Fig. 2.4), Join Tree Clustering (§2.4)
+// and solving from complete GHDs (Fig. 2.9) — run on the query engine's
+// dataflow in package cq, with these kernels.
 package csp
 
 import (

@@ -1,43 +1,33 @@
 package csp
 
 import (
-	"fmt"
 	"sort"
+
+	"hypertree/internal/decomp"
 )
 
-// JoinTreeNode is a node of a join tree: one constraint plus tree links.
-type JoinTreeNode struct {
-	Constraint *Constraint
-	Parent     *JoinTreeNode
-	Children   []*JoinTreeNode
-}
-
-// JoinTree is a rooted join tree of an acyclic CSP (Def. 8).
-type JoinTree struct {
-	Root  *JoinTreeNode
-	Nodes []*JoinTreeNode
-}
-
-// BuildJoinTree attempts to build a join tree for the CSP. It returns
-// (tree, true) when the CSP is acyclic (Def. 9) and (nil, false) otherwise.
+// BuildJoinTree attempts to build a join tree for the CSP (Def. 8): a
+// width-1 GHD of its constraint hypergraph with one node per constraint,
+// whose χ is the constraint's scope and whose λ is the constraint. It
+// returns (tree, true) when the CSP is acyclic (Def. 9) and (nil, false)
+// otherwise.
 //
 // It uses the classical characterization: a CSP is acyclic iff a
 // maximum-weight spanning tree of its dual graph — edges weighted by the
 // number of shared variables — satisfies the join-tree connectedness
-// condition.
-func BuildJoinTree(c *CSP) (*JoinTree, bool) {
+// condition, which the GHD's own validation checks.
+func BuildJoinTree(c *CSP) (*decomp.Decomposition, bool) {
 	m := len(c.Constraints)
 	if m == 0 {
 		return nil, false
 	}
+	h := c.Hypergraph()
 	// Weighted dual graph.
 	type dualEdge struct{ a, b, w int }
 	var edges []dualEdge
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
-			ri := &Relation{Scope: c.Constraints[i].Rel.Scope}
-			rj := &Relation{Scope: c.Constraints[j].Rel.Scope}
-			if w := len(sharedVars(ri, rj)); w > 0 {
+			if w := h.EdgeSet(i).IntersectionCount(h.EdgeSet(j)); w > 0 {
 				edges = append(edges, dualEdge{i, j, w})
 			}
 		}
@@ -49,8 +39,7 @@ func BuildJoinTree(c *CSP) (*JoinTree, bool) {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -67,216 +56,44 @@ func BuildJoinTree(c *CSP) (*JoinTree, bool) {
 		}
 	}
 	// Chain disconnected components together (their constraints share no
-	// variables, so arbitrary links keep the connectedness condition).
-	roots := map[int]bool{}
-	for i := 0; i < m; i++ {
-		roots[find(i)] = true
-	}
-	var rootList []int
-	for r := range roots {
-		rootList = append(rootList, r)
-	}
-	sort.Ints(rootList)
-	for i := 1; i < len(rootList); i++ {
-		a, b := rootList[0], rootList[i]
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-
-	// Root the tree at constraint 0 and build nodes.
-	nodes := make([]*JoinTreeNode, m)
-	for i := range nodes {
-		nodes[i] = &JoinTreeNode{Constraint: c.Constraints[i]}
-	}
-	visited := make([]bool, m)
-	var build func(i int)
-	build = func(i int) {
-		visited[i] = true
-		for _, j := range adj[i] {
-			if !visited[j] {
-				nodes[j].Parent = nodes[i]
-				nodes[i].Children = append(nodes[i].Children, nodes[j])
-				build(j)
-			}
-		}
-	}
-	build(0)
-
-	jt := &JoinTree{Root: nodes[0], Nodes: nodes}
-	if !jt.connected(c) {
-		return nil, false
-	}
-	return jt, true
-}
-
-// connected verifies the join-tree connectedness condition: for each
-// variable, the nodes whose scopes contain it induce a subtree.
-func (jt *JoinTree) connected(c *CSP) bool {
-	for v := 0; v < c.NumVars(); v++ {
-		var withV []*JoinTreeNode
-		for _, n := range jt.Nodes {
-			if (&Relation{Scope: n.Constraint.Rel.Scope}).pos(v) >= 0 {
-				withV = append(withV, n)
-			}
-		}
-		if len(withV) <= 1 {
+	// variables, so arbitrary links keep the connectedness condition): the
+	// smallest component root links to every other root.
+	first := -1
+	for r := 0; r < m; r++ {
+		if find(r) != r {
 			continue
 		}
-		inSet := map[*JoinTreeNode]bool{}
-		for _, n := range withV {
-			inSet[n] = true
+		if first < 0 {
+			first = r
+			continue
 		}
-		// BFS within the set.
-		reached := map[*JoinTreeNode]bool{withV[0]: true}
-		queue := []*JoinTreeNode{withV[0]}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			var nbs []*JoinTreeNode
-			if n.Parent != nil {
-				nbs = append(nbs, n.Parent)
+		adj[first] = append(adj[first], r)
+		adj[r] = append(adj[r], first)
+	}
+
+	// Root the tree at constraint 0.
+	d := decomp.New(h)
+	visited := make([]bool, m)
+	var build func(i int, parent *decomp.Node)
+	build = func(i int, parent *decomp.Node) {
+		visited[i] = true
+		n := d.AddNode(h.EdgeSet(i).Clone(), parent)
+		n.Lambda = []int{i}
+		for _, j := range adj[i] {
+			if !visited[j] {
+				build(j, n)
 			}
-			nbs = append(nbs, n.Children...)
-			for _, nb := range nbs {
-				if inSet[nb] && !reached[nb] {
-					reached[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
-		if len(reached) != len(withV) {
-			return false
 		}
 	}
-	return true
+	build(0, nil)
+	if d.ValidateGHD() != nil {
+		return nil, false
+	}
+	return d, true
 }
 
 // IsAcyclic reports whether the CSP has a join tree.
 func IsAcyclic(c *CSP) bool {
 	_, ok := BuildJoinTree(c)
 	return ok
-}
-
-// SolveAcyclic implements algorithm Acyclic Solving (Fig. 2.4) over a join
-// tree: a bottom-up semijoin pass removes unsupported tuples; if no
-// relation empties, a top-down pass assembles one complete consistent
-// assignment. Variables in no constraint receive their first domain value.
-func SolveAcyclic(c *CSP, jt *JoinTree) ([]int, bool) {
-	// Work on copies of the relations.
-	rel := make(map[*JoinTreeNode]*Relation, len(jt.Nodes))
-	for _, n := range jt.Nodes {
-		rel[n] = n.Constraint.Rel.Clone()
-	}
-
-	// Bottom-up: children before parents (postorder).
-	post := jt.postorder()
-	for _, n := range post {
-		if n.Parent == nil {
-			continue
-		}
-		rel[n.Parent] = Semijoin(rel[n.Parent], rel[n])
-		if rel[n.Parent].Size() == 0 {
-			return nil, false
-		}
-	}
-	if rel[jt.Root].Size() == 0 {
-		return nil, false
-	}
-
-	// Second bottom-up consequence: also make children consistent with
-	// parents (full directional arc consistency) so the top-down pass can
-	// pick greedily.
-	pre := jt.preorder()
-	for _, n := range pre {
-		for _, ch := range n.Children {
-			rel[ch] = Semijoin(rel[ch], rel[n])
-			if rel[ch].Size() == 0 {
-				return nil, false
-			}
-		}
-	}
-
-	// Top-down: select tuples consistent with prior assignments.
-	assignment := make([]int, c.NumVars())
-	assigned := make([]bool, c.NumVars())
-	for _, n := range pre {
-		r := rel[n]
-		chosen := -1
-		for ti, t := range r.Tuples {
-			ok := true
-			for i, v := range r.Scope {
-				if assigned[v] && assignment[v] != t[i] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				chosen = ti
-				break
-			}
-		}
-		if chosen < 0 {
-			// Cannot happen after directional consistency on a join tree,
-			// but guard against caller-supplied invalid trees.
-			return nil, false
-		}
-		for i, v := range r.Scope {
-			assignment[v] = r.Tuples[chosen][i]
-			assigned[v] = true
-		}
-	}
-	for v := range assignment {
-		if !assigned[v] {
-			if len(c.Domains[v]) == 0 {
-				return nil, false
-			}
-			assignment[v] = c.Domains[v][0]
-		}
-	}
-	return assignment, true
-}
-
-// postorder returns nodes children-first.
-func (jt *JoinTree) postorder() []*JoinTreeNode {
-	var out []*JoinTreeNode
-	var rec func(n *JoinTreeNode)
-	rec = func(n *JoinTreeNode) {
-		for _, c := range n.Children {
-			rec(c)
-		}
-		out = append(out, n)
-	}
-	rec(jt.Root)
-	return out
-}
-
-// preorder returns nodes parent-first.
-func (jt *JoinTree) preorder() []*JoinTreeNode {
-	var out []*JoinTreeNode
-	var rec func(n *JoinTreeNode)
-	rec = func(n *JoinTreeNode) {
-		out = append(out, n)
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	rec(jt.Root)
-	return out
-}
-
-// String renders the join tree structure.
-func (jt *JoinTree) String() string {
-	var b []byte
-	var rec func(n *JoinTreeNode, depth int)
-	rec = func(n *JoinTreeNode, depth int) {
-		for i := 0; i < depth; i++ {
-			b = append(b, ' ', ' ')
-		}
-		b = append(b, fmt.Sprintf("%s%v\n", n.Constraint.Name, n.Constraint.Rel.Scope)...)
-		for _, c := range n.Children {
-			rec(c, depth+1)
-		}
-	}
-	rec(jt.Root, 0)
-	return string(b)
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"hypertree/internal/order"
 )
 
 func quickCfgCSP() *quick.Config {
@@ -102,33 +100,6 @@ func TestQuickProjectIdempotent(t *testing.T) {
 		}
 		pp := Project(p, keep)
 		return pp.Size() == p.Size()
-	}
-	if err := quick.Check(f, quickCfgCSP()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: solving from decompositions agrees with backtracking on
-// satisfiability (quick-checked variant of invariant 7).
-func TestQuickDecompositionSolvingAgreesWithBacktracking(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := randomCSP(rng, 5, 4, 2, 3)
-		_, want := c.SolveBacktracking()
-		h := c.Hypergraph()
-		o := make([]int, h.NumVertices())
-		for i := range o {
-			o[i] = i
-		}
-		rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] })
-		sol, got, err := SolveFromTD(c, order.VertexElimination(h, o))
-		if err != nil || got != want {
-			return false
-		}
-		if got && !c.Check(sol) {
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(f, quickCfgCSP()); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package csp
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -32,15 +34,6 @@ func (r *Relation) Arity() int { return len(r.Scope) }
 
 // Size returns the number of tuples.
 func (r *Relation) Size() int { return len(r.Tuples) }
-
-// Clone returns a deep copy.
-func (r *Relation) Clone() *Relation {
-	t := make([][]int, len(r.Tuples))
-	for i, row := range r.Tuples {
-		t[i] = append([]int(nil), row...)
-	}
-	return NewRelation(r.Scope, t)
-}
 
 // pos returns the scope position of variable v, or −1.
 func (r *Relation) pos(v int) int {
@@ -406,31 +399,39 @@ func SameSet(a, b *Relation) bool {
 	return true
 }
 
-// groupSums sums weight[i] over r's tuples grouped by their values at the
-// given variables, returning a lookup function for other relations' tuples.
-// The groups are a rowSet over those values, and sums[g] is the total of
-// group g, the set's g-th row.
-func groupSums(r *Relation, vars []int, weight []int) func(t []int, tPos []int) int {
-	rPos := r.positions(vars)
-	groups := newRowSet(vars, len(r.Tuples))
-	var sums []int
-	key := make([]int, len(rPos))
-	for i, t := range r.Tuples {
-		for j, p := range rPos {
-			key[j] = t[p]
+// GroupSum returns, for each tuple of a, the total weight of the tuples of
+// b that agree with it on the shared variables, where weight[j] weighs
+// b.Tuples[j]: Semijoin's test with a sum in place of a bit. b's tuples are
+// grouped once by their shared values, a rowSet whose g-th row is group g.
+// It reports false when a sum overflows int.
+func GroupSum(a, b *Relation, weight []int) ([]int, bool) {
+	shared := sharedVars(a, b)
+	bPos := b.positions(shared)
+	groups := newRowSet(shared, len(b.Tuples))
+	var totals []int
+	key := make([]int, len(shared))
+	for j, t := range b.Tuples {
+		for i, p := range bPos {
+			key[i] = t[p]
 		}
 		g := groups.add(key)
-		if int(g) == len(sums) {
-			sums = append(sums, 0)
+		if int(g) == len(totals) {
+			totals = append(totals, 0)
 		}
-		sums[g] += weight[i]
-	}
-	return func(t []int, tPos []int) int {
-		if g := groups.find(t, tPos); g >= 0 {
-			return sums[g]
+		sum, carry := bits.Add(uint(totals[g]), uint(weight[j]), 0)
+		if carry != 0 || sum > math.MaxInt {
+			return nil, false
 		}
-		return 0
+		totals[g] = int(sum)
 	}
+	aPos := a.positions(shared)
+	sums := make([]int, len(a.Tuples))
+	for i, t := range a.Tuples {
+		if g := groups.find(t, aPos); g >= 0 {
+			sums[i] = totals[g]
+		}
+	}
+	return sums, true
 }
 
 // Sorted returns the tuples in lexicographic order (for stable tests).

@@ -2,6 +2,7 @@ package csp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -63,7 +64,7 @@ func refSemijoin(a, b *Relation) *Relation {
 		if len(b.Tuples) == 0 {
 			return &Relation{Scope: append([]int(nil), a.Scope...)}
 		}
-		return a.Clone()
+		return &Relation{Scope: append([]int(nil), a.Scope...), Tuples: append([][]int(nil), a.Tuples...)}
 	}
 	seen := make(map[string]bool)
 	for _, tb := range b.Tuples {
@@ -210,23 +211,39 @@ func TestGroupSumsSurvivesForcedHashCollisions(t *testing.T) {
 				w[i] = 1 + rng.Intn(4)
 			}
 			shared := sharedVars(child, parent)
-			sum := groupSums(child, shared, w)
+			sums, ok := GroupSum(parent, child, w)
+			if !ok {
+				t.Fatalf("trial %d: GroupSum overflowed", trial)
+			}
 			pPos := parent.positions(shared)
-			for _, pt := range parent.Tuples {
+			for pi, pt := range parent.Tuples {
 				want := 0
 				for ci, ct := range child.Tuples {
 					if equalAt(pt, pPos, ct, child.positions(shared)) {
 						want += w[ci]
 					}
 				}
-				if got := sum(pt, pPos); got != want {
-					t.Fatalf("trial %d: groupSums = %d, want %d", trial, got, want)
+				if sums[pi] != want {
+					t.Fatalf("trial %d: GroupSum = %d, want %d", trial, sums[pi], want)
 				}
 			}
 		}
 	}
 	check()
 	withDegenerateHash(t, check)
+}
+
+// TestGroupSumOverflow pins the counting kernel's overflow report: two
+// weights whose sum passes math.MaxInt.
+func TestGroupSumOverflow(t *testing.T) {
+	a := NewRelation([]int{0}, [][]int{{1}})
+	b := NewRelation([]int{0, 1}, [][]int{{1, 0}, {1, 1}})
+	if _, ok := GroupSum(a, b, []int{math.MaxInt, 1}); ok {
+		t.Fatal("GroupSum summed past math.MaxInt")
+	}
+	if sums, ok := GroupSum(a, b, []int{math.MaxInt - 1, 1}); !ok || sums[0] != math.MaxInt {
+		t.Fatalf("GroupSum = %v, %v; want [MaxInt]", sums, ok)
+	}
 }
 
 // TestSemijoinAliasesLeftRows pins the allocation contract: semijoin output

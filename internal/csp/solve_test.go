@@ -1,30 +1,49 @@
-package csp
+package csp_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
+	"hypertree/internal/cq"
+	"hypertree/internal/csp"
+	"hypertree/internal/decomp"
 	"hypertree/internal/order"
 )
 
+// The solving tests run from this external package on the query engine's
+// flow (cq.SolveCSP, cq.CountCSP): package csp itself runs no semijoin
+// sweep.
+
+var opt = cq.EvalOptions{Jobs: 2}
+
+func solve(c *csp.CSP, d *decomp.Decomposition) ([]int, bool, error) {
+	return cq.SolveCSP(context.Background(), c, d, opt)
+}
+
+func count(c *csp.CSP, d *decomp.Decomposition) (int, error) {
+	return cq.CountCSP(context.Background(), c, d, opt)
+}
+
 // example5CSP is thesis Example 5 with its concrete relations.
-func example5CSP() *CSP {
+func example5CSP() *csp.CSP {
 	// Domains: x1 ∈ {a,b}=0,1 ; x2..x6 ∈ {b,c}=1,2.
-	c := &CSP{
+	c := &csp.CSP{
 		VarNames: []string{"x1", "x2", "x3", "x4", "x5", "x6"},
 		Domains:  [][]int{{0, 1}, {1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 2}},
 	}
 	// a=0, b=1, c=2.
-	c.Constraints = []*Constraint{
-		{Name: "C1", Rel: NewRelation([]int{0, 1, 2}, [][]int{{0, 1, 2}, {0, 2, 1}, {1, 1, 2}})},
-		{Name: "C2", Rel: NewRelation([]int{0, 4, 5}, [][]int{{0, 1, 2}, {0, 2, 1}})},
-		{Name: "C3", Rel: NewRelation([]int{2, 3, 4}, [][]int{{2, 1, 2}, {2, 2, 1}})},
+	c.Constraints = []*csp.Constraint{
+		{Name: "C1", Rel: csp.NewRelation([]int{0, 1, 2}, [][]int{{0, 1, 2}, {0, 2, 1}, {1, 1, 2}})},
+		{Name: "C2", Rel: csp.NewRelation([]int{0, 4, 5}, [][]int{{0, 1, 2}, {0, 2, 1}})},
+		{Name: "C3", Rel: csp.NewRelation([]int{2, 3, 4}, [][]int{{2, 1, 2}, {2, 2, 1}})},
 	}
 	return c
 }
 
-func randomCSP(rng *rand.Rand, nVars, nCons, domainSize, maxArity int) *CSP {
-	c := &CSP{VarNames: make([]string, nVars), Domains: make([][]int, nVars)}
+func randomCSP(rng *rand.Rand, nVars, nCons, domainSize, maxArity int) *csp.CSP {
+	c := &csp.CSP{VarNames: make([]string, nVars), Domains: make([][]int, nVars)}
 	for v := 0; v < nVars; v++ {
 		c.VarNames[v] = "v" + string(rune('0'+v))
 		dom := make([]int, domainSize)
@@ -53,9 +72,9 @@ func randomCSP(rng *rand.Rand, nVars, nCons, domainSize, maxArity int) *CSP {
 				tuples = append(tuples, t)
 			}
 		}
-		c.Constraints = append(c.Constraints, &Constraint{
+		c.Constraints = append(c.Constraints, &csp.Constraint{
 			Name: "c" + string(rune('a'+k)),
-			Rel:  NewRelation(scope, tuples),
+			Rel:  csp.NewRelation(scope, tuples),
 		})
 	}
 	return c
@@ -63,40 +82,73 @@ func randomCSP(rng *rand.Rand, nVars, nCons, domainSize, maxArity int) *CSP {
 
 func TestBuildJoinTreeAcyclic(t *testing.T) {
 	// Acyclic: scopes {0,1,2}, {2,3}, {3,4} chain.
-	c := &CSP{
+	c := &csp.CSP{
 		VarNames: []string{"a", "b", "c", "d", "e"},
 		Domains:  [][]int{{0}, {0}, {0}, {0}, {0}},
-		Constraints: []*Constraint{
-			{Name: "r1", Rel: NewRelation([]int{0, 1, 2}, [][]int{{0, 0, 0}})},
-			{Name: "r2", Rel: NewRelation([]int{2, 3}, [][]int{{0, 0}})},
-			{Name: "r3", Rel: NewRelation([]int{3, 4}, [][]int{{0, 0}})},
+		Constraints: []*csp.Constraint{
+			{Name: "r1", Rel: csp.NewRelation([]int{0, 1, 2}, [][]int{{0, 0, 0}})},
+			{Name: "r2", Rel: csp.NewRelation([]int{2, 3}, [][]int{{0, 0}})},
+			{Name: "r3", Rel: csp.NewRelation([]int{3, 4}, [][]int{{0, 0}})},
 		},
 	}
-	jt, ok := BuildJoinTree(c)
+	jt, ok := csp.BuildJoinTree(c)
 	if !ok {
 		t.Fatal("chain CSP must be acyclic")
 	}
-	if len(jt.Nodes) != 3 {
-		t.Fatalf("join tree nodes = %d", len(jt.Nodes))
+	if jt.NumNodes() != 3 {
+		t.Fatalf("join tree nodes = %d", jt.NumNodes())
 	}
-	if !IsAcyclic(c) {
+	if !csp.IsAcyclic(c) {
 		t.Fatal("IsAcyclic disagrees")
 	}
 }
 
 func TestBuildJoinTreeCyclic(t *testing.T) {
 	// Triangle of binary constraints is the canonical cyclic CSP.
-	c := &CSP{
+	c := &csp.CSP{
 		VarNames: []string{"a", "b", "c"},
 		Domains:  [][]int{{0, 1}, {0, 1}, {0, 1}},
-		Constraints: []*Constraint{
-			{Name: "ab", Rel: NewRelation([]int{0, 1}, [][]int{{0, 1}})},
-			{Name: "bc", Rel: NewRelation([]int{1, 2}, [][]int{{1, 0}})},
-			{Name: "ca", Rel: NewRelation([]int{2, 0}, [][]int{{0, 0}})},
+		Constraints: []*csp.Constraint{
+			{Name: "ab", Rel: csp.NewRelation([]int{0, 1}, [][]int{{0, 1}})},
+			{Name: "bc", Rel: csp.NewRelation([]int{1, 2}, [][]int{{1, 0}})},
+			{Name: "ca", Rel: csp.NewRelation([]int{2, 0}, [][]int{{0, 0}})},
 		},
 	}
-	if IsAcyclic(c) {
+	if csp.IsAcyclic(c) {
 		t.Fatal("triangle CSP must be cyclic")
+	}
+}
+
+// BuildJoinTree is the maximum-weight spanning tree test for acyclicity;
+// GYO reduction is another. They must agree on every CSP with a
+// constraint, and every tree BuildJoinTree returns must be a width-1 GHD
+// with one node per constraint. Without constraints they differ, as they
+// always have: there is no join tree, while GYO calls the edgeless
+// hypergraph acyclic.
+func TestBuildJoinTreeMatchesGYO(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	acyclic := 0
+	for trial := 0; trial < 400; trial++ {
+		c := randomCSP(rng, 3+rng.Intn(5), 1+rng.Intn(8), 2, 2+rng.Intn(2))
+		gyo := c.Hypergraph().IsAcyclic()
+		jt, ok := csp.BuildJoinTree(c)
+		if ok != gyo {
+			t.Fatalf("trial %d: BuildJoinTree ok=%v, GYO acyclic=%v", trial, ok, gyo)
+		}
+		if !ok {
+			continue
+		}
+		acyclic++
+		if err := jt.ValidateGHD(); err != nil || jt.GHWidth() != 1 || jt.NumNodes() != len(c.Constraints) {
+			t.Fatalf("trial %d: join tree of width %d with %d nodes (%v)", trial, jt.GHWidth(), jt.NumNodes(), err)
+		}
+	}
+	if acyclic < 40 || acyclic > 360 {
+		t.Fatalf("%d of 400 random CSPs acyclic: too one-sided to compare", acyclic)
+	}
+	empty := randomCSP(rng, 4, 0, 2, 3)
+	if jt, ok := csp.BuildJoinTree(empty); ok || jt != nil || !empty.Hypergraph().IsAcyclic() {
+		t.Fatalf("zero constraints: BuildJoinTree = %v, %v; GYO = %v", jt, ok, empty.Hypergraph().IsAcyclic())
 	}
 }
 
@@ -105,12 +157,15 @@ func TestSolveAcyclicMatchesBacktracking(t *testing.T) {
 	acyclicSeen := 0
 	for trial := 0; trial < 200 && acyclicSeen < 40; trial++ {
 		c := randomCSP(rng, 5, 4, 2, 3)
-		jt, ok := BuildJoinTree(c)
+		jt, ok := csp.BuildJoinTree(c)
 		if !ok {
 			continue
 		}
 		acyclicSeen++
-		sol, sat := SolveAcyclic(c, jt)
+		sol, sat, err := solve(c, jt)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		_, wantSat := c.SolveBacktracking()
 		if sat != wantSat {
 			t.Fatalf("trial %d: acyclic solving sat=%v, backtracking sat=%v", trial, sat, wantSat)
@@ -133,7 +188,7 @@ func TestSolveFromTDMatchesBacktracking(t *testing.T) {
 		h := c.Hypergraph()
 		o := order.Random(h.NumVertices(), rng)
 		d := order.VertexElimination(h, o)
-		sol, sat, err := SolveFromTD(c, d)
+		sol, sat, err := solve(c, d)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -156,7 +211,7 @@ func TestSolveFromGHDMatchesBacktracking(t *testing.T) {
 		h := c.Hypergraph()
 		o := order.Random(h.NumVertices(), rng)
 		d := order.GHD(h, o, rng, true)
-		sol, sat, err := SolveFromGHD(c, d)
+		sol, sat, err := solve(c, d)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -189,24 +244,24 @@ func TestExample5Walkthrough(t *testing.T) {
 	o := order.Random(h.NumVertices(), rand.New(rand.NewSource(1)))
 
 	d := order.VertexElimination(h, o)
-	sol, sat, err := SolveFromTD(c, d)
+	sol, sat, err := solve(c, d)
 	if err != nil || !sat || !c.Check(sol) {
 		t.Fatalf("TD solving failed: sol=%v sat=%v err=%v", sol, sat, err)
 	}
 
 	g := order.GHD(h, o, nil, true)
-	sol2, sat2, err2 := SolveFromGHD(c, g)
+	sol2, sat2, err2 := solve(c, g)
 	if err2 != nil || !sat2 || !c.Check(sol2) {
 		t.Fatalf("GHD solving failed: sol=%v sat=%v err=%v", sol2, sat2, err2)
 	}
 }
 
 func TestAustraliaViaDecomposition(t *testing.T) {
-	c := australia()
+	c := csp.Australia()
 	h := c.Hypergraph()
 	o := order.Random(h.NumVertices(), rand.New(rand.NewSource(3)))
 	d := order.VertexElimination(h, o)
-	sol, sat, err := SolveFromTD(c, d)
+	sol, sat, err := solve(c, d)
 	if err != nil || !sat {
 		t.Fatalf("map colouring via TD failed: %v %v", sat, err)
 	}
@@ -216,10 +271,10 @@ func TestAustraliaViaDecomposition(t *testing.T) {
 }
 
 func TestSolveFromTDShapeMismatch(t *testing.T) {
-	c := australia()
+	c := csp.Australia()
 	other := example5CSP()
 	d := order.VertexElimination(other.Hypergraph(), order.Identity(6))
-	if _, _, err := SolveFromTD(c, d); err == nil {
+	if _, _, err := solve(c, d); err == nil {
 		t.Fatal("mismatched decomposition accepted")
 	}
 }
@@ -227,23 +282,50 @@ func TestSolveFromTDShapeMismatch(t *testing.T) {
 func TestUnsatisfiableViaDecompositions(t *testing.T) {
 	// x≠y, y≠z, x≠z over 2 values: unsatisfiable triangle.
 	neq := [][]int{{0, 1}, {1, 0}}
-	c := &CSP{
+	c := &csp.CSP{
 		VarNames: []string{"x", "y", "z"},
 		Domains:  [][]int{{0, 1}, {0, 1}, {0, 1}},
-		Constraints: []*Constraint{
-			{Name: "xy", Rel: NewRelation([]int{0, 1}, clone2(neq))},
-			{Name: "yz", Rel: NewRelation([]int{1, 2}, clone2(neq))},
-			{Name: "xz", Rel: NewRelation([]int{0, 2}, clone2(neq))},
+		Constraints: []*csp.Constraint{
+			{Name: "xy", Rel: csp.NewRelation([]int{0, 1}, clone2(neq))},
+			{Name: "yz", Rel: csp.NewRelation([]int{1, 2}, clone2(neq))},
+			{Name: "xz", Rel: csp.NewRelation([]int{0, 2}, clone2(neq))},
 		},
 	}
 	h := c.Hypergraph()
 	d := order.VertexElimination(h, order.Identity(3))
-	if _, sat, err := SolveFromTD(c, d); err != nil || sat {
+	if _, sat, err := solve(c, d); err != nil || sat {
 		t.Fatalf("unsat CSP solved via TD: sat=%v err=%v", sat, err)
 	}
 	g := order.GHD(h, order.Identity(3), nil, true)
-	if _, sat, err := SolveFromGHD(c, g); err != nil || sat {
+	if _, sat, err := solve(c, g); err != nil || sat {
 		t.Fatalf("unsat CSP solved via GHD: sat=%v err=%v", sat, err)
+	}
+}
+
+// Property: solving from decompositions agrees with backtracking on
+// satisfiability (quick-checked variant of invariant 7).
+func TestQuickDecompositionSolvingAgreesWithBacktracking(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomCSP(rng, 5, 4, 2, 3)
+		_, want := c.SolveBacktracking()
+		h := c.Hypergraph()
+		o := make([]int, h.NumVertices())
+		for i := range o {
+			o[i] = i
+		}
+		rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] })
+		sol, got, err := solve(c, order.VertexElimination(h, o))
+		if err != nil || got != want {
+			return false
+		}
+		if got && !c.Check(sol) {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(123))}); err != nil {
+		t.Fatal(err)
 	}
 }
 
