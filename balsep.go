@@ -6,6 +6,7 @@ import (
 
 	"hypertree/internal/cover"
 	"hypertree/internal/detk"
+	"hypertree/internal/elim"
 	"hypertree/internal/heur"
 	"hypertree/internal/order"
 )
@@ -18,7 +19,8 @@ import (
 // a completeness-flagged failure; a deadline mid-level falls back to the
 // incumbent with Exact=false.
 func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *cover.Oracle) (Result, error) {
-	ord, _, err := heur.MinFillCtxStats(ctx, elimNew(h.PrimalGraph()),
+	g := h.PrimalGraph()
+	ord, _, err := heur.MinFillCtxStats(ctx, elim.New(g),
 		rand.New(rand.NewSource(opt.Seed)), sc.engineStats())
 	if err != nil {
 		// Cancelled before any incumbent exists.
@@ -28,11 +30,11 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 	if hook := sc.incumbentHook(); hook != nil {
 		hook(w0)
 	}
-	lb := GHWLowerBound(h, opt.Seed)
-	if lb < 1 {
-		lb = 1
-	}
-	best := Result{Width: w0, Ordering: ord, LowerBound: lb}
+	// The tw-ksc bound passes the min-fill width only on a hypergraph
+	// whose χ-sets need no edges (all widths 0), so the reported bound is
+	// capped at the width.
+	lb := ghwLowerBound(ctx, h, g, opt.Seed)
+	best := Result{Width: w0, Ordering: ord, LowerBound: min(lb, w0)}
 	if w0 <= lb {
 		best.Exact = true
 		return best, nil

@@ -68,7 +68,7 @@ func benchTreewidthSearch(b *testing.B, opt search.Options) {
 	g := ablationGraph()
 	var nodes int64
 	for i := 0; i < b.N; i++ {
-		res := bb.Treewidth(g, opt)
+		res := bb.Search(context.Background(), search.Treewidth(g), opt)
 		if !res.Exact || res.Width != 25 {
 			b.Fatalf("queen6_6 result wrong: %+v", res)
 		}
@@ -152,7 +152,7 @@ func BenchmarkAblationEval(b *testing.B) {
 		orderings[i] = order.Random(h.NumVertices(), rng)
 	}
 	b.Run("evaluator", func(b *testing.B) {
-		ev := order.NewTWEvaluator(h)
+		ev := order.NewTWEvaluator(h.PrimalGraph())
 		for i := 0; i < b.N; i++ {
 			ev.Width(orderings[i%len(orderings)])
 		}
@@ -192,7 +192,7 @@ func BenchmarkGreedyCover(b *testing.B) {
 func BenchmarkAStarTWQueen6(b *testing.B) {
 	g := gen.Queen(6)
 	for i := 0; i < b.N; i++ {
-		res := astar.Treewidth(g, search.Options{})
+		res := astar.Search(context.Background(), search.Treewidth(g), search.Options{})
 		if res.Width != 25 {
 			b.Fatalf("queen6_6 tw = %d", res.Width)
 		}
@@ -204,7 +204,7 @@ func BenchmarkBBGHWAdder(b *testing.B) {
 		b.Run("adder_"+strconv.Itoa(bits), func(b *testing.B) {
 			h := gen.Adder(bits)
 			for i := 0; i < b.N; i++ {
-				res := bb.GHW(h, search.Options{})
+				res := bb.Search(context.Background(), search.GHW(h), search.Options{})
 				if !res.Exact || res.Width != 2 {
 					b.Fatalf("ghw(adder_%d) = %+v", bits, res)
 				}

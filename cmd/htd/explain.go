@@ -20,7 +20,7 @@ import (
 
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	method := fs.String("method", "bb", "algorithm: minfill|ga|saiga|bb|astar|portfolio|fhw|balsep")
+	method := fs.String("method", "bb", "algorithm: "+htd.MethodNames(false))
 	seed := fs.Int64("seed", 1, "random seed")
 	maxNodes := fs.Int64("maxnodes", 0, "search node budget (0 = unbounded)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget (0 = none); on expiry the incumbent found so far is diagnosed")

@@ -87,10 +87,10 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `htd — tree and generalized hypertree decompositions
+	fmt.Fprintf(os.Stderr, `htd — tree and generalized hypertree decompositions
 
 commands:
-  decompose  compute a GHD of a hypergraph file (-method minfill|ga|saiga|bb|astar|portfolio|fhw|balsep)
+  decompose  compute a GHD of a hypergraph file (-method %s)
   tw         compute the treewidth of a DIMACS or PACE graph file
   hw         compute the exact hypertree width via det-k-decomp
   fhw        anytime fractional hypertree width upper bound (-timeout/-jobs/-rounds)
@@ -112,7 +112,7 @@ observability (decompose, tw, hw, fhw, query):
   -ledger f.jsonl append a one-line JSON run record (append-only run ledger)
   -postmortem d arm the flight recorder: on deadline, cancellation, or panic, dump a
                 post-mortem bundle (trace, stats, heap, goroutines) into directory d
-`)
+`, htd.MethodNames(false))
 }
 
 func loadHypergraph(path string) (*htd.Hypergraph, error) {
@@ -139,7 +139,7 @@ func loadGraph(path string) (*htd.Graph, error) {
 
 func cmdDecompose(args []string) error {
 	fs := flag.NewFlagSet("decompose", flag.ExitOnError)
-	method := fs.String("method", "bb", "algorithm: minfill|ga|saiga|bb|astar|portfolio|fhw|balsep")
+	method := fs.String("method", "bb", "algorithm: "+htd.MethodNames(false))
 	seed := fs.Int64("seed", 1, "random seed")
 	maxNodes := fs.Int64("maxnodes", 0, "search node budget (0 = unbounded)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget, e.g. 500ms or 10s (0 = none); on expiry the best decomposition found so far is returned")
@@ -323,7 +323,7 @@ func cmdFractional(args []string) error {
 
 func cmdTreewidth(args []string) error {
 	fs := flag.NewFlagSet("tw", flag.ExitOnError)
-	method := fs.String("method", "bb", "algorithm: minfill|ga|saiga|bb|astar|portfolio")
+	method := fs.String("method", "bb", "algorithm: "+htd.MethodNames(true))
 	seed := fs.Int64("seed", 1, "random seed")
 	maxNodes := fs.Int64("maxnodes", 0, "search node budget (0 = unbounded)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget, e.g. 500ms or 10s (0 = none); on expiry the best bounds found so far are returned")
@@ -430,7 +430,7 @@ func cmdValidate(args []string) error {
 
 func cmdSolve(args []string) error {
 	fs := flag.NewFlagSet("solve", flag.ExitOnError)
-	method := fs.String("method", "minfill", "decomposition method")
+	method := fs.String("method", "minfill", "decomposition method: "+htd.MethodNames(false))
 	seed := fs.Int64("seed", 1, "random seed")
 	count := fs.Bool("count", false, "count all solutions (#CSP) instead of finding one")
 	fs.Parse(args)
@@ -485,7 +485,7 @@ func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	queryText := fs.String("q", "", "query text, e.g. 'ans(X,Z) :- r(X,Y), s(Y,Z).'")
 	queryFile := fs.String("f", "", "read the query from this file instead of -q")
-	method := fs.String("method", "minfill", "decomposition algorithm: minfill|ga|saiga|bb|astar|portfolio")
+	method := fs.String("method", "minfill", "decomposition algorithm: "+htd.MethodNames(false))
 	seed := fs.Int64("seed", 1, "random seed")
 	jobs := fs.Int("jobs", 0, "max concurrent evaluation workers (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget, e.g. 500ms (0 = none); on expiry evaluation aborts")

@@ -52,7 +52,7 @@ func main() {
 	hw := flag.Bool("hw", false, "run the hypertree-width engine shoot-out (detk vs balsep, recorded as balsep-j1 and balsep-j4; balsep is sequential and ignores Jobs) over the hypergraph catalog (BENCH_balsep.json); implies -json")
 	out := flag.String("o", "BENCH_portfolio.json", "output path for -json ('-' = stdout)")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-(instance, method) wall-clock budget for -json")
-	methods := flag.String("methods", "portfolio", "comma-separated methods for -json: minfill|ga|saiga|bb|astar|portfolio|fhw|balsep")
+	methods := flag.String("methods", "portfolio", "comma-separated methods for -json: "+htd.MethodNames(false))
 	noCoverCache := flag.Bool("nocovercache", false, "disable the shared cover-oracle cache in GHW runs (for measuring cache effectiveness)")
 	fracBound := flag.Bool("fracbound", false, "enable the fractional (LP) residual lower bound in exact GHW runs; compare node counts against a baseline without it to measure the extra pruning")
 	instances := flag.String("instances", "", "regexp filter on catalog instance names for -json (empty = all)")

@@ -1,6 +1,7 @@
 package htd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -71,6 +72,61 @@ func TestTreewidthFacade(t *testing.T) {
 	}
 }
 
+// TestTreewidthCollidingNames runs the treewidth methods on a path whose
+// vertex 0 is named "v1" beside the unnamed vertex 1, whose display name
+// is also "v1": orderings are over the graph's own vertices, whatever
+// their names.
+func TestTreewidthCollidingNames(t *testing.T) {
+	g := NewGraph(3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.SetName(0, "v1")
+	for _, m := range []Method{MethodGA, MethodSAIGA, MethodPortfolio} {
+		res, err := Treewidth(g, oracleOpts(m, 1))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if err := Ordering(res.Ordering).Validate(3); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if res.Width != 1 {
+			t.Errorf("%v: width %d, want 1", m, res.Width)
+		}
+	}
+}
+
+// TestGHWOnlyMethodsUnderTreewidth: fhw and balsep fail under treewidth
+// with one message, whether run alone or as a portfolio seat.
+func TestGHWOnlyMethodsUnderTreewidth(t *testing.T) {
+	g := gen.Grid2D(3, 3)
+	for _, m := range []Method{MethodFHW, MethodBalSep} {
+		want := fmt.Sprintf("htd: %v is not a treewidth method", m)
+		_, alone := Treewidth(g, Options{Method: m})
+		_, seat := Treewidth(g, Options{Method: MethodPortfolio, Portfolio: []Method{MethodMinFill, m}})
+		for _, err := range []error{alone, seat} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%v: error %v, want %q", m, err, want)
+			}
+		}
+	}
+}
+
+// TestBalSepEdgeless: on vertices without edges no χ-set needs an edge, so
+// balsep reports width 0 with the bound at the width, like every other
+// method.
+func TestBalSepEdgeless(t *testing.T) {
+	h := FromEdges(3, nil)
+	for _, m := range []Method{MethodMinFill, MethodBB, MethodBalSep} {
+		res, err := GHW(h, Options{Method: m})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if res.Width != 0 || res.LowerBound > res.Width || (res.Exact && res.LowerBound != res.Width) {
+			t.Errorf("%v: width %d, lower bound %d, exact %v", m, res.Width, res.LowerBound, res.Exact)
+		}
+	}
+}
+
 func TestGHWLowerBoundFacade(t *testing.T) {
 	h := gen.CliqueHypergraph(8)
 	if lb := GHWLowerBound(h, 1); lb < 2 || lb > 4 {
@@ -94,10 +150,11 @@ func TestDecomposeOrderingFacade(t *testing.T) {
 }
 
 func TestParseMethodRoundTrip(t *testing.T) {
-	for _, m := range []Method{MethodMinFill, MethodGA, MethodSAIGA, MethodBB, MethodAStar} {
-		got, err := ParseMethod(m.String())
-		if err != nil || got != m {
-			t.Fatalf("round trip %v: %v %v", m, got, err)
+	for i, d := range methods {
+		m := Method(i)
+		got, err := ParseMethod(d.name)
+		if err != nil || got != m || m.String() != d.name {
+			t.Fatalf("round trip %q: %v %v", d.name, got, err)
 		}
 	}
 	if _, err := ParseMethod("bogus"); err == nil {

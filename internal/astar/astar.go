@@ -25,38 +25,21 @@ import (
 	"hypertree/internal/bitset"
 	"hypertree/internal/elim"
 	"hypertree/internal/heur"
-	"hypertree/internal/hypergraph"
 	"hypertree/internal/interrupt"
 	"hypertree/internal/reduce"
 	"hypertree/internal/search"
 	"hypertree/internal/telemetry"
 )
 
-// Treewidth runs A*-tw on g.
-func Treewidth(g *hypergraph.Graph, opt search.Options) search.Result {
-	return TreewidthCtx(context.Background(), g, opt)
-}
-
-// TreewidthCtx runs A*-tw under a context: when ctx is cancelled the search
-// stops promptly and returns the heuristic incumbent together with the
-// anytime lower bound of §5.3 (Exact=false), exactly as when a node or
+// Search runs A* over the elimination orderings of m.G under m's cost
+// mode: A*-tw for treewidth, A*-ghw for ghw. When ctx is cancelled the
+// search stops promptly and returns the heuristic incumbent together with
+// the anytime lower bound of §5.3 (Exact=false), exactly as when a node or
 // memory budget is exhausted. See search.Result for the no-incumbent
 // corner case.
-func TreewidthCtx(ctx context.Context, g *hypergraph.Graph, opt search.Options) search.Result {
+func Search(ctx context.Context, m search.Measure, opt search.Options) search.Result {
 	rng := rand.New(rand.NewSource(opt.Seed))
-	return run(ctx, elim.New(g), search.TWModeCtx(ctx, rng), opt)
-}
-
-// GHW runs A*-ghw on h.
-func GHW(h *hypergraph.Hypergraph, opt search.Options) search.Result {
-	return GHWCtx(context.Background(), h, opt)
-}
-
-// GHWCtx runs A*-ghw under a context; see TreewidthCtx for the
-// cancellation contract.
-func GHWCtx(ctx context.Context, h *hypergraph.Hypergraph, opt search.Options) search.Result {
-	rng := rand.New(rand.NewSource(opt.Seed))
-	return run(ctx, elim.New(h.PrimalGraph()), search.GHWModeStats(ctx, h, rng, opt.Cover, opt.FracBound, opt.Stats), opt)
+	return run(ctx, elim.New(m.G), m.Mode(ctx, rng, opt), opt)
 }
 
 // state is a node of the search tree (§5.2.2): the partial ordering is

@@ -1,6 +1,7 @@
 package astar
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,15 +66,15 @@ func grid(n int) *hypergraph.Graph {
 func TestAStarTWAgreesWithBB(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		g := randomGraph(13, 0.3, seed)
-		want := bb.Treewidth(g, search.Options{Seed: seed})
-		got := Treewidth(g, search.Options{Seed: seed})
+		want := bb.Search(context.Background(), search.Treewidth(g), search.Options{Seed: seed})
+		got := Search(context.Background(), search.Treewidth(g), search.Options{Seed: seed})
 		if !got.Exact || !want.Exact {
 			t.Fatalf("seed %d: not exact (astar=%v bb=%v)", seed, got.Exact, want.Exact)
 		}
 		if got.Width != want.Width {
 			t.Fatalf("seed %d: A*-tw = %d, BB-tw = %d", seed, got.Width, want.Width)
 		}
-		if w := order.NewTWEvaluator(hypergraph.FromGraph(g)).Width(got.Ordering); w != got.Width {
+		if w := order.NewTWEvaluator(g).Width(got.Ordering); w != got.Width {
 			t.Fatalf("seed %d: returned ordering width %d != %d", seed, w, got.Width)
 		}
 	}
@@ -82,8 +83,8 @@ func TestAStarTWAgreesWithBB(t *testing.T) {
 func TestAStarGHWAgreesWithBB(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		h := randomHypergraph(9, 7, 4, seed)
-		want := bb.GHW(h, search.Options{Seed: seed})
-		got := GHW(h, search.Options{Seed: seed})
+		want := bb.Search(context.Background(), search.GHW(h), search.Options{Seed: seed})
+		got := Search(context.Background(), search.GHW(h), search.Options{Seed: seed})
 		if !got.Exact || !want.Exact {
 			t.Fatalf("seed %d: not exact (astar=%v bb=%v)", seed, got.Exact, want.Exact)
 		}
@@ -99,13 +100,13 @@ func TestAStarGHWAgreesWithBB(t *testing.T) {
 func TestAStarAblationsAgree(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(12, 0.35, seed)
-		want := Treewidth(g, search.Options{Seed: seed}).Width
+		want := Search(context.Background(), search.Treewidth(g), search.Options{Seed: seed}).Width
 		for name, opt := range map[string]search.Options{
 			"noPR2":       {DisablePR2: true, Seed: seed},
 			"noReduction": {DisableReduction: true, Seed: seed},
 			"noDominance": {DisableDominance: true, Seed: seed},
 		} {
-			res := Treewidth(g, opt)
+			res := Search(context.Background(), search.Treewidth(g), opt)
 			if !res.Exact || res.Width != want {
 				t.Fatalf("seed %d: %s gave %d (exact=%v), want %d", seed, name, res.Width, res.Exact, want)
 			}
@@ -115,7 +116,7 @@ func TestAStarAblationsAgree(t *testing.T) {
 
 func TestAStarGrids(t *testing.T) {
 	for n := 2; n <= 4; n++ {
-		res := Treewidth(grid(n), search.Options{})
+		res := Search(context.Background(), search.Treewidth(grid(n)), search.Options{})
 		if !res.Exact || res.Width != n {
 			t.Fatalf("grid%d: %d exact=%v, want %d", n, res.Width, res.Exact, n)
 		}
@@ -126,11 +127,11 @@ func TestAStarGrids(t *testing.T) {
 // exceeds the true width.
 func TestAStarAnytimeLowerBound(t *testing.T) {
 	g := randomGraph(13, 0.35, 9)
-	exact := Treewidth(g, search.Options{Seed: 9})
+	exact := Search(context.Background(), search.Treewidth(g), search.Options{Seed: 9})
 	if !exact.Exact {
 		t.Fatal("reference run did not finish")
 	}
-	budgeted := Treewidth(g, search.Options{MaxNodes: 5, Seed: 9})
+	budgeted := Search(context.Background(), search.Treewidth(g), search.Options{MaxNodes: 5, Seed: 9})
 	if budgeted.Exact {
 		t.Skip("solved within 5 nodes; nothing to assert")
 	}
@@ -144,7 +145,7 @@ func TestAStarAnytimeLowerBound(t *testing.T) {
 
 func TestAStarMemoryBudget(t *testing.T) {
 	g := randomGraph(25, 0.4, 4)
-	res := Treewidth(g, search.Options{MaxMemoryStates: 64, Seed: 4})
+	res := Search(context.Background(), search.Treewidth(g), search.Options{MaxMemoryStates: 64, Seed: 4})
 	if res.Exact {
 		t.Skip("solved within memory budget")
 	}
@@ -154,15 +155,15 @@ func TestAStarMemoryBudget(t *testing.T) {
 }
 
 func TestAStarTrivialInputs(t *testing.T) {
-	if res := Treewidth(hypergraph.NewGraph(0), search.Options{}); !res.Exact || res.Width != 0 {
+	if res := Search(context.Background(), search.Treewidth(hypergraph.NewGraph(0)), search.Options{}); !res.Exact || res.Width != 0 {
 		t.Fatalf("empty: %+v", res)
 	}
-	if res := Treewidth(hypergraph.NewGraph(3), search.Options{}); !res.Exact || res.Width != 0 {
+	if res := Search(context.Background(), search.Treewidth(hypergraph.NewGraph(3)), search.Options{}); !res.Exact || res.Width != 0 {
 		t.Fatalf("edgeless: %+v", res)
 	}
 	// Acyclic hypergraph: ghw 1 must be found immediately (lb = ub).
 	h := hypergraph.FromEdges(5, [][]int{{0, 1, 2}, {2, 3, 4}})
-	if res := GHW(h, search.Options{}); !res.Exact || res.Width != 1 {
+	if res := Search(context.Background(), search.GHW(h), search.Options{}); !res.Exact || res.Width != 1 {
 		t.Fatalf("acyclic ghw: %+v", res)
 	}
 }

@@ -1,6 +1,7 @@
 package astar
 
 import (
+	"context"
 	"testing"
 
 	"hypertree/internal/gen"
@@ -21,8 +22,8 @@ func TestGHWFracBoundSameWidths(t *testing.T) {
 		{"random_10", gen.RandomHypergraph(10, 8, 4, 3)},
 	}
 	for _, inst := range instances {
-		base := GHW(inst.h, search.Options{Seed: 1})
-		frac := GHW(inst.h, search.Options{Seed: 1, FracBound: true})
+		base := Search(context.Background(), search.GHW(inst.h), search.Options{Seed: 1})
+		frac := Search(context.Background(), search.GHW(inst.h), search.Options{Seed: 1, FracBound: true})
 		if base.Width != frac.Width || base.Exact != frac.Exact {
 			t.Errorf("%s: frac bound changed the answer: (%d, %v) vs (%d, %v)",
 				inst.name, base.Width, base.Exact, frac.Width, frac.Exact)

@@ -23,38 +23,22 @@ import (
 	"hypertree/internal/bitset"
 	"hypertree/internal/elim"
 	"hypertree/internal/heur"
-	"hypertree/internal/hypergraph"
 	"hypertree/internal/interrupt"
 	"hypertree/internal/reduce"
 	"hypertree/internal/search"
 	"hypertree/internal/telemetry"
 )
 
-// Treewidth runs BB-tw on g.
-func Treewidth(g *hypergraph.Graph, opt search.Options) search.Result {
-	return TreewidthCtx(context.Background(), g, opt)
-}
-
-// TreewidthCtx runs BB-tw under a context: when ctx is cancelled the search
-// stops promptly and the incumbent upper bound plus the proven lower bound
-// are returned with Exact=false (anytime behaviour, like an exhausted node
-// budget). See search.Result for the no-incumbent corner case.
-func TreewidthCtx(ctx context.Context, g *hypergraph.Graph, opt search.Options) search.Result {
+// Search runs branch and bound over the elimination orderings of m.G under
+// m's cost mode: BB-tw for treewidth, BB-ghw with exact set covers for ghw
+// (Theorem 3 makes this space complete for ghw). When ctx is cancelled the
+// search stops promptly and the incumbent upper bound plus the proven
+// lower bound are returned with Exact=false (anytime behaviour, like an
+// exhausted node budget). See search.Result for the no-incumbent corner
+// case.
+func Search(ctx context.Context, m search.Measure, opt search.Options) search.Result {
 	rng := rand.New(rand.NewSource(opt.Seed))
-	return run(ctx, elim.New(g), search.TWModeCtx(ctx, rng), rng, opt)
-}
-
-// GHW runs BB-ghw on h: branch and bound over elimination orderings with
-// exact set covers (Theorem 3 makes this space complete for ghw).
-func GHW(h *hypergraph.Hypergraph, opt search.Options) search.Result {
-	return GHWCtx(context.Background(), h, opt)
-}
-
-// GHWCtx runs BB-ghw under a context; see TreewidthCtx for the
-// cancellation contract.
-func GHWCtx(ctx context.Context, h *hypergraph.Hypergraph, opt search.Options) search.Result {
-	rng := rand.New(rand.NewSource(opt.Seed))
-	return run(ctx, elim.New(h.PrimalGraph()), search.GHWModeStats(ctx, h, rng, opt.Cover, opt.FracBound, opt.Stats), rng, opt)
+	return run(ctx, elim.New(m.G), m.Mode(ctx, rng, opt), rng, opt)
 }
 
 type bbState struct {

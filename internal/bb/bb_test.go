@@ -1,6 +1,7 @@
 package bb
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestTreewidthExactOnRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		g := randomGraph(13, 0.3, seed)
 		want := bruteTW(g)
-		res := Treewidth(g, search.Options{Seed: seed})
+		res := Search(context.Background(), search.Treewidth(g), search.Options{Seed: seed})
 		if !res.Exact {
 			t.Fatalf("seed %d: BB-tw did not finish", seed)
 		}
@@ -130,7 +131,7 @@ func TestTreewidthExactOnRandomGraphs(t *testing.T) {
 			t.Fatalf("seed %d: BB-tw = %d, brute = %d", seed, res.Width, want)
 		}
 		// Returned ordering must achieve the width.
-		if got := order.NewTWEvaluator(hypergraph.FromGraph(g)).Width(res.Ordering); got != want {
+		if got := order.NewTWEvaluator(g).Width(res.Ordering); got != want {
 			t.Fatalf("seed %d: returned ordering has width %d, want %d", seed, got, want)
 		}
 	}
@@ -139,14 +140,14 @@ func TestTreewidthExactOnRandomGraphs(t *testing.T) {
 func TestTreewidthAblationsAgree(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomGraph(12, 0.35, seed)
-		want := Treewidth(g, search.Options{Seed: seed}).Width
+		want := Search(context.Background(), search.Treewidth(g), search.Options{Seed: seed}).Width
 		for name, opt := range map[string]search.Options{
 			"noPR2":       {DisablePR2: true, Seed: seed},
 			"noReduction": {DisableReduction: true, Seed: seed},
 			"noDominance": {DisableDominance: true, Seed: seed},
 			"bare":        {DisablePR2: true, DisableReduction: true, DisableDominance: true, Seed: seed},
 		} {
-			res := Treewidth(g, opt)
+			res := Search(context.Background(), search.Treewidth(g), opt)
 			if !res.Exact || res.Width != want {
 				t.Fatalf("seed %d: %s gave width %d (exact=%v), want %d", seed, name, res.Width, res.Exact, want)
 			}
@@ -157,7 +158,7 @@ func TestTreewidthAblationsAgree(t *testing.T) {
 func TestTreewidthGrids(t *testing.T) {
 	// tw(n×n grid) = n for n ≥ 2.
 	for n := 2; n <= 4; n++ {
-		res := Treewidth(grid(n), search.Options{})
+		res := Search(context.Background(), search.Treewidth(grid(n)), search.Options{})
 		if !res.Exact || res.Width != n {
 			t.Fatalf("grid%d: width %d exact=%v, want %d", n, res.Width, res.Exact, n)
 		}
@@ -168,7 +169,7 @@ func TestGHWExactOnRandomHypergraphs(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		h := randomHypergraph(8, 6, 4, seed)
 		want := bruteGHW(h)
-		res := GHW(h, search.Options{Seed: seed})
+		res := Search(context.Background(), search.GHW(h), search.Options{Seed: seed})
 		if !res.Exact {
 			t.Fatalf("seed %d: BB-ghw did not finish", seed)
 		}
@@ -190,7 +191,7 @@ func TestGHWCliqueHypergraph(t *testing.T) {
 		}
 	}
 	h := hypergraph.FromEdges(6, edges)
-	res := GHW(h, search.Options{})
+	res := Search(context.Background(), search.GHW(h), search.Options{})
 	if !res.Exact || res.Width != 3 {
 		t.Fatalf("ghw(K6) = %d exact=%v, want 3", res.Width, res.Exact)
 	}
@@ -199,7 +200,7 @@ func TestGHWCliqueHypergraph(t *testing.T) {
 func TestGHWAcyclicHypergraph(t *testing.T) {
 	// An acyclic hypergraph (a join tree exists) has ghw 1.
 	h := hypergraph.FromEdges(7, [][]int{{0, 1, 2}, {2, 3, 4}, {4, 5, 6}})
-	res := GHW(h, search.Options{})
+	res := Search(context.Background(), search.GHW(h), search.Options{})
 	if !res.Exact || res.Width != 1 {
 		t.Fatalf("ghw(acyclic) = %d exact=%v, want 1", res.Width, res.Exact)
 	}
@@ -207,7 +208,7 @@ func TestGHWAcyclicHypergraph(t *testing.T) {
 
 func TestNodeBudgetReturnsBounds(t *testing.T) {
 	g := randomGraph(30, 0.4, 3)
-	res := Treewidth(g, search.Options{MaxNodes: 50, Seed: 1})
+	res := Search(context.Background(), search.Treewidth(g), search.Options{MaxNodes: 50, Seed: 1})
 	if res.Exact {
 		t.Skip("instance solved within tiny budget; nothing to assert")
 	}
@@ -217,23 +218,23 @@ func TestNodeBudgetReturnsBounds(t *testing.T) {
 	if res.Width <= 0 {
 		t.Fatalf("budgeted run returned no usable upper bound: %+v", res)
 	}
-	if got := order.NewTWEvaluator(hypergraph.FromGraph(g)).Width(res.Ordering); got != res.Width {
+	if got := order.NewTWEvaluator(g).Width(res.Ordering); got != res.Width {
 		t.Fatalf("budgeted ordering width %d != reported %d", got, res.Width)
 	}
 }
 
 func TestEmptyAndTinyGraphs(t *testing.T) {
-	res := Treewidth(hypergraph.NewGraph(0), search.Options{})
+	res := Search(context.Background(), search.Treewidth(hypergraph.NewGraph(0)), search.Options{})
 	if !res.Exact || res.Width != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
-	res = Treewidth(hypergraph.NewGraph(1), search.Options{})
+	res = Search(context.Background(), search.Treewidth(hypergraph.NewGraph(1)), search.Options{})
 	if !res.Exact || res.Width != 0 {
 		t.Fatalf("single vertex: %+v", res)
 	}
 	g := hypergraph.NewGraph(2)
 	g.AddEdge(0, 1)
-	res = Treewidth(g, search.Options{})
+	res = Search(context.Background(), search.Treewidth(g), search.Options{})
 	if !res.Exact || res.Width != 1 {
 		t.Fatalf("single edge: %+v", res)
 	}

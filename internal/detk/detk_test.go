@@ -1,6 +1,7 @@
 package detk
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestAdderHypertreeWidth(t *testing.T) {
 func TestHWAtLeastGHW(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		h := gen.RandomHypergraph(8, 6, 3, seed)
-		ghw := bb.GHW(h, search.Options{Seed: seed})
+		ghw := bb.Search(context.Background(), search.GHW(h), search.Options{Seed: seed})
 		if !ghw.Exact {
 			t.Fatalf("seed %d: reference ghw not exact", seed)
 		}

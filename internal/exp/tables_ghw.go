@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -29,13 +30,14 @@ func Table7_1(cfg Config) *Table {
 	}
 	for _, inst := range hypergraphSuite(cfg.Full) {
 		h := inst.Build()
+		m := search.GHW(h)
 		widths := runGARuns(cfg, func(seed int64) int {
 			c := gaConfigForTuning(cfg, seed)
 			c.CrossoverRate = 1.0
 			c.MutationRate = 0.3
 			c.TournamentSize = 3
 			c.HeuristicSeeds = 2
-			return ga.GHW(h, c).Width
+			return ga.Search(context.Background(), m, c).Width
 		})
 		mn, mx, avg := stats(widths)
 		ref := "-"
@@ -79,10 +81,11 @@ func Table7_2(cfg Config) *Table {
 	}
 	for _, inst := range hypergraphSuite(cfg.Full) {
 		h := inst.Build()
+		m := search.GHW(h)
 		widths := runGARuns(cfg, func(seed int64) int {
 			c := saigaCfg
 			c.Seed = seed
-			return ga.SAIGAGHW(h, c).Width
+			return ga.SAIGA(context.Background(), m, c).Width
 		})
 		mn, mx, avg := stats(widths)
 		ref := "-"
@@ -161,7 +164,7 @@ func quantStr(hs telemetry.HistSnapshot, q float64) string {
 func Table8_1(cfg Config) *Table {
 	return searchTable(cfg, "8.1", "BB-ghw on CSP hypergraph benchmarks",
 		func(inst HGInstance, opt search.Options) search.Result {
-			return bb.GHW(inst.Build(), opt)
+			return bb.Search(context.Background(), search.GHW(inst.Build()), opt)
 		})
 }
 
@@ -177,13 +180,13 @@ func Table8_2(cfg Config) *Table {
 		},
 	}
 	for _, inst := range hypergraphSuite(cfg.Full) {
-		h := inst.Build()
-		res := bb.GHW(h, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
+		m := search.GHW(inst.Build())
+		res := bb.Search(context.Background(), m, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
 		gaCfg := gaConfigForTuning(cfg, cfg.Seed)
 		gaCfg.CrossoverRate = 1.0
 		gaCfg.MutationRate = 0.3
 		gaCfg.HeuristicSeeds = 2
-		gaRes := ga.GHW(h, gaCfg)
+		gaRes := ga.Search(context.Background(), m, gaCfg)
 		ref := "-"
 		if inst.KnownGHW >= 0 {
 			ref = itoa(inst.KnownGHW)
@@ -202,7 +205,7 @@ func Table8_2(cfg Config) *Table {
 func Table9_1(cfg Config) *Table {
 	return searchTable(cfg, "9.1", "A*-ghw on CSP hypergraph benchmarks",
 		func(inst HGInstance, opt search.Options) search.Result {
-			return astar.GHW(inst.Build(), opt)
+			return astar.Search(context.Background(), search.GHW(inst.Build()), opt)
 		})
 }
 
@@ -217,9 +220,9 @@ func Table9_2(cfg Config) *Table {
 		},
 	}
 	for _, inst := range hypergraphSuite(cfg.Full) {
-		h := inst.Build()
-		a := astar.GHW(h, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
-		b := bb.GHW(h, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
+		m := search.GHW(inst.Build())
+		a := astar.Search(context.Background(), m, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
+		b := bb.Search(context.Background(), m, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
 		ref := "-"
 		if inst.KnownGHW >= 0 {
 			ref = itoa(inst.KnownGHW)

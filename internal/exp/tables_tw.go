@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"hypertree/internal/ga"
 	"hypertree/internal/gen"
 	"hypertree/internal/heur"
-	"hypertree/internal/hypergraph"
 	"hypertree/internal/search"
 )
 
@@ -34,7 +34,7 @@ func Table5_1(cfg Config) *Table {
 		lb := heur.LowerBound(e, rng)
 		_, ub := heur.MinFill(e, rng)
 		start := time.Now()
-		res := astar.Treewidth(g, search.Options{MaxNodes: cfg.twNodes(), Seed: cfg.Seed})
+		res := astar.Search(context.Background(), search.Treewidth(g), search.Options{MaxNodes: cfg.twNodes(), Seed: cfg.Seed})
 		elapsed := time.Since(start)
 		paper := "-"
 		if inst.PaperTW >= 0 {
@@ -67,7 +67,7 @@ func Table5_2(cfg Config) *Table {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 		lb := heur.LowerBound(e, rng)
 		_, ub := heur.MinFill(e, rng)
-		res := astar.Treewidth(g, search.Options{MaxNodes: cfg.twNodes(), Seed: cfg.Seed})
+		res := astar.Search(context.Background(), search.Treewidth(g), search.Options{MaxNodes: cfg.twNodes(), Seed: cfg.Seed})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("grid%d", n), itoa(g.NumVertices()), itoa(g.NumEdges()),
 			itoa(lb), itoa(ub), itoa(res.Width), fmt.Sprintf("%v", res.Exact),
@@ -115,14 +115,14 @@ func Table6_1(cfg Config) *Table {
 		Notes:  []string{"thesis finding to reproduce: POS achieves the best average width"},
 	}
 	for _, inst := range gaTuningSuite(cfg.Full) {
-		h := hypergraph.FromGraph(inst.Build())
+		m := search.Treewidth(inst.Build())
 		for _, op := range ga.AllCrossoverOps {
 			widths := runGARuns(cfg, func(seed int64) int {
 				c := gaConfigForTuning(cfg, seed)
 				c.Crossover = op
 				c.CrossoverRate = 1.0
 				c.MutationRate = 0
-				return ga.Treewidth(h, c).Width
+				return ga.Search(context.Background(), m, c).Width
 			})
 			mn, mx, avg := stats(widths)
 			t.Rows = append(t.Rows, []string{inst.Name, op.String(), f1(avg), itoa(mn), itoa(mx)})
@@ -141,14 +141,14 @@ func Table6_2(cfg Config) *Table {
 		Notes:  []string{"thesis finding to reproduce: ISM (with EM close) achieves the best average width"},
 	}
 	for _, inst := range gaTuningSuite(cfg.Full) {
-		h := hypergraph.FromGraph(inst.Build())
+		m := search.Treewidth(inst.Build())
 		for _, op := range ga.AllMutationOps {
 			widths := runGARuns(cfg, func(seed int64) int {
 				c := gaConfigForTuning(cfg, seed)
 				c.Mutation = op
 				c.CrossoverRate = 0
 				c.MutationRate = 1.0
-				return ga.Treewidth(h, c).Width
+				return ga.Search(context.Background(), m, c).Width
 			})
 			mn, mx, avg := stats(widths)
 			t.Rows = append(t.Rows, []string{inst.Name, op.String(), f1(avg), itoa(mn), itoa(mx)})
@@ -171,13 +171,13 @@ func Table6_3(cfg Config) *Table {
 		{1.0, 0.01}, {1.0, 0.1}, {1.0, 0.3},
 	}
 	for _, inst := range gaTuningSuite(cfg.Full)[:2] {
-		h := hypergraph.FromGraph(inst.Build())
+		m := search.Treewidth(inst.Build())
 		for _, r := range rates {
 			widths := runGARuns(cfg, func(seed int64) int {
 				c := gaConfigForTuning(cfg, seed)
 				c.CrossoverRate = r.pc
 				c.MutationRate = r.pm
-				return ga.Treewidth(h, c).Width
+				return ga.Search(context.Background(), m, c).Width
 			})
 			mn, mx, avg := stats(widths)
 			t.Rows = append(t.Rows, []string{
@@ -202,14 +202,14 @@ func Table6_4(cfg Config) *Table {
 		sizes = []int{100, 200, 1000, 2000}
 	}
 	for _, inst := range gaTuningSuite(cfg.Full)[:2] {
-		h := hypergraph.FromGraph(inst.Build())
+		m := search.Treewidth(inst.Build())
 		for _, n := range sizes {
 			widths := runGARuns(cfg, func(seed int64) int {
 				c := gaConfigForTuning(cfg, seed)
 				c.PopulationSize = n
 				c.CrossoverRate = 1.0
 				c.MutationRate = 0.3
-				return ga.Treewidth(h, c).Width
+				return ga.Search(context.Background(), m, c).Width
 			})
 			mn, mx, avg := stats(widths)
 			t.Rows = append(t.Rows, []string{inst.Name, itoa(n), f1(avg), itoa(mn), itoa(mx)})
@@ -227,14 +227,14 @@ func Table6_5(cfg Config) *Table {
 		Notes:  []string{"thesis finding to reproduce: s=3 or s=4 edge out s=2"},
 	}
 	for _, inst := range gaTuningSuite(cfg.Full)[:2] {
-		h := hypergraph.FromGraph(inst.Build())
+		m := search.Treewidth(inst.Build())
 		for _, s := range []int{2, 3, 4} {
 			widths := runGARuns(cfg, func(seed int64) int {
 				c := gaConfigForTuning(cfg, seed)
 				c.TournamentSize = s
 				c.CrossoverRate = 1.0
 				c.MutationRate = 0.3
-				return ga.Treewidth(h, c).Width
+				return ga.Search(context.Background(), m, c).Width
 			})
 			mn, mx, avg := stats(widths)
 			t.Rows = append(t.Rows, []string{inst.Name, itoa(s), f1(avg), itoa(mn), itoa(mx)})
@@ -258,14 +258,14 @@ func Table6_6(cfg Config) *Table {
 	}
 	for _, inst := range graphSuite(cfg.Full) {
 		g := inst.Build()
-		h := hypergraph.FromGraph(g)
+		m := search.Treewidth(g)
 		widths := runGARuns(cfg, func(seed int64) int {
 			c := gaConfigForTuning(cfg, seed)
 			c.CrossoverRate = 1.0
 			c.MutationRate = 0.3
 			c.TournamentSize = 3
 			c.HeuristicSeeds = 2
-			return ga.Treewidth(h, c).Width
+			return ga.Search(context.Background(), m, c).Width
 		})
 		mn, mx, avg := stats(widths)
 		paper := "-"

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"hypertree/internal/bb"
@@ -49,7 +50,7 @@ func TableS1(cfg Config) *Table {
 	}
 	for _, inst := range instances {
 		h := inst.h
-		ghw := bb.GHW(h, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
+		ghw := bb.Search(context.Background(), search.GHW(h), search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
 		// fhw upper bound: the fractional width of the best ghw ordering
 		// (≤ its integral width by LP relaxation), improved by min-fill if
 		// that happens to be fractionally better.
@@ -68,7 +69,7 @@ func TableS1(cfg Config) *Table {
 			hwStr = itoa(w)
 		}
 
-		tw := bb.Treewidth(h.PrimalGraph(), search.Options{MaxNodes: cfg.twNodes(), Seed: cfg.Seed})
+		tw := bb.Search(context.Background(), search.Treewidth(h.PrimalGraph()), search.Options{MaxNodes: cfg.twNodes(), Seed: cfg.Seed})
 		twStr := itoa(tw.Width)
 		if !tw.Exact {
 			twStr = "?≤" + twStr

@@ -125,7 +125,7 @@ func TestWidthSandwich(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		h := gen.RandomHypergraph(7, 6, 3, seed)
 		fhw := ExactSmall(h)
-		ghw := bb.GHW(h, search.Options{Seed: seed})
+		ghw := bb.Search(context.Background(), search.GHW(h), search.Options{Seed: seed})
 		if !ghw.Exact {
 			t.Fatalf("seed %d: BB-ghw not exact on 7 vertices", seed)
 		}

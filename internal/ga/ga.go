@@ -10,6 +10,7 @@ import (
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/interrupt"
 	"hypertree/internal/order"
+	"hypertree/internal/search"
 	"hypertree/internal/telemetry"
 )
 
@@ -81,47 +82,29 @@ type Result struct {
 	History []int
 }
 
-// Treewidth runs algorithm GA-tw (Fig. 6.1) on the primal graph of h and
-// returns an upper bound on the treewidth.
-func Treewidth(h *hypergraph.Hypergraph, cfg Config) Result {
-	return TreewidthCtx(context.Background(), h, cfg)
-}
-
-// TreewidthCtx runs GA-tw under a context: cancellation is checked between
-// fitness evaluations and the best individual found so far is returned
-// (the first individual is always evaluated, so a non-empty instance
-// always yields an incumbent).
-func TreewidthCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ev := order.NewTWEvaluator(h)
-	return evolve(ctx, h.NumVertices(), cfg, rng, ev.Width, heuristicSeeds(ctx, h, cfg, rng))
-}
-
-// GHW runs algorithm GA-ghw (§7.1) on h and returns an upper bound on the
-// generalized hypertree width. Individuals are evaluated with the greedy
+// Search runs the genetic algorithm over the elimination orderings of m.G
+// and returns an upper bound on m's width: GA-tw (Fig. 6.1) for treewidth,
+// GA-ghw (§7.1) for ghw, whose individuals are scored with the greedy
 // set-cover heuristic (Fig. 7.1/7.2) with random tie-breaking.
-func GHW(h *hypergraph.Hypergraph, cfg Config) Result {
-	return GHWCtx(context.Background(), h, cfg)
-}
-
-// GHWCtx runs GA-ghw under a context; see TreewidthCtx for the
-// cancellation contract.
-func GHWCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg Config) Result {
+// Cancellation is checked between fitness evaluations and the best
+// individual found so far is returned (the first individual is always
+// evaluated, so a non-empty instance always yields an incumbent).
+func Search(ctx context.Context, m search.Measure, cfg Config) Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ev := order.NewGHWEvaluator(h, rand.New(rand.NewSource(cfg.Seed+1)), false)
-	return evolve(ctx, h.NumVertices(), cfg, rng, ev.Width, heuristicSeeds(ctx, h, cfg, rng))
+	ev := m.Evaluator(rand.New(rand.NewSource(cfg.Seed + 1)))
+	return evolve(ctx, m.G.NumVertices(), cfg, rng, ev.Width, heuristicSeeds(ctx, m.G, cfg, rng))
 }
 
 // heuristicSeeds produces the configured number of min-fill orderings,
 // stopping early (with fewer seeds) when ctx is cancelled.
-func heuristicSeeds(ctx context.Context, h *hypergraph.Hypergraph, cfg Config, rng *rand.Rand) []order.Ordering {
+func heuristicSeeds(ctx context.Context, g *hypergraph.Graph, cfg Config, rng *rand.Rand) []order.Ordering {
 	if cfg.HeuristicSeeds <= 0 {
 		return nil
 	}
-	g := elim.New(h.PrimalGraph())
+	e := elim.New(g)
 	seeds := make([]order.Ordering, 0, cfg.HeuristicSeeds)
 	for i := 0; i < cfg.HeuristicSeeds; i++ {
-		o, _, err := heur.MinFillCtxStats(ctx, g, rng, cfg.Stats)
+		o, _, err := heur.MinFillCtxStats(ctx, e, rng, cfg.Stats)
 		if err != nil {
 			break
 		}

@@ -1,6 +1,7 @@
 package ga
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,12 +74,12 @@ func smallConfig(seed int64) Config {
 
 func TestGATreewidthFindsGridOptimum(t *testing.T) {
 	h := gridHypergraph(4) // tw = 4
-	res := Treewidth(h, smallConfig(1))
+	res := Search(context.Background(), search.Treewidth(h.PrimalGraph()), smallConfig(1))
 	if res.Width != 4 {
 		t.Fatalf("GA-tw on grid4 = %d, want 4", res.Width)
 	}
 	// Ordering must reproduce the width.
-	if got := order.NewTWEvaluator(h).Width(res.Ordering); got != res.Width {
+	if got := order.NewTWEvaluator(h.PrimalGraph()).Width(res.Ordering); got != res.Width {
 		t.Fatalf("ordering width %d != reported %d", got, res.Width)
 	}
 }
@@ -86,11 +87,11 @@ func TestGATreewidthFindsGridOptimum(t *testing.T) {
 func TestGAWidthIsUpperBound(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		h := randomHypergraph(12, 9, 4, seed)
-		exact := bb.Treewidth(h.PrimalGraph(), search.Options{Seed: seed})
+		exact := bb.Search(context.Background(), search.Treewidth(h.PrimalGraph()), search.Options{Seed: seed})
 		if !exact.Exact {
 			t.Fatalf("seed %d: reference BB did not finish", seed)
 		}
-		res := Treewidth(h, smallConfig(seed))
+		res := Search(context.Background(), search.Treewidth(h.PrimalGraph()), smallConfig(seed))
 		if res.Width < exact.Width {
 			t.Fatalf("seed %d: GA width %d below exact %d", seed, res.Width, exact.Width)
 		}
@@ -99,7 +100,7 @@ func TestGAWidthIsUpperBound(t *testing.T) {
 
 func TestGAGHWOnClique(t *testing.T) {
 	h := cliqueHypergraph(8) // ghw = 4
-	res := GHW(h, smallConfig(2))
+	res := Search(context.Background(), search.GHW(h), smallConfig(2))
 	if res.Width < 4 {
 		t.Fatalf("GA-ghw on K8 = %d, below optimum 4", res.Width)
 	}
@@ -114,7 +115,7 @@ func TestGAGHWOnClique(t *testing.T) {
 
 func TestGAHistoryMonotone(t *testing.T) {
 	h := gridHypergraph(4)
-	res := Treewidth(h, smallConfig(3))
+	res := Search(context.Background(), search.Treewidth(h.PrimalGraph()), smallConfig(3))
 	if len(res.History) != 61 {
 		t.Fatalf("history length %d, want generations+1", len(res.History))
 	}
@@ -130,8 +131,8 @@ func TestGAHistoryMonotone(t *testing.T) {
 
 func TestGADeterministicForSeed(t *testing.T) {
 	h := randomHypergraph(14, 10, 4, 7)
-	a := Treewidth(h, smallConfig(42))
-	b := Treewidth(h, smallConfig(42))
+	a := Search(context.Background(), search.Treewidth(h.PrimalGraph()), smallConfig(42))
+	b := Search(context.Background(), search.Treewidth(h.PrimalGraph()), smallConfig(42))
 	if a.Width != b.Width || a.Evaluations != b.Evaluations {
 		t.Fatalf("same seed diverged: %v vs %v", a.Width, b.Width)
 	}
@@ -146,7 +147,7 @@ func TestGAAllOperatorCombinations(t *testing.T) {
 			cfg.Generations = 5
 			cfg.Crossover = c
 			cfg.Mutation = m
-			res := Treewidth(h, cfg)
+			res := Search(context.Background(), search.Treewidth(h.PrimalGraph()), cfg)
 			if res.Width <= 0 || res.Width > 10 {
 				t.Fatalf("%v/%v produced width %d", c, m, res.Width)
 			}
@@ -163,7 +164,7 @@ func TestSAIGAGHWOnClique(t *testing.T) {
 		Islands: 3, IslandPop: 30, Epochs: 8, EpochLength: 10,
 		TournamentSize: 2, MigrationSize: 3, Seed: 4,
 	}
-	res := SAIGAGHW(h, cfg)
+	res := SAIGA(context.Background(), search.GHW(h), cfg)
 	if res.Width < 4 || res.Width > 5 {
 		t.Fatalf("SAIGA-ghw on K8 = %d, want 4..5", res.Width)
 	}
@@ -186,7 +187,7 @@ func TestSAIGATreewidthGrid(t *testing.T) {
 		Islands: 3, IslandPop: 40, Epochs: 10, EpochLength: 10,
 		TournamentSize: 2, MigrationSize: 4, Seed: 5,
 	}
-	res := SAIGATreewidth(h, cfg)
+	res := SAIGA(context.Background(), search.Treewidth(h.PrimalGraph()), cfg)
 	if res.Width != 4 {
 		t.Fatalf("SAIGA-tw on grid4 = %d, want 4", res.Width)
 	}
@@ -209,10 +210,10 @@ func TestSAIGAParallelDeterministic(t *testing.T) {
 		Islands: 4, IslandPop: 20, Epochs: 6, EpochLength: 6,
 		TournamentSize: 2, MigrationSize: 2, Seed: 9,
 	}
-	seq := SAIGAGHW(h, base)
+	seq := SAIGA(context.Background(), search.GHW(h), base)
 	par := base
 	par.Parallel = true
-	got := SAIGAGHW(h, par)
+	got := SAIGA(context.Background(), search.GHW(h), par)
 	if seq.Width != got.Width || seq.Evaluations != got.Evaluations {
 		t.Fatalf("parallel diverged: %d/%d vs %d/%d",
 			seq.Width, seq.Evaluations, got.Width, got.Evaluations)
@@ -227,7 +228,7 @@ func TestSAIGAParallelDeterministic(t *testing.T) {
 func TestSAIGAConfigSanitizing(t *testing.T) {
 	h := cliqueHypergraph(5)
 	cfg := SAIGAConfig{Islands: 1, IslandPop: 1, Epochs: 2, EpochLength: 2, MigrationSize: 99, Seed: 6}
-	res := SAIGAGHW(h, cfg) // must not panic despite degenerate config
+	res := SAIGA(context.Background(), search.GHW(h), cfg) // must not panic despite degenerate config
 	if res.Width <= 0 {
 		t.Fatalf("degenerate config result: %+v", res)
 	}

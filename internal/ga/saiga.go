@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"sync"
 
-	"hypertree/internal/hypergraph"
 	"hypertree/internal/interrupt"
 	"hypertree/internal/order"
+	"hypertree/internal/search"
 	"hypertree/internal/telemetry"
 )
 
@@ -138,39 +138,16 @@ type SAIGAResult struct {
 	}
 }
 
-// SAIGAGHW runs SAIGA-ghw on h and returns an upper bound on its
-// generalized hypertree width.
-func SAIGAGHW(h *hypergraph.Hypergraph, cfg SAIGAConfig) SAIGAResult {
-	return SAIGAGHWCtx(context.Background(), h, cfg)
-}
-
-// SAIGAGHWCtx runs SAIGA-ghw under a context: cancellation is polled
+// SAIGA runs the self-adaptive island scheme over the elimination
+// orderings of m.G and returns an upper bound on m's width: SAIGA-ghw for
+// ghw, and for treewidth the same scheme with the treewidth fitness (an
+// extension the thesis mentions as applicable). Cancellation is polled
 // between fitness evaluations and at epoch boundaries, and the best
 // individual across all islands found so far is returned. Each island owns
-// its rand source and evaluator (cloned per island), so cancellation of a
-// Parallel run is race-free.
-func SAIGAGHWCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg SAIGAConfig) SAIGAResult {
-	mkEval := func(i int) func(order.Ordering) int {
-		return order.NewGHWEvaluator(h, rand.New(rand.NewSource(cfg.Seed+1000+int64(i))), false).Width
-	}
-	return saiga(ctx, h.NumVertices(), cfg, mkEval)
-}
-
-// SAIGATreewidth runs the same self-adaptive island scheme with the
-// treewidth fitness (an extension the thesis mentions as applicable).
-func SAIGATreewidth(h *hypergraph.Hypergraph, cfg SAIGAConfig) SAIGAResult {
-	return SAIGATreewidthCtx(context.Background(), h, cfg)
-}
-
-// SAIGATreewidthCtx is SAIGATreewidth under a context; see SAIGAGHWCtx.
-func SAIGATreewidthCtx(ctx context.Context, h *hypergraph.Hypergraph, cfg SAIGAConfig) SAIGAResult {
-	mkEval := func(int) func(order.Ordering) int {
-		return order.NewTWEvaluator(h).Width
-	}
-	return saiga(ctx, h.NumVertices(), cfg, mkEval)
-}
-
-func saiga(ctx context.Context, n int, cfg SAIGAConfig, mkEval func(i int) func(order.Ordering) int) SAIGAResult {
+// its rand source and evaluator, so cancellation of a Parallel run is
+// race-free.
+func SAIGA(ctx context.Context, m search.Measure, cfg SAIGAConfig) SAIGAResult {
+	n := m.G.NumVertices()
 	if cfg.Islands < 2 {
 		cfg.Islands = 2
 	}
@@ -195,7 +172,7 @@ func saiga(ctx context.Context, n int, cfg SAIGAConfig, mkEval func(i int) func(
 			fit:   make([]int, cfg.IslandPop),
 			bestW: n + 1,
 			rng:   rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-			eval:  mkEval(i),
+			eval:  m.Evaluator(rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i)))).Width,
 		}
 		isl.par = randomParams(isl.rng)
 		for j := range isl.pop {

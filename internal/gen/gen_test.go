@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
 	"hypertree/internal/bb"
@@ -22,7 +23,7 @@ func TestQueenShape(t *testing.T) {
 		t.Fatalf("queen5 corner degree = %d, want 12", d)
 	}
 	// Exact treewidth of queen5_5 is 18 (thesis Table 5.1).
-	res := bb.Treewidth(g, search.Options{})
+	res := bb.Search(context.Background(), search.Treewidth(g), search.Options{})
 	if !res.Exact || res.Width != 18 {
 		t.Fatalf("tw(queen5_5) = %d exact=%v, want 18", res.Width, res.Exact)
 	}
@@ -42,10 +43,10 @@ func TestMycielskiShape(t *testing.T) {
 		}
 	}
 	// Exact treewidth of myciel3 is 5, myciel4 is 10 (thesis Table 5.1).
-	if res := bb.Treewidth(Mycielski(3), search.Options{}); !res.Exact || res.Width != 5 {
+	if res := bb.Search(context.Background(), search.Treewidth(Mycielski(3)), search.Options{}); !res.Exact || res.Width != 5 {
 		t.Fatalf("tw(myciel3) = %d, want 5", res.Width)
 	}
-	if res := bb.Treewidth(Mycielski(4), search.Options{}); !res.Exact || res.Width != 10 {
+	if res := bb.Search(context.Background(), search.Treewidth(Mycielski(4)), search.Options{}); !res.Exact || res.Width != 10 {
 		t.Fatalf("tw(myciel4) = %d, want 10", res.Width)
 	}
 }
@@ -53,7 +54,7 @@ func TestMycielskiShape(t *testing.T) {
 func TestGridTreewidth(t *testing.T) {
 	// Thesis Table 5.2: tw(n×n grid) = n.
 	for n := 2; n <= 5; n++ {
-		res := bb.Treewidth(Grid2D(n, n), search.Options{})
+		res := bb.Search(context.Background(), search.Treewidth(Grid2D(n, n)), search.Options{})
 		if !res.Exact || res.Width != n {
 			t.Fatalf("tw(grid%d) = %d exact=%v, want %d", n, res.Width, res.Exact, n)
 		}
@@ -117,7 +118,7 @@ func TestAdderGHW(t *testing.T) {
 	if h.NumVertices() != 29 || h.NumEdges() != 20 {
 		t.Fatalf("adder4 shape %d/%d, want 29/20", h.NumVertices(), h.NumEdges())
 	}
-	res := bb.GHW(h, search.Options{})
+	res := bb.Search(context.Background(), search.GHW(h), search.Options{})
 	if !res.Exact || res.Width != 2 {
 		t.Fatalf("ghw(adder4) = %d exact=%v, want 2", res.Width, res.Exact)
 	}
@@ -127,7 +128,7 @@ func TestBridgeGHWSmall(t *testing.T) {
 	// The Wheatstone ladder is cyclic: ghw exactly 2, independent of length.
 	for _, panels := range []int{4, 8} {
 		h := Bridge(panels)
-		res := bb.GHW(h, search.Options{})
+		res := bb.Search(context.Background(), search.GHW(h), search.Options{})
 		if !res.Exact || res.Width != 2 {
 			t.Fatalf("ghw(bridge%d) = %d exact=%v, want 2", panels, res.Width, res.Exact)
 		}
@@ -138,7 +139,7 @@ func TestCliqueHypergraphGHW(t *testing.T) {
 	// ghw(K_2k as binary edges) = k.
 	for _, n := range []int{4, 6, 8} {
 		h := CliqueHypergraph(n)
-		res := bb.GHW(h, search.Options{})
+		res := bb.Search(context.Background(), search.GHW(h), search.Options{})
 		if !res.Exact || res.Width != n/2 {
 			t.Fatalf("ghw(K%d) = %d exact=%v, want %d", n, res.Width, res.Exact, n/2)
 		}
@@ -147,7 +148,7 @@ func TestCliqueHypergraphGHW(t *testing.T) {
 
 func TestChainAcyclic(t *testing.T) {
 	h := Chain(5, 4, 2)
-	res := bb.GHW(h, search.Options{})
+	res := bb.Search(context.Background(), search.GHW(h), search.Options{})
 	if !res.Exact || res.Width != 1 {
 		t.Fatalf("ghw(chain) = %d, want 1", res.Width)
 	}

@@ -210,11 +210,13 @@ func FromEdges(n int, edges [][]int) *Hypergraph {
 }
 
 // FromGraph converts a graph into the hypergraph whose hyperedges are the
-// graph's edges.
+// graph's edges. Vertex v of g is vertex v of the result, named g.Name(v);
+// display names are not interned, so two vertices that share a name stay
+// two vertices.
 func FromGraph(g *Graph) *Hypergraph {
 	b := NewBuilder()
 	for v := 0; v < g.NumVertices(); v++ {
-		b.Vertex(g.Name(v))
+		b.vertexNames = append(b.vertexNames, g.Name(v))
 	}
 	for _, e := range g.Edges() {
 		b.AddEdgeByIndex("", e[0], e[1])

@@ -264,6 +264,41 @@ func TestHypergraphRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromGraphKeepsEveryVertex: FromGraph maps vertex v to vertex v and
+// keeps the edges by index even when display names repeat (vertex 0 named
+// "v1" beside unnamed vertex 1, whose display name is also "v1"), and with
+// distinct names it builds what interning the names would.
+func TestFromGraphKeepsEveryVertex(t *testing.T) {
+	g := NewGraph(3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.SetName(0, "v1")
+	h := FromGraph(g)
+	if h.NumVertices() != 3 {
+		t.Fatalf("FromGraph kept %d vertices, want 3", h.NumVertices())
+	}
+	if got, want := [][]int{h.Edge(0), h.Edge(1)}, [][]int{{0, 1}, {1, 2}}; h.NumEdges() != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromGraph edges = %v, want %v", got, want)
+	}
+	for v, want := range []string{"v1", "v1", "v2"} {
+		if got := h.VertexName(v); got != want {
+			t.Errorf("VertexName(%d) = %q, want %q", v, got, want)
+		}
+	}
+
+	g.SetName(0, "a")
+	b := NewBuilder()
+	for v := 0; v < g.NumVertices(); v++ {
+		b.Vertex(g.Name(v))
+	}
+	for _, e := range g.Edges() {
+		b.AddEdgeByIndex("", e[0], e[1])
+	}
+	if got, want := FromGraph(g), b.Build(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("distinct names: FromGraph = %v, want %v", got, want)
+	}
+}
+
 func TestFromGraphFromEdges(t *testing.T) {
 	g := NewGraph(3)
 	g.AddEdge(0, 1)

@@ -61,5 +61,5 @@ func GHWidthWith(h *hypergraph.Hypergraph, o Ordering, rng *rand.Rand, exact boo
 // TWWidth returns the tree-decomposition width of the ordering over the
 // primal graph of h.
 func TWWidth(h *hypergraph.Hypergraph, o Ordering) int {
-	return NewTWEvaluator(h).Width(o)
+	return NewTWEvaluator(h.PrimalGraph()).Width(o)
 }

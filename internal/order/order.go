@@ -222,7 +222,6 @@ func assembleTree(h *hypergraph.Hypergraph, o Ordering, chi []*bitset.Set, paren
 // covers are solved once (cross-worker caching); randomized greedy covers
 // bypass the cache by design, keeping seeds independent.
 type Evaluator struct {
-	h    *hypergraph.Hypergraph
 	base []*bitset.Set // primal adjacency
 	adj  []*bitset.Set // scratch
 	elim *bitset.Set
@@ -234,10 +233,10 @@ type Evaluator struct {
 	exact    bool             // use exact set cover instead of greedy
 }
 
-// NewTWEvaluator returns an evaluator of tree-decomposition widths over the
-// primal graph of h.
-func NewTWEvaluator(h *hypergraph.Hypergraph) *Evaluator {
-	return newEvaluator(h, nil, nil, false)
+// NewTWEvaluator returns an evaluator of the tree-decomposition widths of
+// g's elimination orderings.
+func NewTWEvaluator(g *hypergraph.Graph) *Evaluator {
+	return newEvaluator(g, nil, nil, false)
 }
 
 // NewGHWEvaluator returns an evaluator of generalized hypertree widths.
@@ -263,14 +262,12 @@ func NewGHWEvaluatorWith(h *hypergraph.Hypergraph, rng *rand.Rand, exact bool, o
 	if rng != nil && !exact {
 		rngCover = setcover.New(h, rng)
 	}
-	return newEvaluator(h, orc, rngCover, exact)
+	return newEvaluator(h.PrimalGraph(), orc, rngCover, exact)
 }
 
-func newEvaluator(h *hypergraph.Hypergraph, orc *cover.Oracle, rngCover *setcover.Solver, exact bool) *Evaluator {
-	g := h.PrimalGraph()
-	n := h.NumVertices()
+func newEvaluator(g *hypergraph.Graph, orc *cover.Oracle, rngCover *setcover.Solver, exact bool) *Evaluator {
+	n := g.NumVertices()
 	e := &Evaluator{
-		h:        h,
 		base:     adjacencyOf(g),
 		adj:      make([]*bitset.Set, n),
 		elim:     bitset.New(n),

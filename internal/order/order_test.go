@@ -113,7 +113,7 @@ func TestBucketEqualsVertexElimination(t *testing.T) {
 func TestEvaluatorMatchesDecompositionWidth(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		h := randomHypergraph(14, 10, 4, seed)
-		ev := NewTWEvaluator(h)
+		ev := NewTWEvaluator(h.PrimalGraph())
 		o := Random(h.NumVertices(), rand.New(rand.NewSource(seed+7)))
 		d := VertexElimination(h, o)
 		if got, want := ev.Width(o), d.Width(); got != want {
@@ -189,7 +189,7 @@ func TestFig211StyleWalkthrough(t *testing.T) {
 func TestExample5Widths(t *testing.T) {
 	h := example5()
 	n := h.NumVertices()
-	ev := NewTWEvaluator(h)
+	ev := NewTWEvaluator(h.PrimalGraph())
 	best := n
 	// Exhaustive over all 720 orderings: the optimum must be 2.
 	perm := Identity(n)

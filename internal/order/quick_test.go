@@ -23,7 +23,7 @@ func TestQuickVertexEliminationValid(t *testing.T) {
 		if d.ValidateTD() != nil {
 			return false
 		}
-		return NewTWEvaluator(h).Width(o) == d.Width()
+		return NewTWEvaluator(h.PrimalGraph()).Width(o) == d.Width()
 	}
 	if err := quick.Check(f, hgSeedConfig()); err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestQuickCoverOrderings(t *testing.T) {
 	f := func(seed int64, orderSeed int64) bool {
 		h := randomHypergraph(9, 6, 4, seed%1000)
 		o := Random(h.NumVertices(), rand.New(rand.NewSource(orderSeed)))
-		tw := NewTWEvaluator(h).Width(o)
+		tw := NewTWEvaluator(h.PrimalGraph()).Width(o)
 		exact := GHWidth(h, o, nil, true)
 		greedy := GHWidth(h, o, rand.New(rand.NewSource(orderSeed)), false)
 		return exact <= tw+1 && greedy >= exact

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestModesOnPath(t *testing.T) {
 	h := hypergraph.FromGraph(pathGraph(5))
 	g := elim.New(h.PrimalGraph())
 
-	tw := TWMode(nil)
+	tw := Treewidth(h.PrimalGraph()).Mode(context.Background(), nil, Options{})
 	if c := tw.StepCost(g, 2); c != 2 {
 		t.Fatalf("tw step cost of middle path vertex = %d, want 2", c)
 	}
@@ -91,7 +92,7 @@ func TestModesOnPath(t *testing.T) {
 		t.Fatalf("tw residual lb on path = %d, want 1", lb)
 	}
 
-	ghw := GHWMode(h, nil)
+	ghw := GHW(h).Mode(context.Background(), nil, Options{})
 	if c := ghw.StepCost(g, 2); c != 2 {
 		t.Fatalf("ghw step cost = %d, want 2 (two binary edges cover {1,2,3})", c)
 	}
@@ -103,7 +104,7 @@ func TestModesOnPath(t *testing.T) {
 func TestOrderCostRestores(t *testing.T) {
 	h := hypergraph.FromGraph(pathGraph(5))
 	g := elim.New(h.PrimalGraph())
-	mode := TWMode(nil)
+	mode := Treewidth(h.PrimalGraph()).Mode(context.Background(), nil, Options{})
 	cost := OrderCost(g, mode, []int{0, 1, 2, 3, 4})
 	if cost != 1 {
 		t.Fatalf("path elimination cost = %d, want 1", cost)

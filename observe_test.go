@@ -68,10 +68,11 @@ func TestSingleMethodAttribution(t *testing.T) {
 // TestPortfolioAttribution runs the default portfolio to completion and
 // checks the provenance fields: a Winner from the raced set, one Workers
 // entry per slot in slot order, a LowerBoundBy method whose worker really
-// proved the reported bound, and node counts that sum up.
+// proved the reported bound, and search nodes attributed to the workers.
 func TestPortfolioAttribution(t *testing.T) {
-	h := gen.Grid2DHypergraph(4, 4)
+	h := gen.RandomHypergraph(16, 14, 4, 2)
 	opt := oracleOpts(MethodPortfolio, 7)
+	opt.Jobs = 1           // slots run in order, so BB always runs to its end
 	opt.Stats = new(Stats) // worker counter snapshots need telemetry attached
 	res, err := GHW(h, opt)
 	if err != nil {
@@ -112,8 +113,9 @@ func TestPortfolioAttribution(t *testing.T) {
 				res.LowerBoundBy, res.LowerBound)
 		}
 	}
-	// On this instance BB and A* both finish exact, so search work happened
-	// and must be attributed.
+	// BB branches on this instance (the min-fill seed is not optimal), and
+	// at Jobs=1 it runs after min-fill, which cannot end the race: its
+	// search work always happens and must be attributed.
 	if nodes == 0 {
 		t.Error("no worker attributed any search nodes")
 	}

@@ -196,6 +196,36 @@ func TestTreewidthCtxDeadline(t *testing.T) {
 	}
 }
 
+// TestBalSepDeadline: balsep's tw-ksc bound polls the deadline. On
+// adder_99 the bound alone takes about 200ms, so an unpolled bound
+// overruns a 30ms deadline by far more than the grace below.
+func TestBalSepDeadline(t *testing.T) {
+	h := gen.Adder(99)
+	bound := 120 * time.Millisecond
+	if raceEnabled {
+		bound *= 10
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	res, err := GHWCtx(ctx, h, Options{Method: MethodBalSep, Seed: 1})
+	if elapsed := time.Since(start); elapsed > bound {
+		t.Errorf("GHWCtx(balsep) took %v, want < %v for a 30ms deadline", elapsed, bound)
+	}
+	if err != nil {
+		if !isCtxErr(err) {
+			t.Errorf("error is not a context error: %v", err)
+		}
+		return
+	}
+	if verr := Ordering(res.Ordering).Validate(h.NumVertices()); verr != nil {
+		t.Errorf("invalid ordering: %v", verr)
+	}
+	if res.LowerBound > res.Width {
+		t.Errorf("lower bound %d above width %d", res.LowerBound, res.Width)
+	}
+}
+
 // TestPortfolioNeverWorse gives the portfolio and every single method the
 // same generous wall-clock budget on small instances — large enough for an
 // exact method to finish even while sharing the CPU — and asserts the
