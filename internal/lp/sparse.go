@@ -1,13 +1,23 @@
-// Sparse revised simplex — the production solver behind fractional
-// covers. The dense tableau in simplex.go costs O(m·(n+m)) per pivot and
-// allocates the full tableau per call; the covering duals the oracle
-// solves are extremely sparse (a vertex lies in a handful of hyperedges),
-// so this file keeps A in column-major sparse form, maintains a dense
-// basis inverse explicitly, and recycles every scratch vector through a
-// sync.Pool in the setcover/cover-oracle style. Bland's rule is applied on
-// both the entering and the leaving side, so the solver terminates on
-// degenerate LPs without cycling. The dense solver stays as the reference
-// implementation for the differential fuzz target (FuzzLPSolve).
+// Package lp implements the simplex solver for the small linear programs
+// that arise in fractional edge covers (fractional hypertree width, the
+// third width measure of the hypertree decomposition survey).
+//
+// SolveSparse is the one solver. It handles the canonical-form problem
+//
+//	maximise    c·y
+//	subject to  A y ≤ b,  y ≥ 0,  with b ≥ 0,
+//
+// which is exactly the shape of the fractional-matching dual of a covering
+// LP: the all-slack basis is immediately feasible, so no phase-1 is
+// needed. It is a revised simplex over column-major sparse constraint
+// storage: the covering duals the oracle solves are extremely sparse (a
+// vertex lies in a handful of hyperedges), so A stays sparse, the dense
+// basis inverse is maintained explicitly, and every scratch vector is
+// recycled through a sync.Pool in the setcover/cover-oracle style. Bland's
+// rule is applied on both the entering and the leaving side, so the solver
+// terminates on degenerate LPs without cycling. The package tests keep a
+// dense-tableau solver as the reference the differential fuzz target
+// (FuzzLPSolve) checks SolveSparse against.
 package lp
 
 import (
@@ -16,6 +26,14 @@ import (
 	"sync"
 )
 
+// ErrUnbounded is returned when the LP has unbounded optimum.
+var ErrUnbounded = errors.New("lp: unbounded")
+
+// ErrBadInput is returned on malformed dimensions or negative b.
+var ErrBadInput = errors.New("lp: malformed input")
+
+const eps = 1e-9
+
 // ErrIterationLimit is returned when the pivot count exceeds the safety
 // bound (50·(m+n)², far beyond any Bland's-rule run on a well-posed LP);
 // hitting it indicates numerically pathological input.
@@ -23,9 +41,8 @@ var ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 
 // Matrix is a column-major sparse constraint matrix: column j's nonzero
 // entries live at rowIdx/val[colPtr[j]:colPtr[j+1]]. The zero value is not
-// usable; construct with NewMatrix (or FromDense) and append columns with
-// AddCol. Reset allows pooled reuse without reallocating the backing
-// arrays.
+// usable; construct with NewMatrix and append columns with AddCol. Reset
+// allows pooled reuse without reallocating the backing arrays.
 type Matrix struct {
 	rows   int
 	colPtr []int
@@ -71,31 +88,6 @@ func (m *Matrix) Reset(rows int) {
 	}
 	m.rowIdx = m.rowIdx[:0]
 	m.val = m.val[:0]
-}
-
-// FromDense builds the column-major sparse form of a dense row-major
-// constraint matrix — the bridge the differential fuzz target uses to feed
-// SolveSparse and the dense reference Solve the same LP.
-func FromDense(A [][]float64) *Matrix {
-	m := NewMatrix(len(A))
-	if len(A) == 0 {
-		return m
-	}
-	n := len(A[0])
-	var rows []int
-	var vals []float64
-	for j := 0; j < n; j++ {
-		rows = rows[:0]
-		vals = vals[:0]
-		for i := range A {
-			if A[i][j] != 0 {
-				rows = append(rows, i)
-				vals = append(vals, A[i][j])
-			}
-		}
-		m.AddCol(rows, vals)
-	}
-	return m
 }
 
 // sparseScratch is the pooled per-solve workspace: the dense basis inverse
