@@ -48,7 +48,7 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 	// the exactness claim, which only the tw-ksc bound (a true ghw bound)
 	// can make.
 	for k := lb; k < w0; k += approx + 1 {
-		r := detk.DecomposeBalancedCtx(ctx, h, k, detk.BalancedOptions{
+		r, err := detk.DecomposeBalanced(ctx, h, k, detk.BalancedOptions{
 			MaxGuesses: opt.MaxNodes,
 			Approx:     approx,
 			Seed:       opt.Seed,
@@ -57,11 +57,11 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 			Trace:      sc.traceRef(),
 			Track:      sc.trackID(),
 		})
-		if r.Err != nil {
+		if err != nil {
 			// Deadline mid-level: the incumbent stands, unproven.
 			return best, nil
 		}
-		if r.Found {
+		if r.Decomposition != nil {
 			o := order.FromDecomposition(r.Decomposition)
 			w := order.GHWidthWith(h, o, nil, true, orc)
 			if hook := sc.incumbentHook(); hook != nil {

@@ -75,33 +75,34 @@ func TestBalSepDifferentialCatalog(t *testing.T) {
 			// Reference verdict at W from det-k's own fixed-k decision (cheap
 			// even where the full width search was not: no below-W proofs).
 			ctx, cancel = context.WithTimeout(context.Background(), diffBudget())
-			refD, refOK, err := detk.DecomposeCtx(ctx, h, w, detk.Options{})
+			ref, err := detk.Decompose(ctx, h, w, detk.Options{})
 			cancel()
 			if err != nil {
 				t.Logf("%s: det-k verdict at k=%d timed out, skipping", inst.Name, w)
 				return
 			}
-			if refOK && refD == nil {
-				t.Fatalf("%s: det-k claimed feasibility without a witness", inst.Name)
+			refOK := ref.Decomposition != nil
+			if !refOK && !ref.Complete {
+				t.Fatalf("%s: uncapped det-k run at k=%d reported incomplete", inst.Name, w)
 			}
 			compared.Add(1)
 
 			orc := cover.New(h, cover.Options{})
 			ctx, cancel = context.WithTimeout(context.Background(), diffBudget())
-			r := detk.DecomposeBalancedCtx(ctx, h, w, detk.BalancedOptions{
+			r, err := detk.DecomposeBalanced(ctx, h, w, detk.BalancedOptions{
 				Seed: 42, Oracle: orc,
 			})
 			cancel()
-			if r.Err != nil {
+			if err != nil {
 				t.Fatalf("%s: balsep timed out at k=%d where det-k decided", inst.Name, w)
 			}
 			if !r.Complete {
 				t.Fatalf("%s: uncancelled balsep run at k=%d reported incomplete", inst.Name, w)
 			}
-			if r.Found != refOK {
-				t.Fatalf("%s: balsep found=%v at k=%d, det-k says %v", inst.Name, r.Found, w, refOK)
+			if found := r.Decomposition != nil; found != refOK {
+				t.Fatalf("%s: balsep found=%v at k=%d, det-k says %v", inst.Name, found, w, refOK)
 			}
-			if r.Found {
+			if r.Decomposition != nil {
 				if err := r.Decomposition.ValidateGHD(); err != nil {
 					t.Fatalf("%s: %v", inst.Name, err)
 				}
@@ -118,14 +119,14 @@ func TestBalSepDifferentialCatalog(t *testing.T) {
 				// matter how the run ended, so the no-witness half is asserted
 				// even on truncation; completeness only when uncancelled.
 				ctx, cancel := context.WithTimeout(context.Background(), diffBudget())
-				r := detk.DecomposeBalancedCtx(ctx, h, w-1, detk.BalancedOptions{
+				r, err := detk.DecomposeBalanced(ctx, h, w-1, detk.BalancedOptions{
 					Seed: 42, Oracle: orc,
 				})
 				cancel()
-				if r.Found {
+				if r.Decomposition != nil {
 					t.Fatalf("%s: balsep fabricated a width-%d witness below the certified width %d", inst.Name, w-1, w)
 				}
-				if r.Err == nil && !r.Complete {
+				if err == nil && !r.Complete {
 					t.Fatalf("%s: uncancelled failure at k=%d did not report completeness", inst.Name, w-1)
 				}
 			}
@@ -149,12 +150,12 @@ func TestBalSepJobs1Reproducible(t *testing.T) {
 	} {
 		var want []byte
 		for run := 0; run < 2; run++ {
-			d, ok, complete := detk.DecomposeBalanced(c.h, c.k, detk.BalancedOptions{Seed: 99})
-			if !ok || !complete {
-				t.Fatalf("%s run %d: ok=%v complete=%v", c.name, run, ok, complete)
+			r, err := detk.DecomposeBalanced(context.Background(), c.h, c.k, detk.BalancedOptions{Seed: 99})
+			if err != nil || r.Decomposition == nil || !r.Complete {
+				t.Fatalf("%s run %d: found=%v complete=%v err=%v", c.name, run, r.Decomposition != nil, r.Complete, err)
 			}
 			var buf bytes.Buffer
-			if err := d.WriteTD(&buf); err != nil {
+			if err := r.Decomposition.WriteTD(&buf); err != nil {
 				t.Fatal(err)
 			}
 			if run == 0 {
@@ -168,24 +169,24 @@ func TestBalSepJobs1Reproducible(t *testing.T) {
 
 // TestBalSepSharedOracleRace piles 8 concurrent engine runs onto one
 // shared cover oracle. Run under -race this is the battery's data-race
-// probe for the oracle and the failure memos; the width assertions keep it
-// from passing vacuously.
+// probe for the oracle (each run owns its memos); the width assertions keep
+// it from passing vacuously.
 func TestBalSepSharedOracleRace(t *testing.T) {
 	h := gen.Adder(12)
 	orc := cover.New(h, cover.Options{})
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(seed int64) {
-			d, ok, complete := detk.DecomposeBalanced(h, 2, detk.BalancedOptions{
+			r, err := detk.DecomposeBalanced(context.Background(), h, 2, detk.BalancedOptions{
 				Seed: seed, Oracle: orc,
 			})
 			switch {
-			case !ok || !complete:
+			case err != nil || r.Decomposition == nil || !r.Complete:
 				errs <- errors.New("concurrent run failed at the known width")
-			case d.GHWidth() > 2:
+			case r.Decomposition.GHWidth() > 2:
 				errs <- errors.New("concurrent run exceeded the known width")
 			default:
-				errs <- d.ValidateGHD()
+				errs <- r.Decomposition.ValidateGHD()
 			}
 		}(int64(g))
 	}
@@ -217,14 +218,14 @@ func TestBalSepCancellationMidRecursion(t *testing.T) {
 		}
 		cancel()
 	}()
-	r := detk.DecomposeBalancedCtx(ctx, h, 2, detk.BalancedOptions{
+	r, err := detk.DecomposeBalanced(ctx, h, 2, detk.BalancedOptions{
 		Stats: st,
 	})
-	if r.Found || r.Decomposition != nil {
+	if r.Decomposition != nil {
 		t.Skip("instance solved before the watcher fired; cancellation not exercised")
 	}
-	if !errors.Is(r.Err, context.Canceled) {
-		t.Fatalf("r.Err = %v, want context.Canceled", r.Err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if r.Complete {
 		t.Fatal("cancelled run claimed a complete search")

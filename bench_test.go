@@ -225,8 +225,8 @@ func BenchmarkDetKDecomp(b *testing.B) {
 	} {
 		b.Run(inst.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w, _ := HypertreeWidth(inst.h, 0)
-				if w != inst.want {
+				w, _, err := HypertreeWidthCtx(context.Background(), inst.h, 0, nil, nil)
+				if err != nil || w != inst.want {
 					b.Fatalf("hw = %d, want %d", w, inst.want)
 				}
 			}

@@ -63,11 +63,12 @@ func ExampleGHW() {
 	// Output: 2 true
 }
 
-// ExampleHypertreeWidth computes exact hypertree width with det-k-decomp.
-func ExampleHypertreeWidth() {
+// ExampleHypertreeWidthCtx computes exact hypertree width with
+// det-k-decomp.
+func ExampleHypertreeWidthCtx() {
 	h, _ := htd.ParseHypergraph(strings.NewReader(
 		"e1(a,b), e2(b,c), e3(c,d), e4(d,a)."))
-	w, _ := htd.HypertreeWidth(h, 0)
+	w, _, _ := htd.HypertreeWidthCtx(context.Background(), h, 0, nil, nil)
 	fmt.Println("hw of a 4-cycle:", w)
 	// Output: hw of a 4-cycle: 2
 }

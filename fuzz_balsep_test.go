@@ -65,13 +65,14 @@ func FuzzBalSep(f *testing.F) {
 		}
 		k := 1 + int(kRaw%3)
 
-		r := detk.DecomposeBalancedCtx(context.Background(), h, k, detk.BalancedOptions{
+		r, err := detk.DecomposeBalanced(context.Background(), h, k, detk.BalancedOptions{
 			Seed: int64(len(data)),
 		})
-		if r.Found {
-			if r.Decomposition == nil {
-				t.Fatal("Found without a decomposition")
-			}
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := r.Decomposition != nil
+		if found {
 			if err := r.Decomposition.ValidateGHD(); err != nil {
 				t.Fatalf("invalid witness: %v", err)
 			}
@@ -85,12 +86,15 @@ func FuzzBalSep(f *testing.F) {
 
 		// Feasibility agreement with the det-k reference: the instances are
 		// tiny, so both engines decide them completely and must concur.
-		_, refOK := detk.Decompose(h, k, detk.Options{})
-		if !r.Complete {
-			t.Fatalf("uncapped run on a tiny instance reported incomplete (k=%d)", k)
+		ref, err := detk.Decompose(context.Background(), h, k, detk.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Found != refOK {
-			t.Fatalf("balsep found=%v but det-k says %v at k=%d", r.Found, refOK, k)
+		if !r.Complete || !ref.Complete {
+			t.Fatalf("uncapped run on a tiny instance reported incomplete (k=%d): balsep %v, det-k %v", k, r.Complete, ref.Complete)
+		}
+		if refOK := ref.Decomposition != nil; found != refOK {
+			t.Fatalf("balsep found=%v but det-k says %v at k=%d", found, refOK, k)
 		}
 	})
 }

@@ -1,5 +1,6 @@
 // Fuzz target for the width contract every method owes its caller, under
-// both measures. Run with
+// tw and ghw, and the hw contract of HypertreeWidthCtx and the balanced
+// engine. Run with
 //
 //	go test -fuzz=FuzzWidthContract -fuzztime 30s
 //
@@ -7,8 +8,12 @@
 package htd
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"hypertree/internal/cover"
+	"hypertree/internal/detk"
 )
 
 // fuzzWidthInputs decodes bytes into a small hypergraph and the graph the
@@ -95,5 +100,45 @@ func FuzzWidthContract(f *testing.F) {
 		if okT && okG && ghw > tw+1 {
 			t.Fatalf("exact ghw %d above exact tw %d + 1 of the primal graph", ghw, tw)
 		}
+		checkHW(t, h, ghw, okG, tw, okT)
 	})
+}
+
+// checkHW checks hypertree width against the exact widths found: hw ≥ 0
+// with a witness that is a hypertree decomposition of width hw, and
+// ghw ≤ hw ≤ tw + 1. The balanced engine must find a witness at
+// k = max(hw, 1) and fail completely at hw − 1.
+func checkHW(t *testing.T, h *Hypergraph, ghw int, okG bool, tw int, okT bool) {
+	t.Helper()
+	ctx := context.Background()
+	hw, d, err := HypertreeWidthCtx(ctx, h, 0, nil, nil)
+	if err != nil || hw < 0 || d == nil {
+		t.Fatalf("hw: width %d, witness %v, err %v", hw, d != nil, err)
+	}
+	if verr := d.ValidateGHD(); verr != nil {
+		t.Fatalf("hw: invalid witness: %v", verr)
+	}
+	if !detk.CheckSpecial(d) {
+		t.Fatal("hw: witness violates the descendant condition")
+	}
+	if d.GHWidth() != hw {
+		t.Fatalf("hw %d with a witness of width %d", hw, d.GHWidth())
+	}
+	if okG && ghw > hw {
+		t.Fatalf("exact ghw %d above hw %d", ghw, hw)
+	}
+	if okT && hw > tw+1 {
+		t.Fatalf("hw %d above exact tw %d + 1 of the primal graph", hw, tw)
+	}
+	opt := detk.BalancedOptions{Seed: 1, Oracle: cover.New(h, cover.Options{})}
+	r, err := detk.DecomposeBalanced(ctx, h, max(hw, 1), opt)
+	if err != nil || r.Decomposition == nil || !r.Complete {
+		t.Fatalf("balanced engine at k=%d: witness %v, complete %v, err %v", max(hw, 1), r.Decomposition != nil, r.Complete, err)
+	}
+	if hw >= 2 {
+		r, err := detk.DecomposeBalanced(ctx, h, hw-1, opt)
+		if err != nil || r.Decomposition != nil || !r.Complete {
+			t.Fatalf("balanced engine at hw−1=%d: witness %v, complete %v, err %v", hw-1, r.Decomposition != nil, r.Complete, err)
+		}
+	}
 }

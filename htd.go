@@ -352,7 +352,7 @@ func ExplainCtx(ctx context.Context, h *Hypergraph, opt Options) (*Decomposition
 	// The window is λ-materialization phase time; cover probes fired inside
 	// self-attribute and are subtracted by AttributeSince.
 	mark := opt.Stats.MarkPhase()
-	d := order.GHDWith(h, res.Ordering, rand.New(rand.NewSource(opt.Seed)), true, orc)
+	d := order.GHDWith(h, res.Ordering, nil, true, orc)
 	opt.Stats.AttributeSince(telemetry.PhaseLambda, mark)
 	foldCover(opt.Stats, orc)
 	if err := d.ValidateGHD(); err != nil {
@@ -607,16 +607,14 @@ func ReadHypergraphFile(r io.Reader) (*Hypergraph, error) {
 	return hypergraph.ParseHypergraph(r)
 }
 
-// HypertreeWidth computes the exact hypertree width hw(H) with
+// HypertreeWidthCtx computes the exact hypertree width hw(H) with
 // det-k-decomp, together with a witnessing hypertree decomposition
-// (satisfying the descendant condition). maxK caps the search; pass 0 for
-// no cap. It returns width −1 when maxK is exceeded.
-func HypertreeWidth(h *Hypergraph, maxK int) (int, *Decomposition) {
-	return detk.Width(h, maxK, detk.Options{})
-}
-
-// HypertreeWidthCtx is HypertreeWidth with telemetry, under a context:
-// det-k-decomp's guess counters and phase attribution land in st, tr
+// (satisfying the descendant condition). maxK caps the search, so maxK = k
+// decides hw(H) ≤ k: deciding it is polynomial for fixed k, the
+// tractability frontier the PODS survey centres on. Pass 0 for no cap;
+// width −1 means hw(H) > maxK. The edgeless hypergraph has width 0.
+//
+// det-k-decomp's guess counters and phase attribution land in st, and tr
 // receives one span per width-k attempt and sampled component recursion
 // instants (either may be nil; attaching them never changes the
 // decomposition). Cancellation or a deadline aborts det-k-decomp at the
@@ -624,24 +622,7 @@ func HypertreeWidth(h *Hypergraph, maxK int) (int, *Decomposition) {
 // has no anytime incumbent — a truncated run proves nothing in either
 // direction).
 func HypertreeWidthCtx(ctx context.Context, h *Hypergraph, maxK int, st *Stats, tr *Trace) (int, *Decomposition, error) {
-	return detk.WidthCtx(ctx, h, maxK, detk.Options{Trace: tr, Stats: st})
-}
-
-// HypertreeDecompose returns a hypertree decomposition of width ≤ k, or
-// ok=false when hw(H) > k. Deciding this is polynomial for fixed k —
-// the tractability frontier the PODS survey centres on.
-func HypertreeDecompose(h *Hypergraph, k int) (*Decomposition, bool) {
-	return detk.Decompose(h, k, detk.Options{})
-}
-
-// HypertreeDecomposeBalanced is the BalancedGo-style variant: feasible
-// separators are tried most-balanced first, giving shallow trees, in one
-// sequential search. complete distinguishes a proof of hw(H) > k
-// (ok=false, complete=true) from a truncated search; with unbounded
-// guesses it is always true. Use MethodBalSep via DecomposeCtx/GHWCtx for
-// the full engine (context, approx slack, shared cover oracle, telemetry).
-func HypertreeDecomposeBalanced(h *Hypergraph, k int) (d *Decomposition, ok, complete bool) {
-	return detk.DecomposeBalanced(h, k, detk.BalancedOptions{})
+	return detk.Width(ctx, h, maxK, detk.Options{Trace: tr, Stats: st})
 }
 
 // FractionalCover returns ρ*(target): the minimum total weight of a

@@ -1,6 +1,7 @@
 package htd
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -196,15 +197,30 @@ func TestSolveCSPFacade(t *testing.T) {
 }
 
 func TestHypertreeWidthFacade(t *testing.T) {
-	h := gen.CliqueHypergraph(6)
-	w, d := HypertreeWidth(h, 0)
-	if w != 3 {
-		t.Fatalf("hw(K6) = %d, want 3", w)
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		h    *Hypergraph
+		hw   int
+	}{
+		{"K6", gen.CliqueHypergraph(6), 3},
+		// An edgeless hypergraph has hw 0, as GHW says, with one node.
+		{"edgeless_0", FromEdges(0, nil), 0},
+		{"edgeless_3", FromEdges(3, nil), 0},
+	} {
+		w, d, err := HypertreeWidthCtx(ctx, c.h, 0, nil, nil)
+		if err != nil || w != c.hw || d == nil {
+			t.Fatalf("%s: hw %d, witness %v, err %v; want %d with a witness", c.name, w, d != nil, err, c.hw)
+		}
+		if err := d.ValidateGHD(); err != nil {
+			t.Fatal(err)
+		}
+		if d.GHWidth() != c.hw {
+			t.Fatalf("%s: witness width %d", c.name, d.GHWidth())
+		}
 	}
-	if err := d.ValidateGHD(); err != nil {
-		t.Fatal(err)
-	}
-	if d2, ok := HypertreeDecompose(h, 2); ok || d2 != nil {
+	// maxK = 2 decides hw ≤ 2.
+	if w, d, err := HypertreeWidthCtx(ctx, gen.CliqueHypergraph(6), 2, nil, nil); err != nil || w != -1 || d != nil {
 		t.Fatal("hw ≤ 2 claimed for K6")
 	}
 }
@@ -256,12 +272,13 @@ func TestWeightedFacade(t *testing.T) {
 
 func TestBalancedFacade(t *testing.T) {
 	h := gen.Adder(10)
-	d, ok, complete := HypertreeDecomposeBalanced(h, 2)
-	if !ok {
-		t.Fatal("balanced decomposer failed on adder_10 at k=2")
+	res, err := GHW(h, Options{Method: MethodBalSep})
+	if err != nil || !res.Exact || res.Width != 2 {
+		t.Fatalf("balsep on adder_10: %+v (%v), want exact width 2", res, err)
 	}
-	if !complete {
-		t.Fatal("uncapped balanced run reported incomplete")
+	d, err := Decompose(h, Options{Method: MethodBalSep})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := d.ValidateGHD(); err != nil {
 		t.Fatal(err)

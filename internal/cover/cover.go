@@ -24,7 +24,6 @@
 package cover
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +63,7 @@ type Options struct {
 	Trace *telemetry.Trace
 }
 
-// CounterSnapshot is a plain copy of an oracle's (or memo's) counters.
+// CounterSnapshot is a plain copy of an oracle's counters.
 type CounterSnapshot struct {
 	Hits      int64
 	Misses    int64
@@ -386,10 +385,4 @@ func (s *coverShard) evictHalf() int {
 		delete(s.m, hash)
 	}
 	return dropped
-}
-
-// pairHash combines two bag hashes asymmetrically, so (a, b) and (b, a)
-// land on different keys.
-func pairHash(a, b *bitset.Set) uint64 {
-	return a.Hash() ^ bits.RotateLeft64(b.Hash(), 17) ^ 0x94D049BB133111EB
 }

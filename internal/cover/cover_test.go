@@ -230,76 +230,6 @@ func TestOracleEmptyAndUncoverable(t *testing.T) {
 	}
 }
 
-// TestFailMemo checks basic semantics: ordered pairs, idempotent marking,
-// and (a,b) vs (b,a) distinctness.
-func TestFailMemo(t *testing.T) {
-	m := NewFailMemo(0)
-	a := bitset.FromSlice([]int{1, 2, 3})
-	b := bitset.FromSlice([]int{4, 5})
-	if m.Failed(a, b) {
-		t.Fatal("fresh memo reports failure")
-	}
-	m.MarkFailed(a, b)
-	m.MarkFailed(a, b) // no-op
-	if !m.Failed(a, b) {
-		t.Fatal("marked pair not found")
-	}
-	if m.Failed(b, a) {
-		t.Fatal("(b, a) aliases (a, b)")
-	}
-	if m.Failed(a, a) {
-		t.Fatal("(a, a) falsely failed")
-	}
-	c := m.Counters()
-	if c.Hits != 1 || c.Misses != 3 {
-		t.Fatalf("counters %+v, want 1 hit / 3 misses", c)
-	}
-}
-
-// TestFailMemoEviction fills a tiny memo past its cap; certificates may be
-// dropped (reporting not-failed) but never invented.
-func TestFailMemoEviction(t *testing.T) {
-	m := NewFailMemo(numShards * 2)
-	var pairs [][2]*bitset.Set
-	for i := 0; i < 500; i++ {
-		a := bitset.FromSlice([]int{i, i + 1})
-		b := bitset.FromSlice([]int{i + 2})
-		pairs = append(pairs, [2]*bitset.Set{a, b})
-		m.MarkFailed(a, b)
-	}
-	if c := m.Counters(); c.Evictions == 0 {
-		t.Fatalf("tiny memo recorded no evictions: %+v", c)
-	}
-	// Unmarked pairs must still be reported not-failed.
-	for i := 0; i < 500; i++ {
-		if m.Failed(bitset.FromSlice([]int{i + 2}), bitset.FromSlice([]int{i, i + 1})) {
-			t.Fatalf("swapped pair %d falsely failed", i)
-		}
-	}
-}
-
-// TestFailMemoConcurrent exercises the memo under -race.
-func TestFailMemoConcurrent(t *testing.T) {
-	m := NewFailMemo(0)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				a := bitset.FromSlice([]int{i % 50, i%50 + 1})
-				b := bitset.FromSlice([]int{i % 31})
-				m.MarkFailed(a, b)
-				if !m.Failed(a, b) {
-					t.Errorf("worker %d: just-marked pair missing", w)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 func TestHitRate(t *testing.T) {
 	if r := (CounterSnapshot{}).HitRate(); r != 0 {
 		t.Fatalf("zero counters HitRate=%v want 0", r)

@@ -3,9 +3,9 @@
 // are tried balanced-first (largest [λ]-component at most half the
 // component), which yields shallow trees. This file holds the engine
 // behind MethodBalSep: a context-aware sequential search, separator
-// enumeration fed by the shared cover oracle and failure memo, an approx
-// mode that widens k before declaring failure, and the det-k enumeration
-// order on small components.
+// enumeration fed by the shared cover oracle and one memo per budget
+// level, an approx mode that widens k before declaring failure, and the
+// det-k enumeration order on small components.
 package detk
 
 import (
@@ -15,9 +15,7 @@ import (
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/cover"
-	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
-	"hypertree/internal/interrupt"
 	"hypertree/internal/telemetry"
 )
 
@@ -52,151 +50,47 @@ type BalancedOptions struct {
 	Track int
 }
 
-// BalancedResult reports one balanced-separator run.
-type BalancedResult struct {
-	// Decomposition is the witness (nil unless Found). It satisfies the
-	// three GHD conditions plus the descendant condition (CheckSpecial)
-	// and has width ≤ k+SlackUsed.
-	Decomposition *decomp.Decomposition
-	// Found reports whether a decomposition was produced.
-	Found bool
-	// Complete reports that the search ran to its full conclusion: no
-	// MaxGuesses cap and no cancellation truncated it. A !Found result
-	// proves hw(H) > k+Approx only when Complete — this is the
-	// incompleteness fact the legacy API used to swallow.
-	Complete bool
-	// SlackUsed is the width in excess of k the approx mode actually
-	// spent on the witness (0 in exact mode or when the witness stayed
-	// within k).
-	SlackUsed int
-	// Guesses is the number of separator candidates evaluated.
-	Guesses int64
-	// Err carries the context error when cancellation struck before a
-	// decomposition was found (nil otherwise).
-	Err error
-}
-
 // smallComponent is the component size (in edges) at or below which the
 // engine falls back to the det-k enumeration order: first feasible
 // separator in sorted edge order, no balance scoring.
 const smallComponent = 6
 
-// DecomposeBalanced computes a hypertree decomposition of width ≤ k with
-// the balanced-separator engine. It returns the decomposition, whether
-// one was found, and whether the search was complete: ok=false with
-// complete=true proves hw(H) > k (+Approx), while ok=false with
-// complete=false only means the MaxGuesses cap truncated enumeration —
-// the two outcomes the legacy API conflated.
-func DecomposeBalanced(h *hypergraph.Hypergraph, k int, opt BalancedOptions) (*decomp.Decomposition, bool, bool) {
-	r := DecomposeBalancedCtx(context.Background(), h, k, opt)
-	return r.Decomposition, r.Found, r.Complete
-}
-
-// DecomposeBalancedCtx is DecomposeBalanced under a context: cancellation
-// or a deadline aborts the search at the next poll and reports the
-// context error with Complete=false.
-func DecomposeBalancedCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, opt BalancedOptions) BalancedResult {
-	if k < 1 {
-		// Non-trivial hypergraphs have hw ≥ 1; an empty one decomposes at
-		// any k, but the facade never asks for k < 1.
-		return BalancedResult{Complete: true}
-	}
-	mark := opt.Stats.MarkPhase()
-	defer opt.Stats.AttributeSince(telemetry.PhaseBranch, mark)
-	if opt.Approx < 0 {
-		opt.Approx = 0
-	}
+// DecomposeBalanced runs the balanced-separator engine at budget k: it
+// returns a hypertree decomposition of width ≤ k+Approx, or none, which
+// proves hw(H) > k+Approx when the result is Complete. Cancellation or a
+// deadline aborts the search at the next poll and returns the context
+// error with Complete=false.
+func DecomposeBalanced(ctx context.Context, h *hypergraph.Hypergraph, k int, opt BalancedOptions) (Result, error) {
+	opt.Approx = max(opt.Approx, 0)
 	maxEdge := 0
 	for ed := 0; ed < h.NumEdges(); ed++ {
-		if l := h.EdgeSet(ed).Len(); l > maxEdge {
-			maxEdge = l
-		}
+		maxEdge = max(maxEdge, h.EdgeSet(ed).Len())
 	}
 	e := &balEngine{
-		h:       h,
-		geo:     &solver{h: h},
-		k:       k,
+		frame:   newFrame(ctx, h, k, "balsep", 64, opt.Trace, opt.Track),
 		opt:     opt,
-		chk:     interrupt.New(ctx, 64),
 		maxEdge: maxEdge,
-		memos:   make([]*cover.FailMemo, opt.Approx+1),
-		wins:    make([]winMemo, opt.Approx+1),
+		memos:   make([]memo, opt.Approx+1),
 	}
-	for i := range e.memos {
-		e.memos[i] = cover.NewFailMemo(0)
-	}
-	if opt.Trace != nil {
-		opt.Trace.Begin(opt.Track, "balsep.decompose",
-			telemetry.Arg{Key: "k", Val: int64(k)})
-	}
-
-	all := bitset.New(h.NumEdges())
-	for ed := 0; ed < h.NumEdges(); ed++ {
-		all.Add(ed)
-	}
-	root, complete := e.solve(all, bitset.New(h.NumVertices()), k, 0)
-
-	res := BalancedResult{Guesses: e.guesses}
-	if opt.Trace != nil {
-		found := int64(0)
-		if root != nil {
-			found = 1
-		}
-		opt.Trace.End(opt.Track, "balsep.decompose",
-			telemetry.Arg{Key: "found", Val: found},
-			telemetry.Arg{Key: "guesses", Val: res.Guesses})
-	}
-	if root != nil {
-		d := decomp.New(h)
-		attach(d, root, nil)
-		d.Complete()
-		res.Decomposition = d
-		res.Found = true
-		res.Complete = !e.capped && !e.cancelled
-		if w := d.GHWidth(); w > k {
-			res.SlackUsed = w - k
-		}
-		return res
-	}
-	res.Complete = complete
-	if e.cancelled {
-		res.Err = interrupt.Cause(ctx)
-	}
-	return res
+	return e.run(ctx, opt.Stats, func(comp, conn *bitset.Set) *node {
+		root, _ := e.solve(comp, conn, k, 0)
+		return root
+	})
 }
 
 // balEngine is the state of one balanced-separator run.
 type balEngine struct {
-	h   *hypergraph.Hypergraph
-	geo *solver // stateless geometry helpers (components, candidates)
-	k   int
+	frame
 	opt BalancedOptions
-	chk *interrupt.Checker // amortized cancellation poll
 
 	maxEdge int // largest hyperedge cardinality, for the b·maxEdge prune
 
-	// memos[b-k] records (component, connector) pairs proven infeasible
-	// at budget b. Only complete failures are recorded — a cap- or
-	// cancellation-truncated search must not plant failure certificates.
-	memos []*cover.FailMemo
-	// wins[b-k] memoizes the witness subtree of (component, connector)
-	// pairs solved at budget b. Unlike failures, a witness is sound to
-	// reuse unconditionally, and per-level keying keeps every hit
-	// byte-identical to a fresh solve.
-	wins []winMemo
-
-	guesses   int64
-	calls     int64 // subproblems entered, for trace sampling
-	capped    bool
-	cancelled bool
-}
-
-// stopped reports (and latches) cancellation.
-func (e *balEngine) stopped() bool {
-	if !e.cancelled && e.chk.Stop() {
-		e.cancelled = true
-	}
-	return e.cancelled
+	// memos[b-k] maps the (component, connector) pairs decided at budget b
+	// to their witness subtree, or to nil for a complete failure. Reusing a
+	// witness is always sound, and per-level keying keeps every hit
+	// byte-identical to a fresh solve; a cut-short search plants no
+	// failures.
+	memos []memo
 }
 
 // guess counts one separator candidate against the budget, reporting
@@ -217,7 +111,7 @@ func (e *balEngine) solve(comp, conn *bitset.Set, budget, depth int) (*node, boo
 	for b := budget; b <= e.k+e.opt.Approx; b++ {
 		n, complete := e.solveAt(comp, conn, b, depth)
 		if n != nil {
-			e.wins[b-e.k].put(comp, conn, n)
+			e.memos[b-e.k].put(comp, conn, n)
 			return n, true
 		}
 		if !complete {
@@ -232,23 +126,14 @@ func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) 
 	if e.stopped() {
 		return nil, false
 	}
-	memo := e.memos[b-e.k]
-	if memo.Failed(comp, conn) {
-		return nil, true
-	}
-	if n := e.wins[b-e.k].get(comp, conn); n != nil {
+	memo := &e.memos[b-e.k]
+	if n, ok := memo.get(comp, conn); ok {
 		return n, true
 	}
-	e.calls++
-	if e.opt.Trace != nil && (depth <= 1 || e.calls&63 == 0) {
-		e.opt.Trace.Instant(e.opt.Track, "balsep.component",
-			telemetry.Arg{Key: "depth", Val: int64(depth)},
-			telemetry.Arg{Key: "edges", Val: int64(comp.Len())},
-			telemetry.Arg{Key: "conn", Val: int64(conn.Len())})
-	}
+	e.sample(comp, conn, depth)
 	e.opt.Stats.Add(telemetry.Nodes, 1)
 
-	compVars := e.geo.componentVars(comp)
+	compVars := e.componentVars(comp)
 	scope := compVars.Clone()
 	scope.UnionWith(conn)
 	// Counting prune: b edges cover at most b·maxEdge vertices, so a
@@ -256,7 +141,7 @@ func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) 
 	// sound, and it doubles as the gate keeping every oracle consultation
 	// below on a target small enough for the exact set-cover solver.
 	if conn.Len() > b*e.maxEdge {
-		memo.MarkFailed(comp, conn)
+		memo.put(comp, conn, nil)
 		return nil, true
 	}
 	if e.opt.Oracle != nil {
@@ -265,7 +150,7 @@ func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) 
 		// The counting prune above bounds |conn| by b·maxEdge, so the solve
 		// stays cheap and memoizable.
 		if !conn.Empty() && e.opt.Oracle.ExactSizeStats(conn, e.opt.Stats) > b {
-			memo.MarkFailed(comp, conn)
+			memo.put(comp, conn, nil)
 			return nil, true
 		}
 	}
@@ -283,7 +168,7 @@ func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) 
 	} else if e.opt.Oracle == nil && comp.Len() <= b {
 		// Legacy base case: the component's own edges as λ.
 		lambda := comp.Slice()
-		cov := e.geo.varsOfEdges(lambda)
+		cov := e.varsOfEdges(lambda)
 		if conn.SubsetOf(cov) {
 			chi := cov.Clone()
 			chi.IntersectWith(scope)
@@ -293,14 +178,14 @@ func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) 
 		// cover its connector.
 	}
 
-	candidates := e.geo.candidateEdges(comp, conn, compVars)
+	candidates := e.candidateEdges(comp, conn, compVars)
 	if comp.Len() <= smallComponent {
 		// Hybrid fallback: det-k order on small components — first
 		// feasible separator in sorted edge order, no balance scoring.
 		// Shares the budget memo and the guess cap.
 		n, complete := e.enumerate(comp, conn, compVars, candidates, b, depth, sepAll)
 		if n == nil && complete {
-			memo.MarkFailed(comp, conn)
+			memo.put(comp, conn, nil)
 		}
 		return n, complete
 	}
@@ -320,7 +205,7 @@ func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) 
 	}
 	complete := balComplete && unbComplete
 	if complete {
-		memo.MarkFailed(comp, conn)
+		memo.put(comp, conn, nil)
 	}
 	return nil, complete
 }
@@ -359,9 +244,9 @@ func (e *balEngine) enumerate(comp, conn, compVars *bitset.Set, cand []int, b, d
 				complete = false
 				return true
 			}
-			sepVars := e.geo.varsOfEdges(lambda)
+			sepVars := e.varsOfEdges(lambda)
 			if conn.SubsetOf(sepVars) {
-				comps := e.geo.components(comp, sepVars)
+				comps := e.components(comp, sepVars)
 				progress, worst := true, 0
 				for _, c := range comps {
 					l := c.edges.Len()
@@ -459,90 +344,4 @@ func (e *balEngine) trySep(comp, conn, compVars *bitset.Set, lambda []int, sepVa
 		n.children[i] = child
 	}
 	return n, true
-}
-
-// componentVars returns the union of the component's edge variables.
-func (s *solver) componentVars(comp *bitset.Set) *bitset.Set {
-	vars := bitset.New(s.h.NumVertices())
-	comp.ForEach(func(e int) bool {
-		vars.UnionWith(s.h.EdgeSet(e))
-		return true
-	})
-	return vars
-}
-
-// candidateEdges lists the edges eligible as separator members.
-func (s *solver) candidateEdges(comp, conn, compVars *bitset.Set) []int {
-	seen := map[int]bool{}
-	var out []int
-	add := func(e int) {
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	comp.ForEach(func(e int) bool { add(e); return true })
-	union := compVars.Clone()
-	union.UnionWith(conn)
-	union.ForEach(func(v int) bool {
-		for _, e := range s.h.IncidentEdges(v) {
-			add(e)
-		}
-		return true
-	})
-	sort.Ints(out)
-	return out
-}
-
-// maxWinEntries bounds the witness memo. Dropping an entry only costs
-// re-deriving the same subtree, never correctness or determinism (a fresh
-// solve of the key is byte-identical to the dropped witness).
-const maxWinEntries = 1 << 17
-
-// winMemo memoizes successful subproblem solutions: (component, connector)
-// → the witness subtree found at one budget level. The failure memo alone
-// leaves the engine re-deriving the same small subtrees at every parent
-// separator trial — the dominant cost on chain-like instances, where the
-// same single-edge tails reappear under thousands of candidate separators.
-// Entries are interned clones with Equal-verified hash chains, mirroring
-// cover.FailMemo.
-type winMemo struct {
-	m map[uint64]*winEntry
-	n int
-}
-
-type winEntry struct {
-	comp *bitset.Set
-	conn *bitset.Set
-	node *node
-	next *winEntry
-}
-
-func winPairHash(comp, conn *bitset.Set) uint64 {
-	return comp.Hash()*0x9e3779b97f4a7c15 ^ conn.Hash()
-}
-
-func (m *winMemo) get(comp, conn *bitset.Set) *node {
-	for e := m.m[winPairHash(comp, conn)]; e != nil; e = e.next {
-		if e.comp.Equal(comp) && e.conn.Equal(conn) {
-			return e.node
-		}
-	}
-	return nil
-}
-
-func (m *winMemo) put(comp, conn *bitset.Set, n *node) {
-	if m.get(comp, conn) != nil {
-		return
-	}
-	if m.m == nil || m.n >= maxWinEntries {
-		// Cheap pressure valve: drop everything rather than tracking
-		// recency. Re-derivation is deterministic, so this is purely a
-		// time/space trade.
-		m.m = make(map[uint64]*winEntry)
-		m.n = 0
-	}
-	hash := winPairHash(comp, conn)
-	m.m[hash] = &winEntry{comp: comp.Clone(), conn: conn.Clone(), node: n, next: m.m[hash]}
-	m.n++
 }

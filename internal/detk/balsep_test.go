@@ -17,6 +17,16 @@ import (
 	"hypertree/internal/hypergraph"
 )
 
+// balanced runs the balanced engine at budget k under no deadline.
+func balanced(t *testing.T, h *hypergraph.Hypergraph, k int, opt BalancedOptions) Result {
+	t.Helper()
+	r, err := DecomposeBalanced(context.Background(), h, k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestBalancedOnKnownFamilies(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,11 +40,12 @@ func TestBalancedOnKnownFamilies(t *testing.T) {
 		{"cycle_9", hypergraph.FromGraph(gen.Cycle(9)), 2},
 	}
 	for _, c := range cases {
-		d, ok, complete := DecomposeBalanced(c.h, c.k, BalancedOptions{})
-		if !ok {
+		r := balanced(t, c.h, c.k, BalancedOptions{})
+		d := r.Decomposition
+		if d == nil {
 			t.Fatalf("%s: balanced decomposer failed at k=%d", c.name, c.k)
 		}
-		if !complete {
+		if !r.Complete {
 			t.Fatalf("%s: uncapped run reported incomplete", c.name)
 		}
 		if err := d.ValidateGHD(); err != nil {
@@ -53,11 +64,11 @@ func TestBalancedRejectsBelowWidth(t *testing.T) {
 	// It must never fabricate a decomposition below the true width, and an
 	// unbounded failure is a completeness proof.
 	h := gen.CliqueHypergraph(8) // ghw = hw = 4
-	_, ok, complete := DecomposeBalanced(h, 3, BalancedOptions{})
-	if ok {
+	r := balanced(t, h, 3, BalancedOptions{})
+	if r.Decomposition != nil {
 		t.Fatal("balanced decomposer claimed width 3 on K8")
 	}
-	if !complete {
+	if !r.Complete {
 		t.Fatal("unbounded failure must be a completeness proof")
 	}
 }
@@ -68,21 +79,21 @@ func TestBalancedRejectsBelowWidth(t *testing.T) {
 // could trip over.
 func TestBalancedCapReportsIncomplete(t *testing.T) {
 	h := hypergraph.FromGraph(gen.Grid2D(5, 5)) // feasible, but not within 2 guesses
-	d, ok, complete := DecomposeBalanced(h, 3, BalancedOptions{MaxGuesses: 2})
-	if ok {
-		if err := d.ValidateGHD(); err != nil {
+	r := balanced(t, h, 3, BalancedOptions{MaxGuesses: 2})
+	if r.Decomposition != nil {
+		if err := r.Decomposition.ValidateGHD(); err != nil {
 			t.Fatal(err)
 		}
 		t.Skip("instance solved within the cap; cannot exercise truncation")
 	}
-	if complete {
+	if r.Complete {
 		t.Fatal("cap-truncated failure claimed to be a proof of infeasibility")
 	}
 
 	// Genuine infeasibility at the same budget keeps reporting complete.
-	_, ok, complete = DecomposeBalanced(gen.CliqueHypergraph(6), 2, BalancedOptions{})
-	if ok || !complete {
-		t.Fatalf("K6 at k=2: ok=%v complete=%v, want infeasible+complete", ok, complete)
+	r = balanced(t, gen.CliqueHypergraph(6), 2, BalancedOptions{})
+	if r.Decomposition != nil || !r.Complete {
+		t.Fatalf("K6 at k=2: found=%v complete=%v, want infeasible+complete", r.Decomposition != nil, r.Complete)
 	}
 }
 
@@ -91,8 +102,8 @@ func TestBalancedCapReportsIncomplete(t *testing.T) {
 // the slack it spent; a complete failure must cover the whole slack range.
 func TestBalancedApproxSlack(t *testing.T) {
 	h := gen.CliqueHypergraph(8) // hw = 4
-	r := DecomposeBalancedCtx(context.Background(), h, 2, BalancedOptions{Approx: 2})
-	if !r.Found {
+	r := balanced(t, h, 2, BalancedOptions{Approx: 2})
+	if r.Decomposition == nil {
 		t.Fatal("approx slack 2 from k=2 must reach the feasible width 4")
 	}
 	if err := r.Decomposition.ValidateGHD(); err != nil {
@@ -108,9 +119,9 @@ func TestBalancedApproxSlack(t *testing.T) {
 		t.Fatalf("SlackUsed=%d, width=%d, k=2", r.SlackUsed, r.Decomposition.GHWidth())
 	}
 
-	r = DecomposeBalancedCtx(context.Background(), h, 2, BalancedOptions{Approx: 1})
-	if r.Found || !r.Complete {
-		t.Fatalf("K8 at k=2+1 slack: found=%v complete=%v, want a complete failure", r.Found, r.Complete)
+	r = balanced(t, h, 2, BalancedOptions{Approx: 1})
+	if r.Decomposition != nil || !r.Complete {
+		t.Fatalf("K8 at k=2+1 slack: found=%v complete=%v, want a complete failure", r.Decomposition != nil, r.Complete)
 	}
 }
 
@@ -120,10 +131,11 @@ func TestBalancedApproxSlack(t *testing.T) {
 func TestBalancedWithOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		h := gen.RandomHypergraph(10, 8, 3, seed)
-		hw, _ := Width(h, 0, Options{})
+		hw, _ := width(t, h, 0, Options{})
 		orc := cover.New(h, cover.Options{})
-		d, ok, complete := DecomposeBalanced(h, hw, BalancedOptions{Oracle: orc})
-		if !ok || !complete {
+		r := balanced(t, h, hw, BalancedOptions{Oracle: orc})
+		d := r.Decomposition
+		if d == nil || !r.Complete {
 			t.Fatalf("seed %d: oracle run failed at hw=%d", seed, hw)
 		}
 		if err := d.ValidateGHD(); err != nil {
@@ -132,8 +144,8 @@ func TestBalancedWithOracle(t *testing.T) {
 		if !CheckSpecial(d) {
 			t.Fatalf("seed %d: descendant condition violated", seed)
 		}
-		if _, ok, complete := DecomposeBalanced(h, hw-1, BalancedOptions{Oracle: orc}); ok || !complete {
-			t.Fatalf("seed %d: below-width run ok=%v complete=%v", seed, ok, complete)
+		if r := balanced(t, h, hw-1, BalancedOptions{Oracle: orc}); r.Decomposition != nil || !r.Complete {
+			t.Fatalf("seed %d: below-width run found=%v complete=%v", seed, r.Decomposition != nil, r.Complete)
 		}
 		if c := orc.Counters(); c.Hits+c.Misses == 0 {
 			t.Fatalf("seed %d: oracle never consulted", seed)
@@ -145,8 +157,8 @@ func TestBalancedWithOracle(t *testing.T) {
 // long chains.
 func TestBalancedDepthOnChains(t *testing.T) {
 	h := gen.Chain(32, 4, 2)
-	bal, ok, _ := DecomposeBalanced(h, 2, BalancedOptions{})
-	if !ok {
+	bal := balanced(t, h, 2, BalancedOptions{}).Decomposition
+	if bal == nil {
 		t.Fatal("balanced failed on chain")
 	}
 	if got := maxDepth(bal.Root, 0); got > 14 {
@@ -159,9 +171,10 @@ func TestBalancedDepthOnChains(t *testing.T) {
 func TestBalancedRandomAgainstExact(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		h := gen.RandomHypergraph(9, 7, 3, seed)
-		hw, _ := Width(h, 0, Options{})
-		d, ok, complete := DecomposeBalanced(h, hw, BalancedOptions{Seed: seed})
-		if !ok || !complete {
+		hw, _ := width(t, h, 0, Options{})
+		r := balanced(t, h, hw, BalancedOptions{Seed: seed})
+		d := r.Decomposition
+		if d == nil || !r.Complete {
 			t.Fatalf("seed %d: balanced failed at exact width %d", seed, hw)
 		}
 		if err := d.ValidateGHD(); err != nil {
@@ -174,8 +187,8 @@ func TestBalancedRandomAgainstExact(t *testing.T) {
 			t.Fatalf("seed %d: width %d > hw %d", seed, d.GHWidth(), hw)
 		}
 		if hw > 1 {
-			if _, ok, complete := DecomposeBalanced(h, hw-1, BalancedOptions{Seed: seed}); ok || !complete {
-				t.Fatalf("seed %d: hw-1 run ok=%v complete=%v", seed, ok, complete)
+			if r := balanced(t, h, hw-1, BalancedOptions{Seed: seed}); r.Decomposition != nil || !r.Complete {
+				t.Fatalf("seed %d: hw-1 run found=%v complete=%v", seed, r.Decomposition != nil, r.Complete)
 			}
 		}
 	}
@@ -217,7 +230,7 @@ func TestBalancedGolden(t *testing.T) {
 	}
 	var runs []run
 	for _, in := range inputs {
-		hw, _ := Width(in.h, 0, Options{})
+		hw, _ := width(t, in.h, 0, Options{})
 		for _, k := range []int{hw, hw - 1} {
 			if k >= 1 {
 				runs = append(runs, run{in, k, 0})
@@ -235,9 +248,10 @@ func TestBalancedGolden(t *testing.T) {
 				opt.Oracle = cover.New(r.in.h, cover.Options{})
 				mode = "on"
 			}
-			res := DecomposeBalancedCtx(context.Background(), r.in.h, r.k, opt)
+			res := balanced(t, r.in.h, r.k, opt)
+			found := res.Decomposition != nil
 			width, digest := 0, "-"
-			if res.Found {
+			if found {
 				var buf bytes.Buffer
 				if err := res.Decomposition.WriteTD(&buf); err != nil {
 					t.Fatal(err)
@@ -246,7 +260,7 @@ func TestBalancedGolden(t *testing.T) {
 				digest = fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
 			}
 			got = append(got, fmt.Sprintf("%s k=%d approx=%d oracle=%s found=%v complete=%v guesses=%d width=%d td=%s",
-				r.in.name, r.k, r.approx, mode, res.Found, res.Complete, res.Guesses, width, digest))
+				r.in.name, r.k, r.approx, mode, found, res.Complete, res.Guesses, width, digest))
 		}
 	}
 	text := strings.Join(got, "\n") + "\n"

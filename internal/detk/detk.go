@@ -1,37 +1,42 @@
-// Package detk implements det-k-decomp, the deterministic backtracking
-// algorithm for hypertree decompositions of width ≤ k (Gottlob, Leone,
-// Scarcello; the algorithm behind the original detkdecomp tool and the
-// centrepiece of the "Hypertree Decompositions: Questions and Answers"
-// survey).
+// Package detk decides hw(H) ≤ k, the survey's central tractability
+// result: polynomial for fixed k, unlike ghw. Hypertree decompositions
+// strengthen generalized hypertree decompositions with the descendant
+// ("special") condition: for every node p, var(λ(p)) ∩ χ(T_p) ⊆ χ(p).
 //
-// Hypertree decompositions strengthen generalized hypertree decompositions
-// with the descendant ("special") condition: for every node p,
-// var(λ(p)) ∩ χ(T_p) ⊆ χ(p). Deciding hw(H) ≤ k is polynomial for fixed k
-// (unlike ghw). det-k-decomp searches top-down: pick a λ-separator of at
-// most k hyperedges covering the connector vertices, split the remaining
-// hyperedges into [λ]-components, recurse on each. Failed
-// (component, connector) pairs are memoised.
+// Two engines decide it, top-down: pick a λ-separator of at most k
+// hyperedges covering the connector vertices, split the remaining
+// hyperedges into [λ]-components, recurse on each.
+//
+//   - Decompose is det-k-decomp (Gottlob, Leone, Scarcello; the algorithm
+//     behind the original detkdecomp tool), which tries separators in edge
+//     order. It is the independent reference the balanced engine is
+//     checked against.
+//   - DecomposeBalanced is the BalancedGo-style engine behind MethodBalSep
+//     (balsep.go), which tries balanced separators first.
+//
+// Both share one memo of (component, connector) verdicts, one Result and
+// one run frame (frame.go). Width searches k = 0, 1, … with det-k.
 package detk
 
 import (
 	"context"
 
 	"hypertree/internal/bitset"
-	"hypertree/internal/cover"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
-	"hypertree/internal/interrupt"
 	"hypertree/internal/telemetry"
 )
 
-// Options bounds the search.
+// Options bounds the det-k search.
 type Options struct {
 	// MaxGuesses bounds the number of separator guesses (0 = unbounded).
+	// When the cap trips the result reports Complete=false.
 	MaxGuesses int64
-	// Trace, when non-nil, receives sampled "detk.component" instants on
-	// the Track timeline: every component recursion at depth ≤ 1 and every
-	// 64th deeper one, annotated with depth, component size, and connector
-	// size. Attaching a trace never changes the decomposition.
+	// Trace, when non-nil, receives a "detk.decompose" span and sampled
+	// "detk.component" instants on the Track timeline: every component
+	// recursion at depth ≤ 1 and every 64th deeper one, annotated with
+	// depth, component size, and connector size. Attaching a trace never
+	// changes the decomposition.
 	Trace *telemetry.Trace
 	// Track is the trace timeline the events are emitted on.
 	Track int
@@ -42,118 +47,49 @@ type Options struct {
 	Stats *telemetry.Stats
 }
 
-// Decompose returns a hypertree decomposition of h of width ≤ k, or
-// (nil, false) when none exists. The result, when non-nil, satisfies the
-// three GHD conditions plus the descendant condition (CheckSpecial).
-func Decompose(h *hypergraph.Hypergraph, k int, opt Options) (*decomp.Decomposition, bool) {
-	d, ok, _ := DecomposeCtx(context.Background(), h, k, opt)
-	return d, ok
+// Decompose runs det-k-decomp at budget k: it returns a hypertree
+// decomposition of width ≤ k, or none, which proves hw(H) > k when the
+// result is Complete. Cancellation or a deadline aborts the search at the
+// next poll and returns the context error; a cut-short search never plants
+// failures in its memo.
+func Decompose(ctx context.Context, h *hypergraph.Hypergraph, k int, opt Options) (Result, error) {
+	s := &solver{frame: newFrame(ctx, h, k, "detk", 256, opt.Trace, opt.Track), maxGuesses: opt.MaxGuesses}
+	return s.run(ctx, opt.Stats, func(comp, conn *bitset.Set) *node {
+		return s.decompose(comp, conn, 0)
+	})
 }
 
-// DecomposeCtx is Decompose under a context: cancellation or a deadline
-// aborts the search at the next poll and returns the context error. A
-// cancelled search never plants failure certificates in its memo and
-// never reports a definitive (nil, false).
-func DecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, opt Options) (*decomp.Decomposition, bool, error) {
-	if k < 1 {
-		return nil, false, nil
-	}
-	mark := opt.Stats.MarkPhase()
-	defer opt.Stats.AttributeSince(telemetry.PhaseBranch, mark)
-	s := &solver{
-		h:    h,
-		k:    k,
-		memo: cover.NewFailMemo(0),
-		chk:  interrupt.New(ctx, 256),
-		opt:  opt,
-	}
-	allEdges := bitset.New(h.NumEdges())
-	for e := 0; e < h.NumEdges(); e++ {
-		allEdges.Add(e)
-	}
-	if opt.Trace != nil {
-		opt.Trace.Begin(opt.Track, "detk.decompose",
-			telemetry.Arg{Key: "k", Val: int64(k)})
-	}
-	root := s.decompose(allEdges, bitset.New(h.NumVertices()), 0)
-	if opt.Trace != nil {
-		found := int64(0)
-		if root != nil {
-			found = 1
-		}
-		opt.Trace.End(opt.Track, "detk.decompose",
-			telemetry.Arg{Key: "found", Val: found},
-			telemetry.Arg{Key: "guesses", Val: s.guesses})
-	}
-	if root == nil {
-		if s.cancelled {
-			return nil, false, interrupt.Cause(ctx)
-		}
-		return nil, false, nil
-	}
-	d := decomp.New(h)
-	attach(d, root, nil)
-	d.Complete()
-	return d, true, nil
-}
-
-// Width returns the exact hypertree width of h by trying k = 1, 2, … and
-// the witnessing decomposition. maxK caps the search (≤ 0 means |edges|).
-func Width(h *hypergraph.Hypergraph, maxK int, opt Options) (int, *decomp.Decomposition) {
-	w, d, _ := WidthCtx(context.Background(), h, maxK, opt)
-	return w, d
-}
-
-// WidthCtx is Width under a context; it returns the context error when
-// cancellation struck before the width was decided.
-func WidthCtx(ctx context.Context, h *hypergraph.Hypergraph, maxK int, opt Options) (int, *decomp.Decomposition, error) {
+// Width returns the exact hypertree width of h, trying k = 0, 1, … with
+// det-k-decomp, and the witnessing decomposition. maxK caps the search
+// (≤ 0 means |edges|); width −1 means hw(H) > maxK, or, under a guess cap,
+// that the first level the cap cut short left the width undecided. It
+// returns the context error when cancellation struck before the width was
+// decided.
+func Width(ctx context.Context, h *hypergraph.Hypergraph, maxK int, opt Options) (int, *decomp.Decomposition, error) {
 	if maxK <= 0 {
 		maxK = h.NumEdges()
 	}
-	for k := 1; k <= maxK; k++ {
-		d, ok, err := DecomposeCtx(ctx, h, k, opt)
+	for k := 0; k <= maxK; k++ {
+		r, err := Decompose(ctx, h, k, opt)
 		if err != nil {
 			return -1, nil, err
 		}
-		if ok {
-			return k, d, nil
+		if r.Decomposition != nil {
+			return k, r.Decomposition, nil
+		}
+		if !r.Complete {
+			return -1, nil, nil
 		}
 	}
 	return -1, nil, nil
 }
 
-// node is the search-internal decomposition node.
-type node struct {
-	lambda   []int
-	chi      *bitset.Set
-	children []*node
-}
-
-func attach(d *decomp.Decomposition, n *node, parent *decomp.Node) {
-	dn := d.AddNode(n.chi, parent)
-	dn.Lambda = append([]int(nil), n.lambda...)
-	for _, c := range n.children {
-		attach(d, c, dn)
-	}
-}
-
 type solver struct {
-	h *hypergraph.Hypergraph
-	k int
-	// memo records (component, connector) pairs proven infeasible at this
-	// k. Keys are hashed interned bitsets (no string materialization); the
-	// memo is scoped to one Decompose call because failure certificates are
-	// k-dependent.
-	memo    *cover.FailMemo
-	chk     *interrupt.Checker
-	guesses int64
-	calls   int64 // component recursions, for trace sampling
-	// truncated latches when the guess cap or cancellation cut enumeration
-	// short: from then on failures are not proofs and must stay out of the
-	// memo (an unsound certificate could hide a real decomposition).
-	truncated bool
-	cancelled bool
-	opt       Options
+	frame
+	maxGuesses int64
+	// memo records the (component, connector) pairs proven infeasible: det-k
+	// stores failures only, so every entry is one.
+	memo memo
 }
 
 // decompose finds a hypertree for the hyperedges in comp whose root node
@@ -161,16 +97,8 @@ type solver struct {
 // depth is the recursion depth, used only for trace sampling. Returns nil
 // on failure.
 func (s *solver) decompose(comp *bitset.Set, conn *bitset.Set, depth int) *node {
-	// Shallow recursions (the interesting decomposition structure) always
-	// trace; deep ones are sampled so a thrashing search cannot flood the
-	// ring.
-	if s.calls++; s.opt.Trace != nil && (depth <= 1 || s.calls&63 == 0) {
-		s.opt.Trace.Instant(s.opt.Track, "detk.component",
-			telemetry.Arg{Key: "depth", Val: int64(depth)},
-			telemetry.Arg{Key: "edges", Val: int64(comp.Len())},
-			telemetry.Arg{Key: "conn", Val: int64(conn.Len())})
-	}
-	if s.memo.Failed(comp, conn) {
+	s.sample(comp, conn, depth)
+	if _, failed := s.memo.get(comp, conn); failed {
 		return nil
 	}
 
@@ -197,8 +125,8 @@ func (s *solver) decompose(comp *bitset.Set, conn *bitset.Set, depth int) *node 
 
 	var lambda []int
 	res := s.searchSeparator(comp, conn, compVars, candidates, 0, lambda, depth)
-	if res == nil && !s.truncated {
-		s.memo.MarkFailed(comp, conn)
+	if res == nil && !s.cut() {
+		s.memo.put(comp, conn, nil)
 	}
 	return res
 }
@@ -207,13 +135,11 @@ func (s *solver) decompose(comp *bitset.Set, conn *bitset.Set, depth int) *node 
 // requiring each chosen edge to contribute (cover a yet-uncovered conn
 // vertex or intersect the component).
 func (s *solver) searchSeparator(comp, conn, compVars *bitset.Set, candidates []int, from int, lambda []int, depth int) *node {
-	if s.opt.MaxGuesses > 0 && s.guesses > s.opt.MaxGuesses {
-		s.truncated = true
+	if s.maxGuesses > 0 && s.guesses > s.maxGuesses {
+		s.capped = true
 		return nil
 	}
-	if s.chk != nil && s.chk.Stop() {
-		s.truncated = true
-		s.cancelled = true
+	if s.stopped() {
 		return nil
 	}
 	if len(lambda) > 0 {
@@ -280,61 +206,6 @@ func (s *solver) trySeparator(comp, conn, compVars *bitset.Set, lambda []int, se
 		n.children = append(n.children, child)
 	}
 	return n
-}
-
-type component struct {
-	edges *bitset.Set
-	vars  *bitset.Set
-}
-
-// components partitions the not-fully-covered edges of comp into
-// [sepVars]-connected components.
-func (s *solver) components(comp, sepVars *bitset.Set) []component {
-	var open []int
-	comp.ForEach(func(e int) bool {
-		if !s.h.EdgeSet(e).SubsetOf(sepVars) {
-			open = append(open, e)
-		}
-		return true
-	})
-	assigned := make(map[int]bool, len(open))
-	var out []component
-	for _, start := range open {
-		if assigned[start] {
-			continue
-		}
-		edges := bitset.New(s.h.NumEdges())
-		vars := bitset.New(s.h.NumVertices())
-		stack := []int{start}
-		assigned[start] = true
-		for len(stack) > 0 {
-			e := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			edges.Add(e)
-			free := s.h.EdgeSet(e).Clone()
-			free.DifferenceWith(sepVars)
-			vars.UnionWith(s.h.EdgeSet(e))
-			free.ForEach(func(v int) bool {
-				for _, f := range s.h.IncidentEdges(v) {
-					if !assigned[f] && comp.Contains(f) {
-						assigned[f] = true
-						stack = append(stack, f)
-					}
-				}
-				return true
-			})
-		}
-		out = append(out, component{edges: edges, vars: vars})
-	}
-	return out
-}
-
-func (s *solver) varsOfEdges(edges []int) *bitset.Set {
-	vars := bitset.New(s.h.NumVertices())
-	for _, e := range edges {
-		vars.UnionWith(s.h.EdgeSet(e))
-	}
-	return vars
 }
 
 // CheckSpecial verifies the descendant condition of hypertree

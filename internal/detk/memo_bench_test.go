@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"hypertree/internal/bitset"
-	"hypertree/internal/cover"
 )
 
 // memoPairs builds deterministic pseudo-random (component, connector)
-// pairs shaped like det-k-decomp subproblems, with repeats so both memo
-// implementations see hits as well as inserts.
+// pairs shaped like det-k-decomp subproblems, with repeats so the memo
+// sees hits as well as inserts.
 func memoPairs(count int, seed int64) [][2]*bitset.Set {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][2]*bitset.Set, 0, count)
@@ -37,22 +36,16 @@ func memoPairs(count int, seed int64) [][2]*bitset.Set {
 	return out
 }
 
-// The two benchmarks below compare the solver's failure memo before and
-// after the cover.FailMemo refactor on the operation that dominates:
-// probing. decompose() consults the memo on every subproblem entry, while
-// marks happen only once per proven-infeasible pair, so the steady state
-// is lookups against a populated memo. The string-key scheme must
-// materialize comp.Key()+"|"+conn.Key() on every probe; the hashed scheme
-// hashes both bitsets in place and allocates nothing.
-
-// BenchmarkMemoStringKeys is the pre-refactor scheme: string keys into a
-// map[string]bool.
-func BenchmarkMemoStringKeys(b *testing.B) {
+// BenchmarkMemoHit probes a populated memo, the operation that dominates
+// its use: every subproblem entry probes it, while an entry is put only
+// once per decided pair. Keys are hashed in place, so a probe allocates
+// nothing.
+func BenchmarkMemoHit(b *testing.B) {
 	pairs := memoPairs(256, 42)
-	failed := make(map[string]bool)
+	var m memo
 	for i, p := range pairs {
 		if i%2 == 0 {
-			failed[p[0].Key()+"|"+p[1].Key()] = true
+			m.put(p[0], p[1], nil)
 		}
 	}
 	b.ReportAllocs()
@@ -60,29 +53,7 @@ func BenchmarkMemoStringKeys(b *testing.B) {
 	hits := 0
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		if failed[p[0].Key()+"|"+p[1].Key()] {
-			hits++
-		}
-	}
-	_ = hits
-}
-
-// BenchmarkMemoHashedBitsets is the replacement: hashed interned bitset
-// pairs in cover.FailMemo.
-func BenchmarkMemoHashedBitsets(b *testing.B) {
-	pairs := memoPairs(256, 42)
-	memo := cover.NewFailMemo(0)
-	for i, p := range pairs {
-		if i%2 == 0 {
-			memo.MarkFailed(p[0], p[1])
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if memo.Failed(p[0], p[1]) {
+		if _, ok := m.get(p[0], p[1]); ok {
 			hits++
 		}
 	}

@@ -165,6 +165,20 @@ func TestTableS1WidthChain(t *testing.T) {
 	}
 }
 
+// Under Full, det-k's k = 6 level on clique_12 (hw 6) hits the guess cap.
+// A level cut short leaves hw open: the cell reads "?" (or 6), never a
+// larger width read off a later level.
+func TestTableS1CappedLevelOpen(t *testing.T) {
+	tbl := TableS1(Config{Seed: 1, Full: true})
+	got, ok := cell(tbl, "clique_12", "hw")
+	if !ok {
+		t.Fatal("row clique_12 missing")
+	}
+	if got != "?" && got != "6" {
+		t.Fatalf("clique_12: hw cell %q, want ? or 6", got)
+	}
+}
+
 // Table 9.2 consistency: where both are exact, widths agree.
 func TestTable9_2Consistency(t *testing.T) {
 	tbl := Table9_2(quickCfg())

@@ -63,10 +63,22 @@ func TableS1(cfg Config) *Table {
 			ghwStr = "?≤" + ghwStr
 		}
 
+		// hw ≥ ghw, so det-k's levels start at the exact ghw. A level the
+		// guess cap cuts short leaves hw open.
 		hwStr := "?"
-		maxK := ghw.Width + 2
-		if w, _ := detk.Width(h, maxK, detk.Options{MaxGuesses: 200_000}); w > 0 {
-			hwStr = itoa(w)
+		k := 0
+		if ghw.Exact {
+			k = ghw.Width
+		}
+		for ; k <= ghw.Width+2; k++ {
+			// Without a deadline det-k returns no error.
+			r, _ := detk.Decompose(context.Background(), h, k, detk.Options{MaxGuesses: 200_000})
+			if r.Decomposition != nil {
+				hwStr = itoa(k)
+			}
+			if r.Decomposition != nil || !r.Complete {
+				break
+			}
 		}
 
 		tw := bb.Search(context.Background(), search.Treewidth(h.PrimalGraph()), search.Options{MaxNodes: cfg.twNodes(), Seed: cfg.Seed})

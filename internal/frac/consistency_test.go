@@ -129,7 +129,7 @@ func TestWidthSandwich(t *testing.T) {
 		if !ghw.Exact {
 			t.Fatalf("seed %d: BB-ghw not exact on 7 vertices", seed)
 		}
-		hw, _ := detk.Width(h, 0, detk.Options{})
+		hw, _, _ := detk.Width(context.Background(), h, 0, detk.Options{})
 		if fhw > float64(ghw.Width)+1e-6 {
 			t.Errorf("seed %d: fhw %v > ghw %d", seed, fhw, ghw.Width)
 		}
