@@ -11,8 +11,9 @@ import (
 
 // ExampleDecomposeCtx bounds a decomposition by a wall-clock deadline: the
 // best incumbent found within the budget is returned, already validated.
-// MethodPortfolio races min-fill, branch & bound, A* and the genetic
-// algorithm concurrently; the first proven-optimal answer cancels the rest.
+// MethodPortfolio races min-fill, branch & bound and A* concurrently, and
+// starts the genetic algorithm and balsep only if those have not proven
+// the optimum within a short grace; the proving worker cancels the rest.
 func ExampleDecomposeCtx() {
 	h, _ := htd.ParseHypergraph(strings.NewReader("a(x,y), b(y,z), c(z,x)."))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)

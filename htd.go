@@ -25,10 +25,13 @@
 // Exact=false, together with the strongest lower bound proven; only when
 // cancellation strikes before any incumbent exists is the context error
 // returned. MethodPortfolio races a configurable method set concurrently
-// (Options.Portfolio, Options.Jobs) and cancels the stragglers as soon as
-// an exact answer lands. The winning width is deterministic for a fixed
-// Seed: smallest width first, ties preferring exact results and then the
-// earlier portfolio slot.
+// (Options.Portfolio, Options.Jobs). The proving seats (min-fill and the
+// exact searches) start first; those that can only improve an incumbent
+// (GA, SAIGA, fhw, balsep) wait until every proving seat has returned
+// without a proof, or for a 50ms grace. The worker that proves the optimum cancels the race
+// itself, so nothing starts after a proof. The winning width is
+// deterministic for a fixed Seed: smallest width first, ties preferring
+// exact results and then the earlier portfolio slot.
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 //	defer cancel()
@@ -138,7 +141,9 @@ const (
 	MethodAStar
 	// MethodPortfolio races several methods concurrently (Options.Portfolio,
 	// or the per-problem default portfolio when empty) and returns the best
-	// answer; the first exact result cancels the rest. Combine with
+	// answer. GA, SAIGA, fhw and balsep seats start only once the other
+	// seats have returned without a proof, or after a 50ms grace; the
+	// worker whose result is exact cancels the rest. Combine with
 	// DecomposeCtx / GHWCtx / TreewidthCtx and a deadline for anytime
 	// behaviour.
 	MethodPortfolio
@@ -159,20 +164,23 @@ const (
 )
 
 // methods declares every method once, indexed by Method: the name the CLI
-// tools and Method.String use, and whether only ghw has it (fhw and balsep
-// search no treewidth).
+// tools and Method.String use, whether only ghw has it (fhw and balsep
+// search no treewidth), and whether a portfolio holds its seat back until
+// the proving seats have had their turn (the seats that, on the instances
+// the exact searches close, can only improve an incumbent; see portfolio).
 var methods = [...]struct {
 	name    string
 	ghwOnly bool
+	held    bool
 }{
-	MethodMinFill:   {"minfill", false},
-	MethodGA:        {"ga", false},
-	MethodSAIGA:     {"saiga", false},
-	MethodBB:        {"bb", false},
-	MethodAStar:     {"astar", false},
-	MethodPortfolio: {"portfolio", false},
-	MethodFHW:       {"fhw", true},
-	MethodBalSep:    {"balsep", true},
+	MethodMinFill:   {"minfill", false, false},
+	MethodGA:        {"ga", false, true},
+	MethodSAIGA:     {"saiga", false, true},
+	MethodBB:        {"bb", false, false},
+	MethodAStar:     {"astar", false, false},
+	MethodPortfolio: {"portfolio", false, false},
+	MethodFHW:       {"fhw", true, true},
+	MethodBalSep:    {"balsep", true, true},
 }
 
 // MethodNames lists the method names in declaration order, joined by "|"
@@ -218,6 +226,10 @@ func (m Method) check(ms search.Measure) error {
 	return nil
 }
 
+// held reports whether a portfolio holds m's seat back until its proving
+// seats have had their turn.
+func (m Method) held() bool { return methods[m].held }
+
 // Options configures Decompose and the width functions.
 type Options struct {
 	// Method selects the algorithm; MethodMinFill by default.
@@ -237,11 +249,11 @@ type Options struct {
 	Portfolio []Method
 	// Jobs caps how many portfolio workers run concurrently (≤ 0 = one per
 	// method). Queued workers that a deadline or an exact answer overtakes
-	// never start. Jobs=1 runs the methods sequentially in slot order,
-	// which makes the whole portfolio result — witness ordering included —
-	// reproducible for a fixed Seed, except Result.Nodes: the slot after an
-	// exact one may expand a few nodes before the cancellation reaches it.
-	// MethodBalSep is one sequential search and ignores Jobs.
+	// never start. Jobs=1 runs the methods sequentially, the proving seats
+	// in slot order and then the held ones (see MethodPortfolio), which
+	// makes the whole portfolio result — witness ordering and Nodes
+	// included — reproducible for a fixed Seed. MethodBalSep is one
+	// sequential search and ignores Jobs.
 	Jobs int
 	// Approx is MethodBalSep's width slack (the CLI's -approx N): each
 	// deepening level k may spend up to k+Approx separator edges before

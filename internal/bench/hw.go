@@ -56,7 +56,10 @@ func RunHW(cfg Config) Report {
 		cancel()
 		wall := time.Since(start)
 		ms.Stop()
-		fill(&rec, htd.Result{Width: w, Exact: err == nil}, err, wall, st)
+		// A det-k run that ends without an error has decided hw(H): w is
+		// proven from both sides, so the record keeps Exact ⇒ LowerBound ==
+		// Width like every other.
+		fill(&rec, htd.Result{Width: w, LowerBound: w, Exact: true}, err, wall, st)
 		rep.Records = append(rep.Records, rec)
 		progress(cfg.Log, rec)
 

@@ -64,6 +64,7 @@ const (
 	CQDeltaApplyNs
 	FirstIncumbentNs
 	FracBoundMargin
+	PortfolioExactToReturnNs
 	numHists
 )
 
@@ -147,6 +148,7 @@ var table = [...]metric{
 	latency(CQDeltaApplyNs, "cq_delta_apply_ns", "Standing-query delta apply latency.", func(s *Snapshot) *HistSnapshot { return &s.CQDeltaApplyNs }),
 	latency(FirstIncumbentNs, "first_incumbent_ns", "Time to first incumbent per portfolio worker.", func(s *Snapshot) *HistSnapshot { return &s.FirstIncumbentNs }),
 	{name: "frac_bound_margin", help: "Fractional-bound margin over k-set-cover (width units, one sample per completed cascade).", kind: kindHist, id: int(FracBoundMargin), hist: func(s *Snapshot) *HistSnapshot { return &s.FracBoundMargin }},
+	latency(PortfolioExactToReturnNs, "portfolio_exact_to_return_ns", "Time from the first proving portfolio worker's return to the portfolio's return (one sample per run with a proof).", func(s *Snapshot) *HistSnapshot { return &s.PortfolioExactToReturnNs }),
 }
 
 // Row constructors, one per kind. Clock rows share one labeled family per

@@ -143,6 +143,12 @@ type Snapshot struct {
 	// TraceDropped counts trace-ring events lost to wraparound (satellite
 	// visibility for truncated traces).
 	TraceDropped int64 `json:"trace_dropped,omitempty"`
+
+	// PortfolioExactToReturnNs is the portfolio's own latency after a
+	// proof: one sample per portfolio run in which a worker returned
+	// Exact, from that worker's return to the portfolio's. Omitted while
+	// empty, so documents written before it existed round-trip unchanged.
+	PortfolioExactToReturnNs HistSnapshot `json:"portfolio_exact_to_return_ns,omitzero"`
 }
 
 // Incumbent is one point of the anytime trace: at Elapsed since the run

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hypertree/internal/cover"
@@ -15,7 +16,10 @@ import (
 // DefaultPortfolio returns the method set MethodPortfolio races when
 // Options.Portfolio is empty. Slice position is the priority used to break
 // width ties (lower index wins), so the cheap always-finishing heuristic
-// comes first and the exact searches follow.
+// comes first and the exact searches follow. GA is a held seat: it starts
+// only when min-fill, BB and A* have all returned without a proof, or
+// after a 50ms grace, and never once one of them has proven the optimum.
+// It still wins where the exact searches stall (le45_6*).
 func DefaultPortfolio() []Method {
 	return []Method{MethodMinFill, MethodBB, MethodAStar, MethodGA}
 }
@@ -23,10 +27,11 @@ func DefaultPortfolio() []Method {
 // DefaultGHWPortfolio is the default method set for GHW (and Decompose)
 // portfolio runs: DefaultPortfolio plus the balanced-separator search,
 // which deepens from the tw-ksc bound and can reach a witness at that
-// bound where the ordering searches stall. The fractional-width local
-// search (MethodFHW) is not a default seat: it reports no lower bound,
-// so it could only matter by holding the strictly best width. It stays
-// available through Options.Portfolio.
+// bound where the ordering searches stall. Balsep is held like GA: on the
+// instances min-fill, BB and A* close, it never starts. The
+// fractional-width local search (MethodFHW) is not a default seat: it
+// reports no lower bound, so it could only matter by holding the strictly
+// best width. It stays available through Options.Portfolio.
 func DefaultGHWPortfolio() []Method {
 	return append(DefaultPortfolio(), MethodBalSep)
 }
@@ -70,34 +75,47 @@ func (o Options) workerOptions(i int, m Method) Options {
 	return w
 }
 
+// portfolioGrace is how long the held seats wait for the proving seats
+// before they start anyway. Over 200 relabellings of rand16*, the first
+// proof landed after at most 41 ms (p50 21 ms), so on the instances the
+// exact searches close the held seats never start.
+const portfolioGrace = 50 * time.Millisecond
+
 type portfolioOutcome struct {
 	res     Result
 	err     error
 	elapsed time.Duration
+	end     time.Time // when the worker returned (zero if it never started)
 	attr    telemetry.Outcome
 }
 
 // portfolio races the configured methods for the measure m, each method
 // slot on its own goroutine, with at most Options.Jobs running
-// concurrently (≤ 0 means all at once). The first exact answer cancels the
-// remaining workers; everyone else degrades to its best-so-far incumbent
-// per the Ctx contracts. For ghw all workers share the caller's cover
-// oracle: a set-cover subproblem solved by any worker is a cache hit for
-// every other, and because the oracle only memoizes deterministically
-// computed covers, sharing it never makes any worker's result depend on
-// scheduling.
+// concurrently (≤ 0 means all at once). Proving seats start first; the
+// held seats (GA, SAIGA, fhw, balsep: the methods table's held column)
+// start once every proving seat has returned without a proof, or after
+// portfolioGrace. A worker that returns Exact cancels the race itself, so
+// no slot starts after a proof; everyone still running degrades to its
+// best-so-far incumbent per the Ctx contracts. For ghw all workers share
+// the caller's cover oracle: a set-cover subproblem solved by any worker
+// is a cache hit for every other, and because the oracle only memoizes
+// deterministically computed covers, sharing it never makes any worker's
+// result depend on scheduling.
 //
 // Winner selection is deterministic: smallest width, ties preferring an
 // Exact result, then the lower slot index. When any exact result lands its
 // width is the true optimum, so no straggler can beat it and the reported
 // width does not depend on scheduling; without exact finishers nothing is
-// cancelled and every worker result is itself deterministic in the seed.
-// The returned LowerBound is the max over workers and Nodes the sum.
+// cancelled, every seat runs to completion, and every worker result is
+// itself deterministic in the seed. The returned LowerBound is the max
+// over workers and Nodes the sum.
 //
 // Each worker gets a scope of its own so the result can attribute nodes,
 // prunes and wall time per method (Result.Workers); the run's scope
 // receives one OnPortfolioOutcome event per slot in completion order, and
-// every worker's counters are folded into the parent Stats.
+// every worker's counters are folded into the parent Stats. A run with a
+// proof records the time from the first proving worker's return to its own
+// return in the portfolio_exact_to_return_ns histogram.
 func portfolio(ctx context.Context, m search.Measure, opt Options, orc *cover.Oracle) (Result, error) {
 	methods, err := opt.portfolioMethods(m)
 	if err != nil {
@@ -119,15 +137,36 @@ func portfolio(ctx context.Context, m search.Measure, opt Options, orc *cover.Or
 	for i, m := range methods {
 		scopes[i] = sc.worker(i, m)
 	}
-	// A jobs-sized pool drains the slots in index order, so Jobs=1 runs the
-	// methods strictly sequentially — which makes the entire result,
-	// ordering included, reproducible for a fixed Seed (racing workers are
-	// only width-deterministic; see below).
+	// A jobs-sized pool drains the slots from one queue: the proving seats
+	// in slot order, then the held ones. So Jobs=1 runs the methods
+	// strictly sequentially, and a held seat starts only after every
+	// proving seat has returned without a proof — which makes the entire
+	// result, ordering and Nodes included, reproducible for a fixed Seed
+	// (racing workers are only width-deterministic; see below).
 	slots := make(chan int, nslots)
-	for i := 0; i < nslots; i++ {
-		slots <- i
+	var pending atomic.Int32 // proving seats not yet returned
+	for i, mt := range methods {
+		if !mt.held() {
+			slots <- i
+			pending.Add(1)
+		}
+	}
+	for i, mt := range methods {
+		if mt.held() {
+			slots <- i
+		}
 	}
 	close(slots)
+	// gate opens the held seats: closed by the last proving seat to
+	// return, or by the grace timer, whichever comes first.
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	if pending.Load() == 0 {
+		open()
+	} else {
+		grace := time.AfterFunc(portfolioGrace, open)
+		defer grace.Stop()
+	}
 	done := make(chan int, nslots)
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
@@ -135,16 +174,33 @@ func portfolio(ctx context.Context, m search.Measure, opt Options, orc *cover.Or
 		go func() {
 			defer wg.Done()
 			for i := range slots {
-				if err := raceCtx.Err(); err != nil {
-					// Cancelled while queued behind the jobs cap: report the
-					// context error instead of starting doomed work.
-					outcomes[i] = portfolioOutcome{err: err}
-					done <- i
-					continue
+				held := methods[i].held()
+				if held {
+					select {
+					case <-gate:
+					case <-raceCtx.Done():
+					}
 				}
-				start := time.Now()
-				res, err := runMethod(raceCtx, m, opt.workerOptions(i, methods[i]), scopes[i], orc)
-				outcomes[i] = portfolioOutcome{res: res, err: err, elapsed: time.Since(start)}
+				if err := raceCtx.Err(); err != nil {
+					// Overtaken while queued by a proof, a deadline or the
+					// caller: report the context error instead of starting
+					// doomed work.
+					outcomes[i] = portfolioOutcome{err: err}
+				} else {
+					start := time.Now()
+					res, err := runMethod(raceCtx, m, opt.workerOptions(i, methods[i]), scopes[i], orc)
+					end := time.Now()
+					outcomes[i] = portfolioOutcome{res: res, err: err, elapsed: end.Sub(start), end: end}
+					if err == nil && res.Exact {
+						cancel() // optimum proven — stop the stragglers, start nothing new
+						scopes[i].traceRef().Instant(scopes[i].trackID(), "portfolio.exact",
+							telemetry.Arg{Key: "slot", Val: int64(i)},
+							telemetry.Arg{Key: "width", Val: int64(res.Width)})
+					}
+				}
+				if !held && pending.Add(-1) == 0 {
+					open()
+				}
 				done <- i
 			}
 		}()
@@ -153,12 +209,6 @@ func portfolio(ctx context.Context, m search.Measure, opt Options, orc *cover.Or
 
 	for i := range done {
 		out := &outcomes[i]
-		if out.err == nil && out.res.Exact {
-			cancel() // optimum proven — stop the stragglers
-			sc.traceRef().Instant(0, "portfolio.exact",
-				telemetry.Arg{Key: "slot", Val: int64(i)},
-				telemetry.Arg{Key: "width", Val: int64(out.res.Width)})
-		}
 		// Attribution, built in completion order: the observer sees each
 		// worker as it finishes, the result keeps all of them per slot.
 		attr := telemetry.Outcome{
@@ -185,6 +235,7 @@ func portfolio(ctx context.Context, m search.Measure, opt Options, orc *cover.Or
 	var (
 		nodes    int64
 		firstErr error
+		proof    time.Time // when the first proving worker returned
 	)
 	for i := range outcomes {
 		out := &outcomes[i]
@@ -193,6 +244,9 @@ func portfolio(ctx context.Context, m search.Measure, opt Options, orc *cover.Or
 				firstErr = out.err
 			}
 			continue
+		}
+		if out.res.Exact && (proof.IsZero() || out.end.Before(proof)) {
+			proof = out.end
 		}
 		nodes += out.res.Nodes
 		if best < 0 || betterOutcome(out, &outcomes[best]) {
@@ -246,6 +300,9 @@ func portfolio(ctx context.Context, m search.Measure, opt Options, orc *cover.Or
 		workers[i] = outcomes[i].attr
 	}
 	res.Workers = workers
+	if !proof.IsZero() {
+		sc.engineStats().Observe(telemetry.PortfolioExactToReturnNs, time.Since(proof))
+	}
 	return res, nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -145,6 +147,162 @@ func TestPortfolioDeterministicWidth(t *testing.T) {
 			t.Fatalf("run %d: got (width=%d exact=%v), first run (width=%d exact=%v)",
 				i, again.Width, again.Exact, first.Width, first.Exact)
 		}
+	}
+}
+
+// TestPortfolioJobs1Reproducible repeats a Jobs=1 portfolio 30 times on
+// an instance bb closes at the root (queenhg_4) and on one where it
+// branches (rand16*): every field of the result must repeat, Nodes and
+// each worker's counters included. Only wall times may differ. Nothing
+// starts after a proof, so no worker expands nodes on the way to a
+// cancellation it has not seen yet.
+func TestPortfolioJobs1Reproducible(t *testing.T) {
+	instances := []struct {
+		name string
+		h    *Hypergraph
+	}{
+		{"queenhg_4", FromGraph(gen.Queen(4))},
+		{"rand16*", gen.RandomHypergraph(16, 14, 4, 2)},
+	}
+	// view renders every result field but wall time: per-worker outcomes
+	// with their counters, and no phase clocks or latency histograms.
+	view := func(res Result) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "width=%d lb=%d exact=%v frac=%v nodes=%d winner=%s lbby=%s ord=%v\n",
+			res.Width, res.LowerBound, res.Exact, res.FracWidth, res.Nodes, res.Winner, res.LowerBoundBy, res.Ordering)
+		for _, w := range res.Workers {
+			fmt.Fprintf(&b, "slot=%d %s width=%d lb=%d exact=%v frac=%v err=%q",
+				w.Slot, w.Method, w.Width, w.LowerBound, w.Exact, w.FracWidth, w.Err)
+			w.Stats.EachScalar(func(name string, v int64) { fmt.Fprintf(&b, " %s=%d", name, v) })
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	for _, inst := range instances {
+		var first string
+		for run := 0; run < 30; run++ {
+			opt := oracleOpts(MethodPortfolio, 4)
+			opt.Jobs = 1
+			opt.Stats = new(Stats) // per-worker counters need telemetry attached
+			res, err := GHW(inst.h, opt)
+			if err != nil {
+				t.Fatalf("%s run %d: %v", inst.name, run, err)
+			}
+			got := view(res)
+			if run == 0 {
+				first = got
+				continue
+			}
+			if got != first {
+				t.Fatalf("%s run %d differs from run 0:\n got  %s\n want %s", inst.name, run, got, first)
+			}
+		}
+	}
+}
+
+// TestPortfolioHeldSeatsWaitForProof: when a proving seat closes the
+// instance first, the held seats never start. Their Workers entries carry
+// the context error and they emit no start phase. Jobs=1 queues them
+// behind every proving seat; the racing pool holds them for
+// portfolioGrace, and bb closes these instances at the root in about a
+// millisecond.
+func TestPortfolioHeldSeatsWaitForProof(t *testing.T) {
+	instances := []struct {
+		name string
+		h    *Hypergraph
+	}{
+		{"queenhg_4", FromGraph(gen.Queen(4))},
+		{"chain", gen.Chain(10, 3, 1)},
+	}
+	for _, inst := range instances {
+		for _, jobs := range []int{0, 1} {
+			var mu sync.Mutex
+			started := map[string]bool{}
+			opt := oracleOpts(MethodPortfolio, 3)
+			opt.Jobs = jobs
+			opt.Observer = &Observer{OnPhase: func(ph Phase) {
+				if ph.Name == "start" {
+					mu.Lock()
+					started[ph.Method] = true
+					mu.Unlock()
+				}
+			}}
+			res, err := GHW(inst.h, opt)
+			if err != nil {
+				t.Fatalf("%s jobs=%d: %v", inst.name, jobs, err)
+			}
+			if !res.Exact {
+				t.Fatalf("%s jobs=%d: no proof (width %d, bound %d)", inst.name, jobs, res.Width, res.LowerBound)
+			}
+			held := 0
+			for i, m := range DefaultGHWPortfolio() {
+				if !m.held() {
+					continue
+				}
+				held++
+				if w := res.Workers[i]; w.Err != context.Canceled.Error() {
+					t.Errorf("%s jobs=%d: held seat %v reports (width=%d err=%q), want %q",
+						inst.name, jobs, m, w.Width, w.Err, context.Canceled.Error())
+				}
+				if started[m.String()] {
+					t.Errorf("%s jobs=%d: held seat %v emitted a start phase", inst.name, jobs, m)
+				}
+			}
+			if held == 0 {
+				t.Fatal("the default ghw portfolio holds no seat")
+			}
+		}
+	}
+}
+
+// TestPortfolioHeldSeatsStartAfterGrace: when the proving seats cannot
+// close before a deadline eight times portfolioGrace, the held seats start
+// once the grace runs out, and can win. On le45_6* neither bb nor A* gets
+// below min-fill's width 12 within seconds, while this GA configuration
+// finds 11 in tens of milliseconds and then stops.
+func TestPortfolioHeldSeatsStartAfterGrace(t *testing.T) {
+	g := gen.KPartite(45, 6, 0.15, 451)
+	deadline := 8 * portfolioGrace
+	if raceEnabled {
+		deadline *= 4
+	}
+	var mu sync.Mutex
+	starts := map[string]time.Duration{}
+	opt := Options{
+		Method: MethodPortfolio,
+		Seed:   4,
+		GA: &GAConfig{PopulationSize: 60, CrossoverRate: 1.0, MutationRate: 0.3,
+			TournamentSize: 3, Generations: 40, Elitism: true},
+		Observer: &Observer{OnPhase: func(ph Phase) {
+			if ph.Name == "start" {
+				mu.Lock()
+				starts[ph.Method] = ph.Elapsed
+				mu.Unlock()
+			}
+		}},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	res, err := TreewidthCtx(ctx, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Exact {
+		t.Fatalf("a proving seat closed le45_6* (width %d): the test needs an instance they cannot close", res.Width)
+	}
+	for i, m := range DefaultPortfolio() {
+		if !m.held() {
+			continue
+		}
+		if w := res.Workers[i]; w.Err != "" {
+			t.Errorf("held seat %v did not run: %s", m, w.Err)
+		}
+		if at, ok := starts[m.String()]; !ok || at < portfolioGrace {
+			t.Errorf("held seat %v started at %v (ok=%v), want after the %v grace", m, at, ok, portfolioGrace)
+		}
+	}
+	if res.Winner != MethodGA.String() || res.Width != 11 {
+		t.Errorf("winner %s with width %d, want ga with 11", res.Winner, res.Width)
 	}
 }
 

@@ -201,9 +201,12 @@ func TestTraceSingleMethodEngines(t *testing.T) {
 
 // TestTraceRingBoundedUnderLoad runs a trace whose ring is far smaller
 // than the event volume of an exact search: the ring must wrap (Dropped
-// grows), memory stays bounded, and the export still validates.
+// grows), memory stays bounded, and the export still validates. On this
+// input bb and A* each branch through about 8,000 nodes, and either one
+// alone emits some 50 events before its proof, so the ring wraps however
+// the race between them goes.
 func TestTraceRingBoundedUnderLoad(t *testing.T) {
-	h := gen.Grid2DHypergraph(4, 4)
+	h := gen.RandomHypergraph(18, 16, 3, 5)
 	opt := oracleOpts(MethodPortfolio, 9)
 	opt.Trace = NewTrace(16) // absurdly small on purpose
 	if _, err := GHW(h, opt); err != nil {
