@@ -409,7 +409,7 @@ func widthRun(ctx context.Context, m search.Measure, opt Options) (Result, *cove
 	}
 	var orc *cover.Oracle
 	if m.H != nil {
-		orc = cover.New(m.H, cover.Options{Disabled: opt.DisableCoverCache, Trace: opt.Trace})
+		orc = newOracle(m.H, opt)
 	}
 	if opt.Method == MethodPortfolio {
 		res, err := portfolio(ctx, m, opt, orc)
@@ -417,6 +417,14 @@ func widthRun(ctx context.Context, m search.Measure, opt Options) (Result, *cove
 	}
 	res, err := runMethod(ctx, m, opt, newScope(opt), orc)
 	return res, orc, err
+}
+
+// newOracle builds a run's shared cover oracle. It is timed only under a
+// Stats: foldCover is the only reader of its latency histograms, and
+// without a Stats it reads nothing, so an untimed run reads no clock per
+// probe.
+func newOracle(h *Hypergraph, opt Options) *cover.Oracle {
+	return cover.New(h, cover.Options{Disabled: opt.DisableCoverCache, Trace: opt.Trace, Timed: opt.Stats != nil})
 }
 
 // foldCover adds the oracle's cache counters to st (both may be nil).
@@ -672,7 +680,7 @@ func FHWCtx(ctx context.Context, h *Hypergraph, opt Options) (FHWResult, error) 
 	sc := newScope(opt)
 	sc.phase("start")
 	defer sc.phase("done")
-	orc := cover.New(h, cover.Options{Disabled: opt.DisableCoverCache, Trace: opt.Trace})
+	orc := newOracle(h, opt)
 	res, err := frac.SearchCtx(ctx, h, fracOptions(opt, sc, orc))
 	foldCover(opt.Stats, orc)
 	return res, err

@@ -125,11 +125,12 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 	heap.Init(&q)
 	heap.Push(&q, root)
 
-	// dominance: eliminated-set key → best g enqueued.
-	var dom map[string]int
-	if !opt.DisableDominance {
-		dom = make(map[string]int)
-	}
+	// dominance: eliminated set → best g enqueued.
+	dom := search.NewDominance(opt.DisableDominance)
+	// One PR2 set serves every child: successors reads it before the next
+	// child overwrites it. tail is morph's path buffer.
+	pr2 := bitset.New(g.NumVertices())
+	var tail []int
 
 	var nodes int64
 	states := 1
@@ -172,7 +173,7 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 			return search.Result{Width: ub, LowerBound: ub, Exact: true, Ordering: ubOrder, Nodes: nodes}
 		}
 
-		cur = morph(g, cur, s)
+		cur, tail = morph(g, cur, s, tail)
 
 		// Goal test: the residual can be finished at no cost beyond s.g.
 		rt := ruleStart(opt.Stats)
@@ -199,7 +200,8 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 			var childPR2 *bitset.Set
 			if !opt.DisablePR2 && !s.reduced {
 				rt := ruleStart(opt.Stats)
-				childPR2 = search.PR2Pruned(g, v, mode.Swappable)
+				childPR2 = pr2
+				search.PR2Pruned(g, v, mode.Swappable, childPR2)
 				opt.Stats.RuleSince(telemetry.RulePR2, rt)
 			}
 			step := mode.StepCost(g, v)
@@ -212,15 +214,9 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 
 			if dom != nil {
 				rt := ruleStart(opt.Stats)
-				key := elimKey(g)
-				prev, ok := dom[key]
-				if !ok || prev > cg {
-					if len(dom) < maxDominanceEntries {
-						dom[key] = cg
-					}
-				}
+				pruned := dom.Pruned(g, cg)
 				opt.Stats.RuleSince(telemetry.RuleDominance, rt)
-				if ok && prev <= cg {
+				if pruned {
 					opt.Stats.Add(telemetry.PruneDominance, 1)
 					g.Restore()
 					continue
@@ -259,8 +255,6 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, opt search.Option
 	return search.Result{Width: ub, LowerBound: ub, Exact: true, Ordering: ubOrder, Nodes: nodes}
 }
 
-const maxDominanceEntries = 1 << 21
-
 // ruleStart opens a rule-time window: the zero time when telemetry is off
 // (RuleSince then no-ops), time.Now when a Stats is attached.
 func ruleStart(st *telemetry.Stats) time.Time {
@@ -272,17 +266,18 @@ func ruleStart(st *telemetry.Stats) time.Time {
 
 // morph transforms the elimination graph from the prefix of state a to the
 // prefix of state b by restoring to their deepest common ancestor and
-// re-eliminating along b's path (§5.2.1).
-func morph(g *elim.Graph, a, b *state) *state {
+// re-eliminating along b's path (§5.2.1). tail is a buffer for the path,
+// returned for reuse.
+func morph(g *elim.Graph, a, b *state, tail []int) (*state, []int) {
 	if a == nil {
 		g.RestoreTo(0)
 		for _, v := range prefixOf(b) {
 			g.Eliminate(v)
 		}
-		return b
+		return b, tail
 	}
 	// Lift both to equal depth collecting b's tail.
-	var tail []int
+	tail = tail[:0]
 	x, y := a, b
 	for x.depth > y.depth {
 		x = x.parent
@@ -300,7 +295,7 @@ func morph(g *elim.Graph, a, b *state) *state {
 	for i := len(tail) - 1; i >= 0; i-- {
 		g.Eliminate(tail[i])
 	}
-	return b
+	return b, tail
 }
 
 func prefixOf(s *state) []int {
@@ -309,16 +304,6 @@ func prefixOf(s *state) []int {
 		out[t.depth-1] = t.vertex
 	}
 	return out
-}
-
-func elimKey(g *elim.Graph) string {
-	set := bitset.New(g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Eliminated(v) {
-			set.Add(v)
-		}
-	}
-	return set.Key()
 }
 
 // rootChildren computes the root state's candidate list.

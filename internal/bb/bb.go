@@ -58,18 +58,18 @@ type bbState struct {
 	// root bound plus improvements when the whole tree is closed.
 	rootF int
 
-	elimSet *bitset.Set    // incremental set of eliminated vertices
-	dom     map[string]int // eliminated-set key → best prefix cost seen
-}
+	dom *search.Dominance
 
-const maxDominanceEntries = 1 << 21
+	// Per-depth buffers, indexed by prefix length: the candidate list a
+	// node branches over, and the PR2 set it hands its current child.
+	cands [][]int
+	pr2   []*bitset.Set
+}
 
 // run executes the generic branch and bound.
 func run(ctx context.Context, g *elim.Graph, mode search.Mode, rng *rand.Rand, opt search.Options) search.Result {
-	s := &bbState{g: g, mode: mode, opt: opt, rng: rng, chk: interrupt.New(ctx, 4)}
-	if !opt.DisableDominance {
-		s.dom = make(map[string]int)
-	}
+	s := &bbState{g: g, mode: mode, opt: opt, rng: rng, chk: interrupt.New(ctx, 4),
+		dom: search.NewDominance(opt.DisableDominance)}
 
 	n := g.Remaining()
 	if n == 0 {
@@ -92,13 +92,17 @@ func run(ctx context.Context, g *elim.Graph, mode search.Mode, rng *rand.Rand, o
 	lb := mode.RootLB(g)
 	opt.Stats.AttributeSince(telemetry.PhaseHeurSeed, seedMark)
 	s.rootF = lb
-	s.elimSet = bitset.New(g.NumVertices())
 
 	if lb >= s.ub {
 		return search.Result{Width: s.ub, LowerBound: s.ub, Exact: true, Ordering: s.best, Nodes: 0}
 	}
 
 	s.prefix = make([]int, 0, n)
+	s.cands = make([][]int, n)
+	s.pr2 = make([]*bitset.Set, n)
+	for d := range s.pr2 {
+		s.pr2[d] = bitset.New(g.NumVertices())
+	}
 	// The depth-first loop is the branch-expansion phase; oracle and LP
 	// time inside it self-attributes, leaving the driver's own share here.
 	branchMark := opt.Stats.MarkPhase()
@@ -172,18 +176,19 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 	// Reduction rule: branch only on a simplicial / strongly almost
 	// simplicial vertex when one exists — only in modes whose cost
 	// structure supports it (treewidth yes, ghw no; see Mode.Reduction).
-	var candidates []int
+	depth := len(s.prefix)
+	candidates := s.cands[depth][:0]
 	reduced := false
 	if !s.opt.DisableReduction && s.mode.Reduction {
 		rt := s.ruleStart()
 		if v, ok := reduce.Find(s.g, f); ok {
-			candidates = []int{v}
+			candidates = append(candidates, v)
 			reduced = true
 			s.opt.Stats.Add(telemetry.PruneSimplicial, 1)
 		}
 		s.opt.Stats.RuleSince(telemetry.RuleSimplicial, rt)
 	}
-	if candidates == nil {
+	if !reduced {
 		s.g.ForEachRemaining(func(v int) {
 			if pr2 != nil && pr2.Contains(v) {
 				s.opt.Stats.Add(telemetry.PrunePR2, 1)
@@ -192,6 +197,7 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 			candidates = append(candidates, v)
 		})
 	}
+	s.cands[depth] = candidates
 
 	for _, v := range candidates {
 		if s.stopped {
@@ -209,7 +215,8 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 		var childPR2 *bitset.Set
 		if !s.opt.DisablePR2 && !reduced {
 			rt := s.ruleStart()
-			childPR2 = search.PR2Pruned(s.g, v, s.mode.Swappable)
+			childPR2 = s.pr2[depth]
+			search.PR2Pruned(s.g, v, s.mode.Swappable, childPR2)
 			s.opt.Stats.RuleSince(telemetry.RulePR2, rt)
 		}
 		step := s.mode.StepCost(s.g, v)
@@ -220,14 +227,12 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 		}
 		s.g.Eliminate(v)
 		s.prefix = append(s.prefix, v)
-		s.elimSet.Add(v)
 
 		rt = s.ruleStart()
-		domHit := s.domPruned(cg)
+		domHit := s.dom.Pruned(s.g, cg)
 		s.opt.Stats.RuleSince(telemetry.RuleDominance, rt)
 		if domHit {
 			s.opt.Stats.Add(telemetry.PruneDominance, 1)
-			s.elimSet.Remove(v)
 			s.prefix = s.prefix[:len(s.prefix)-1]
 			s.g.Restore()
 			continue
@@ -243,7 +248,6 @@ func (s *bbState) dfs(gc, f int, pr2 *bitset.Set) {
 			s.opt.Stats.Add(telemetry.PruneLBCutoff, 1)
 		}
 
-		s.elimSet.Remove(v)
 		s.prefix = s.prefix[:len(s.prefix)-1]
 		s.g.Restore()
 	}
@@ -256,22 +260,4 @@ func (s *bbState) ruleStart() time.Time {
 		return time.Time{}
 	}
 	return time.Now()
-}
-
-// domPruned consults and updates the eliminated-set dominance cache. The
-// prefix cost cg is compared against the best cost with which the same
-// eliminated set was reached before; completions depend only on the set,
-// so a no-cheaper revisit cannot improve the incumbent.
-func (s *bbState) domPruned(cg int) bool {
-	if s.dom == nil {
-		return false
-	}
-	key := s.elimSet.Key()
-	if prev, ok := s.dom[key]; ok && prev <= cg {
-		return true
-	}
-	if len(s.dom) < maxDominanceEntries {
-		s.dom[key] = cg
-	}
-	return false
 }

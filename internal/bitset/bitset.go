@@ -8,6 +8,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -212,6 +213,25 @@ func (s *Set) ForEach(fn func(i int) bool) {
 	}
 }
 
+// ForEachDifference calls fn for every element of s \ o in ascending order,
+// word by word, without materialising the difference. If fn returns false,
+// iteration stops early. fn may modify o: each word of the difference is
+// read before fn sees any of its elements.
+func (s *Set) ForEachDifference(o *Set, fn func(i int) bool) {
+	for wi, w := range s.words {
+		if wi < len(o.words) {
+			w &^= o.words[wi]
+		}
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			if !fn(wi*wordBits + b) {
+				return
+			}
+			w &= w - 1
+		}
+	}
+}
+
 // Slice returns the elements in ascending order.
 func (s *Set) Slice() []int {
 	out := make([]int, 0, s.Len())
@@ -272,28 +292,20 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Key returns a string usable as a map key identifying the set's contents.
+// AppendKey appends to dst a byte string identifying the set's contents
+// and returns the extended slice; string(key) is usable as a map key.
 // Trailing zero words are excluded so sets of different capacity but equal
-// contents share a key.
-func (s *Set) Key() string {
+// contents share a key. A lookup m[string(key)] does not allocate, so a
+// caller that reuses dst pays for a key only when it inserts one.
+func (s *Set) AppendKey(dst []byte) []byte {
 	end := len(s.words)
 	for end > 0 && s.words[end-1] == 0 {
 		end--
 	}
-	var b strings.Builder
-	b.Grow(end * 8)
-	for i := 0; i < end; i++ {
-		w := s.words[i]
-		b.WriteByte(byte(w))
-		b.WriteByte(byte(w >> 8))
-		b.WriteByte(byte(w >> 16))
-		b.WriteByte(byte(w >> 24))
-		b.WriteByte(byte(w >> 32))
-		b.WriteByte(byte(w >> 40))
-		b.WriteByte(byte(w >> 48))
-		b.WriteByte(byte(w >> 56))
+	for _, w := range s.words[:end] {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the set as "{1, 2, 5}" for debugging.

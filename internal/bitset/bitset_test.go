@@ -65,6 +65,11 @@ func TestSetAlgebra(t *testing.T) {
 	if want := []int{1, 70}; !reflect.DeepEqual(d.Slice(), want) {
 		t.Fatalf("difference = %v, want %v", d.Slice(), want)
 	}
+	var each []int
+	a.ForEachDifference(b, func(i int) bool { each = append(each, i); return true })
+	if want := []int{1, 70}; !reflect.DeepEqual(each, want) {
+		t.Fatalf("ForEachDifference = %v, want %v", each, want)
+	}
 
 	if got := a.IntersectionCount(b); got != 2 {
 		t.Fatalf("IntersectionCount = %d, want 2", got)
@@ -93,8 +98,14 @@ func TestSubsetEqual(t *testing.T) {
 	if !a.Equal(big) || !big.Equal(a) {
 		t.Fatal("Equal must ignore trailing zero words")
 	}
-	if a.Key() != big.Key() {
-		t.Fatal("Key must ignore trailing zero words")
+	if string(a.AppendKey(nil)) != string(big.AppendKey(nil)) {
+		t.Fatal("AppendKey must ignore trailing zero words")
+	}
+	if k := big.AppendKey([]byte("p")); string(k[:1]) != "p" || string(k[1:]) != string(a.AppendKey(nil)) {
+		t.Fatal("AppendKey must append to dst")
+	}
+	if string(a.AppendKey(nil)) == string(FromSlice([]int{1, 3}).AppendKey(nil)) {
+		t.Fatal("AppendKey must distinguish different sets")
 	}
 }
 

@@ -61,6 +61,11 @@ type Options struct {
 	// counters are read with atomics; tracing never takes the shard locks
 	// longer and never changes any query result.
 	Trace *telemetry.Trace
+	// Timed makes every query observe the latency histograms that
+	// LatencySnapshots reads. An untimed oracle reads no clock, except to
+	// split a query's time into the phase clock of a Stats the query
+	// carries, and its snapshots stay empty.
+	Timed bool
 }
 
 // CounterSnapshot is a plain copy of an oracle's counters.
@@ -85,6 +90,7 @@ type Oracle struct {
 	h         *hypergraph.Hypergraph
 	coverable *bitset.Set // vertices occurring in at least one hyperedge
 	disabled  bool
+	timed     bool
 	perShard  int
 	tr        *telemetry.Trace
 	shards    [numShards]coverShard
@@ -103,7 +109,7 @@ type Oracle struct {
 	// Stats.AddCoverLatency). probeNs covers every query end-to-end (hit
 	// or miss); solveNs covers exact set-cover solves only, fed by the
 	// pooled solvers' ExactLatency hook; fracNs covers fractional-LP
-	// solves only (frac-memo misses).
+	// solves only (frac-memo misses). Only a timed oracle fills them.
 	probeNs telemetry.Histogram
 	solveNs telemetry.Histogram
 	fracNs  telemetry.Histogram
@@ -147,12 +153,15 @@ func New(h *hypergraph.Hypergraph, opt Options) *Oracle {
 		h:         h,
 		coverable: coverable,
 		disabled:  opt.Disabled,
+		timed:     opt.Timed,
 		perShard:  perShard,
 		tr:        opt.Trace,
 	}
 	o.solvers.New = func() any {
 		sv := setcover.New(h, nil)
-		sv.ExactLatency = &o.solveNs
+		if o.timed {
+			sv.ExactLatency = &o.solveNs
+		}
 		return sv
 	}
 	o.scratch.New = func() any { return bitset.New(h.NumVertices()) }
@@ -173,7 +182,7 @@ func (o *Oracle) Counters() CounterSnapshot {
 }
 
 // LatencySnapshots reads the probe, exact-solve, and fractional-LP
-// latency distributions.
+// latency distributions (all empty unless the oracle is timed).
 func (o *Oracle) LatencySnapshots() (probe, solve, frac telemetry.HistSnapshot) {
 	return o.probeNs.Snapshot(), o.solveNs.Snapshot(), o.fracNs.Snapshot()
 }
@@ -221,22 +230,29 @@ func (o *Oracle) Exact(target *bitset.Set) []int {
 
 // query canonicalizes target, consults the transposition table, and solves
 // on a miss. When out is non-nil it receives a copy of the cover edges.
-// Every probe — hit, miss, or trivial empty bag — lands in probeNs, so the
-// distribution reflects what callers actually wait for. st, when non-nil,
-// is the calling worker's phase clock: solve time is attributed to the
-// cover-solve phase and the rest of the probe to the cover-probe phase
-// (the oracle is shared, so per-worker attribution must ride in with the
-// caller rather than live on the oracle).
+// On a timed oracle every probe — hit, miss, or trivial empty bag — lands
+// in probeNs, so the distribution reflects what callers actually wait for.
+// st, when non-nil, is the calling worker's phase clock: solve time is
+// attributed to the cover-solve phase and the rest of the probe to the
+// cover-probe phase (the oracle is shared, so per-worker attribution must
+// ride in with the caller rather than live on the oracle). With neither,
+// the query reads no clock.
 func (o *Oracle) query(target *bitset.Set, exact bool, out *[]int, st *telemetry.Stats) int {
-	t0 := time.Now()
+	clocked := o.timed || st != nil
+	var t0 time.Time
 	var solved time.Duration
-	defer func() {
-		o.probeNs.ObserveSince(t0)
-		if st != nil {
-			st.AddPhase(telemetry.PhaseCoverSolve, solved)
-			st.AddPhase(telemetry.PhaseCoverProbe, time.Since(t0)-solved)
-		}
-	}()
+	if clocked {
+		t0 = time.Now()
+		defer func() {
+			if o.timed {
+				o.probeNs.ObserveSince(t0)
+			}
+			if st != nil {
+				st.AddPhase(telemetry.PhaseCoverSolve, solved)
+				st.AddPhase(telemetry.PhaseCoverProbe, time.Since(t0)-solved)
+			}
+		}()
+	}
 	// Canonical bag: covers ignore vertices in no hyperedge, so interning
 	// target ∩ coverable makes e.g. {v} ∪ N(v) and its constrained subset
 	// share one entry.
@@ -249,9 +265,7 @@ func (o *Oracle) query(target *bitset.Set, exact bool, out *[]int, st *telemetry
 	}
 
 	if o.disabled {
-		s0 := time.Now()
-		cov := o.solve(bag, exact)
-		solved = time.Since(s0)
+		cov := o.solve(bag, exact, clocked, &solved)
 		if out != nil {
 			*out = append([]int(nil), cov...)
 		}
@@ -283,9 +297,7 @@ func (o *Oracle) query(target *bitset.Set, exact bool, out *[]int, st *telemetry
 	if n := o.misses.Add(1); o.tr != nil && n&255 == 1 {
 		o.pulse() // n==1 on the very first miss: a traced run always pulses
 	}
-	s0 := time.Now()
-	cov := o.solve(bag, exact)
-	solved = time.Since(s0)
+	cov := o.solve(bag, exact, clocked, &solved)
 	if out != nil {
 		*out = append([]int(nil), cov...)
 	}
@@ -322,8 +334,12 @@ func (o *Oracle) pulse() {
 		telemetry.Arg{Key: "evictions", Val: o.evictions.Load()})
 }
 
-// solve computes the cover with a pooled deterministic solver.
-func (o *Oracle) solve(bag *bitset.Set, exact bool) []int {
+// solve computes the cover with a pooled deterministic solver. When clocked
+// it stores the solve's duration in *solved.
+func (o *Oracle) solve(bag *bitset.Set, exact, clocked bool, solved *time.Duration) []int {
+	if clocked {
+		defer func(s0 time.Time) { *solved = time.Since(s0) }(time.Now())
+	}
 	sv := o.solvers.Get().(*setcover.Solver)
 	defer o.solvers.Put(sv)
 	if exact {

@@ -9,6 +9,7 @@ import (
 	"hypertree/internal/gen"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/setcover"
+	"hypertree/internal/telemetry"
 )
 
 // randomTargets returns deterministic pseudo-random vertex subsets of h,
@@ -236,6 +237,28 @@ func TestHitRate(t *testing.T) {
 	}
 	if r := (CounterSnapshot{Hits: 3, Misses: 1}).HitRate(); r != 0.75 {
 		t.Fatalf("HitRate=%v want 0.75", r)
+	}
+}
+
+// Only a timed oracle fills its latency histograms: the untimed one reads
+// no clock for a query that carries no Stats.
+func TestOracleTimedHistograms(t *testing.T) {
+	h := gen.Adder(8)
+	for _, timed := range []bool{false, true} {
+		orc := New(h, Options{Timed: timed})
+		for _, target := range randomTargets(h, 20, 3) {
+			orc.ExactSize(target)
+			orc.GreedySize(target)
+			if _, err := orc.FracValue(target); err != nil {
+				t.Fatal(err)
+			}
+		}
+		probe, solve, frac := orc.LatencySnapshots()
+		for name, hs := range map[string]telemetry.HistSnapshot{"probe": probe, "solve": solve, "frac": frac} {
+			if filled := hs.Count > 0; filled != timed {
+				t.Errorf("timed=%v: %s histogram holds %d samples", timed, name, hs.Count)
+			}
+		}
 	}
 }
 

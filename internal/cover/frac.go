@@ -65,11 +65,14 @@ func (o *Oracle) FracCover(target *bitset.Set) (float64, []EdgeWeight, error) {
 // success. When out is non-nil it receives a copy of the cover weights.
 // st, when non-nil, receives the whole call in its LP phase clock.
 func (o *Oracle) queryFrac(target *bitset.Set, out *[]EdgeWeight, st *telemetry.Stats) (float64, error) {
-	t0 := time.Now()
-	defer func() {
-		o.probeNs.ObserveSince(t0)
-		st.PhaseSince(telemetry.PhaseLP, t0)
-	}()
+	if o.timed || st != nil {
+		defer func(t0 time.Time) {
+			if o.timed {
+				o.probeNs.ObserveSince(t0)
+			}
+			st.PhaseSince(telemetry.PhaseLP, t0)
+		}(time.Now())
+	}
 	bag := o.scratch.Get().(*bitset.Set)
 	defer o.scratch.Put(bag)
 	bag.CopyFrom(target)
@@ -148,14 +151,15 @@ func (o *Oracle) queryFrac(target *bitset.Set, out *[]EdgeWeight, st *telemetry.
 }
 
 // solveFrac builds and solves the fractional-matching dual of bag's
-// covering LP with pooled scratch. The whole assembly+solve lands in
-// fracNs (the cover_frac_ns histogram). The returned weights are freshly
+// covering LP with pooled scratch. On a timed oracle the whole
+// assembly+solve lands in fracNs (the cover_frac_ns histogram). The returned weights are freshly
 // allocated (they are retained by the memo) and sorted ascending by edge
 // index because rows are interned in ascending-vertex first-seen order
 // and compacted at the end.
 func (o *Oracle) solveFrac(bag *bitset.Set) (float64, []EdgeWeight, error) {
-	t0 := time.Now()
-	defer o.fracNs.ObserveSince(t0)
+	if o.timed {
+		defer o.fracNs.ObserveSince(time.Now())
+	}
 
 	s := o.fracLPs.Get().(*fracScratch)
 	defer o.fracLPs.Put(s)

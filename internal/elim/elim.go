@@ -6,6 +6,13 @@
 // order. The undo log corresponds to the A/E/T matrices of the thesis: every
 // elimination records the fill-in edges it introduced and the neighbourhood
 // of the eliminated vertex, so a restore is exact.
+//
+// The per-node kernels allocate nothing once a search has reached its
+// deepest prefix: an elimination keeps N(v) itself as its undo record and
+// hands v an empty set from a free list, fill edges go on one stack per
+// graph, and the read methods (IsSimplicial, IsAlmostSimplicial, FillCount,
+// Degree, Neighbors) are word-level bitset tests that write no scratch, so
+// they stay safe for concurrent readers.
 package elim
 
 import (
@@ -19,12 +26,14 @@ type Graph struct {
 	eliminated *bitset.Set
 	remaining  int
 	undo       []undoRecord
+	fill       [][2]int      // fill edges of every applied elimination, in order
+	free       []*bitset.Set // empty sets for the next eliminated vertices
 }
 
 type undoRecord struct {
 	v         int
 	neighbors *bitset.Set // N(v) at the moment of elimination
-	fill      [][2]int    // edges added by the elimination
+	fill      int         // height of the fill stack before the elimination
 }
 
 // New builds an elimination graph from a static graph.
@@ -36,7 +45,8 @@ func New(g *hypergraph.Graph) *Graph {
 		remaining:  n,
 	}
 	for v := 0; v < n; v++ {
-		e.adj[v] = g.Neighbors(v).Clone()
+		e.adj[v] = bitset.New(n)
+		e.adj[v].CopyFrom(g.Neighbors(v))
 	}
 	return e
 }
@@ -85,66 +95,71 @@ func (g *Graph) RemainingVertices() []int {
 	return out
 }
 
+// EliminatedSet returns the set of eliminated vertices. The returned set must
+// not be modified and is updated in place by Eliminate/Restore.
+func (g *Graph) EliminatedSet() *bitset.Set { return g.eliminated }
+
+// missing returns how many vertices of N(v) other than a itself are not
+// adjacent to a, for a neighbour a of v. a ∉ N(a), so the count is
+// deg(v) − 1 − |N(v) ∩ N(a)|.
+func (g *Graph) missing(nb *bitset.Set, deg, a int) int {
+	return deg - 1 - nb.IntersectionCount(g.adj[a])
+}
+
 // FillCount returns the number of edges elimination of v would add: the
 // number of non-adjacent pairs among N(v). A return of 0 means v is
 // simplicial.
 func (g *Graph) FillCount(v int) int {
-	nb := g.adj[v].Slice()
-	missing := 0
-	for i := 0; i < len(nb); i++ {
-		for j := i + 1; j < len(nb); j++ {
-			if !g.adj[nb[i]].Contains(nb[j]) {
-				missing++
-			}
-		}
-	}
-	return missing
+	nb := g.adj[v]
+	deg := nb.Len()
+	twice := 0
+	nb.ForEach(func(a int) bool {
+		twice += g.missing(nb, deg, a)
+		return true
+	})
+	return twice / 2
 }
 
 // IsSimplicial reports whether v's neighbourhood induces a clique.
 func (g *Graph) IsSimplicial(v int) bool {
-	nb := g.adj[v].Slice()
-	for i := 0; i < len(nb); i++ {
-		for j := i + 1; j < len(nb); j++ {
-			if !g.adj[nb[i]].Contains(nb[j]) {
-				return false
-			}
-		}
-	}
-	return true
+	nb := g.adj[v]
+	deg := nb.Len()
+	simplicial := true
+	nb.ForEach(func(a int) bool {
+		simplicial = g.missing(nb, deg, a) == 0
+		return simplicial
+	})
+	return simplicial
 }
 
 // IsAlmostSimplicial reports whether all but one neighbour of v induce a
 // clique (and v is not simplicial). The second return value is the odd
-// neighbour out.
+// neighbour out. When N(v) misses exactly one edge both of its endpoints
+// qualify, and the lower-indexed one is returned; with two or more missing
+// edges at most one neighbour is an endpoint of all of them.
 func (g *Graph) IsAlmostSimplicial(v int) (bool, int) {
-	nb := g.adj[v].Slice()
-	if len(nb) < 2 {
+	nb := g.adj[v]
+	deg := nb.Len()
+	if deg < 2 {
 		return false, -1
 	}
-	// Count, for each neighbour, how many other neighbours it is NOT
-	// adjacent to. If exactly one vertex u is an endpoint of every missing
-	// pair, then N(v) \ {u} is a clique.
-	nonAdj := make(map[int]int)
-	missing := 0
-	for i := 0; i < len(nb); i++ {
-		for j := i + 1; j < len(nb); j++ {
-			if !g.adj[nb[i]].Contains(nb[j]) {
-				nonAdj[nb[i]]++
-				nonAdj[nb[j]]++
-				missing++
-			}
-		}
-	}
-	if missing == 0 {
+	twice := 0
+	nb.ForEach(func(a int) bool {
+		twice += g.missing(nb, deg, a)
+		return true
+	})
+	if twice == 0 {
 		return false, -1 // simplicial, not almost simplicial
 	}
-	for u, c := range nonAdj {
-		if c == missing {
-			return true, u
+	// N(v) \ {u} is a clique iff u is an endpoint of every missing pair.
+	odd := -1
+	nb.ForEach(func(u int) bool {
+		if 2*g.missing(nb, deg, u) == twice {
+			odd = u
 		}
-	}
-	return false, -1
+		return odd < 0
+	})
+	return odd >= 0, odd
 }
 
 // Eliminate removes v from the graph, connecting all its current neighbours
@@ -155,26 +170,31 @@ func (g *Graph) Eliminate(v int) int {
 	if g.eliminated.Contains(v) {
 		panic("elim: vertex already eliminated")
 	}
-	nb := g.adj[v].Slice()
-	rec := undoRecord{v: v, neighbors: g.adj[v].Clone()}
-	for i := 0; i < len(nb); i++ {
-		for j := i + 1; j < len(nb); j++ {
-			a, b := nb[i], nb[j]
-			if !g.adj[a].Contains(b) {
+	nb := g.adj[v]
+	g.undo = append(g.undo, undoRecord{v: v, neighbors: nb, fill: len(g.fill)})
+	nb.ForEach(func(a int) bool {
+		// Connect a to every later neighbour it misses. a ∉ N(a), so the
+		// difference holds a itself, which the b > a test skips.
+		nb.ForEachDifference(g.adj[a], func(b int) bool {
+			if b > a {
 				g.adj[a].Add(b)
 				g.adj[b].Add(a)
-				rec.fill = append(rec.fill, [2]int{a, b})
+				g.fill = append(g.fill, [2]int{a, b})
 			}
-		}
+			return true
+		})
+		g.adj[a].Remove(v)
+		return true
+	})
+	if k := len(g.free); k > 0 {
+		g.adj[v] = g.free[k-1]
+		g.free = g.free[:k-1]
+	} else {
+		g.adj[v] = bitset.New(len(g.adj))
 	}
-	for _, u := range nb {
-		g.adj[u].Remove(v)
-	}
-	g.adj[v].Clear()
 	g.eliminated.Add(v)
 	g.remaining--
-	g.undo = append(g.undo, rec)
-	return len(nb)
+	return nb.Len()
 }
 
 // Restore undoes the most recent Eliminate and returns the restored vertex.
@@ -185,10 +205,12 @@ func (g *Graph) Restore() int {
 	}
 	rec := g.undo[len(g.undo)-1]
 	g.undo = g.undo[:len(g.undo)-1]
-	for _, e := range rec.fill {
+	for _, e := range g.fill[rec.fill:] {
 		g.adj[e[0]].Remove(e[1])
 		g.adj[e[1]].Remove(e[0])
 	}
+	g.fill = g.fill[:rec.fill]
+	g.free = append(g.free, g.adj[rec.v]) // empty since the elimination
 	g.adj[rec.v] = rec.neighbors
 	rec.neighbors.ForEach(func(u int) bool {
 		g.adj[u].Add(rec.v)
@@ -228,7 +250,7 @@ func (g *Graph) Contract(u, v int) {
 	g.adj[u].Remove(v)
 	g.eliminated.Add(v)
 	g.remaining--
-	g.undo = nil // contractions invalidate the undo log
+	g.dropUndo() // contractions invalidate the undo log
 }
 
 // Remove deletes v and its incident edges without connecting neighbours
@@ -242,7 +264,12 @@ func (g *Graph) Remove(v int) {
 	g.adj[v].Clear()
 	g.eliminated.Add(v)
 	g.remaining--
-	g.undo = nil
+	g.dropUndo()
+}
+
+// dropUndo forgets the undo log after a non-undoable edit.
+func (g *Graph) dropUndo() {
+	g.undo, g.fill = nil, nil
 }
 
 // Clone returns a deep copy sharing no state. The undo log is not copied.

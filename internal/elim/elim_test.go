@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hypertree/internal/gen"
 	"hypertree/internal/hypergraph"
 )
 
@@ -102,7 +103,8 @@ func TestRestoreToPartialDepth(t *testing.T) {
 }
 
 // Property: random interleavings of eliminate/restore always return to the
-// original graph when fully unwound.
+// original graph when fully unwound, and at every step the simplicial tests
+// agree with their pairwise references.
 func TestQuickEliminateRestoreInterleaved(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		g := randomGraph(14, 0.35, seed)
@@ -110,6 +112,7 @@ func TestQuickEliminateRestoreInterleaved(t *testing.T) {
 		orig := e.Snapshot()
 		rng := rand.New(rand.NewSource(seed + 100))
 		for step := 0; step < 60; step++ {
+			checkKernels(t, e)
 			if e.Depth() > 0 && (rng.Intn(3) == 0 || e.Remaining() == 0) {
 				e.Restore()
 				continue
@@ -123,6 +126,135 @@ func TestQuickEliminateRestoreInterleaved(t *testing.T) {
 		e.RestoreTo(0)
 		if !reflect.DeepEqual(orig.Edges(), e.Snapshot().Edges()) {
 			t.Fatalf("seed %d: interleaved eliminate/restore corrupted graph", seed)
+		}
+	}
+}
+
+// The pairwise kernels the word-level ones replaced, kept as references.
+
+func fillCountRef(g *Graph, v int) int {
+	nb := g.Neighbors(v).Slice()
+	missing := 0
+	for i := 0; i < len(nb); i++ {
+		for j := i + 1; j < len(nb); j++ {
+			if !g.Neighbors(nb[i]).Contains(nb[j]) {
+				missing++
+			}
+		}
+	}
+	return missing
+}
+
+func isSimplicialRef(g *Graph, v int) bool { return fillCountRef(g, v) == 0 }
+
+// isAlmostSimplicialRef counts, for each neighbour, the other neighbours it
+// is not adjacent to; an odd neighbour is an endpoint of every missing
+// pair. It returns the lowest-indexed one.
+func isAlmostSimplicialRef(g *Graph, v int) (bool, int) {
+	nb := g.Neighbors(v).Slice()
+	if len(nb) < 2 {
+		return false, -1
+	}
+	nonAdj := make(map[int]int)
+	missing := 0
+	for i := 0; i < len(nb); i++ {
+		for j := i + 1; j < len(nb); j++ {
+			if !g.Neighbors(nb[i]).Contains(nb[j]) {
+				nonAdj[nb[i]]++
+				nonAdj[nb[j]]++
+				missing++
+			}
+		}
+	}
+	if missing == 0 {
+		return false, -1
+	}
+	for _, u := range nb {
+		if nonAdj[u] == missing {
+			return true, u
+		}
+	}
+	return false, -1
+}
+
+// checkKernels compares the word-level kernels with the references on
+// every remaining vertex of e.
+func checkKernels(t *testing.T, e *Graph) {
+	t.Helper()
+	e.ForEachRemaining(func(v int) {
+		if got, want := e.FillCount(v), fillCountRef(e, v); got != want {
+			t.Fatalf("depth %d: FillCount(%d) = %d, want %d", e.Depth(), v, got, want)
+		}
+		if got, want := e.IsSimplicial(v), isSimplicialRef(e, v); got != want {
+			t.Fatalf("depth %d: IsSimplicial(%d) = %v, want %v", e.Depth(), v, got, want)
+		}
+		ok, odd := e.IsAlmostSimplicial(v)
+		wantOK, wantOdd := isAlmostSimplicialRef(e, v)
+		if ok != wantOK || odd != wantOdd {
+			t.Fatalf("depth %d: IsAlmostSimplicial(%d) = %v,%d, want %v,%d", e.Depth(), v, ok, odd, wantOK, wantOdd)
+		}
+	})
+}
+
+// The kernels agree with the references on seeded random graphs, some
+// wider than one bitset word, each with a random eliminated prefix.
+func TestKernelsMatchPairwiseReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(90)
+		e := New(randomGraph(n, 0.05+0.5*rng.Float64(), seed))
+		for _, v := range rng.Perm(n)[:rng.Intn(n)] {
+			e.Eliminate(v)
+		}
+		checkKernels(t, e)
+	}
+}
+
+// On the path 1–0–2 both leaves are odd neighbours of 0; the lower-indexed
+// one is returned every time.
+func TestAlmostSimplicialLowestOddNeighbor(t *testing.T) {
+	g := hypergraph.NewGraph(3)
+	g.AddEdge(1, 0)
+	g.AddEdge(0, 2)
+	e := New(g)
+	for i := 0; i < 200; i++ {
+		if ok, odd := e.IsAlmostSimplicial(0); !ok || odd != 1 {
+			t.Fatalf("call %d: IsAlmostSimplicial(0) = %v,%d, want true,1", i, ok, odd)
+		}
+	}
+}
+
+// After warm-up an Eliminate/Restore round trip and the simplicial tests
+// allocate nothing.
+func TestKernelsAllocateNothing(t *testing.T) {
+	e := New(gen.Queen(5))
+	n := e.NumVertices()
+	gates := map[string]func(){
+		"Eliminate/Restore": func() {
+			for v := 0; v < n; v++ {
+				e.Eliminate(v)
+			}
+			e.RestoreTo(0)
+		},
+		"IsSimplicial": func() {
+			for v := 0; v < n; v++ {
+				e.IsSimplicial(v)
+			}
+		},
+		"IsAlmostSimplicial": func() {
+			for v := 0; v < n; v++ {
+				e.IsAlmostSimplicial(v)
+			}
+		},
+		"FillCount": func() {
+			for v := 0; v < n; v++ {
+				e.FillCount(v)
+			}
+		},
+	}
+	for name, fn := range gates {
+		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", name, allocs)
 		}
 	}
 }

@@ -119,7 +119,7 @@ func searchTable(cfg Config, id, title string,
 	}
 	for _, inst := range hypergraphSuite(cfg.Full) {
 		h := inst.Build()
-		orc := cover.New(h, cover.Options{})
+		orc := cover.New(h, cover.Options{Timed: true})
 		st := new(telemetry.Stats)
 		start := time.Now()
 		res := run(inst, search.Options{

@@ -5,10 +5,13 @@
 // (Fig. 4.8), and the degeneracy lower bound.
 //
 // All heuristics operate on an elim.Graph and leave the argument untouched
-// (they clone internally), so they can be invoked on the residual graphs
-// that arise inside branch-and-bound and A* searches. Ordering heuristics
-// return the elimination order of the graph's remaining vertices together
-// with the width of the tree decomposition that order induces.
+// (they work on a copy), so they can be invoked on the residual graphs
+// that arise inside branch-and-bound and A* searches. The contraction
+// bounds keep their copy in a reusable Minor, so minor-min-width, which
+// those searches recompute at every child, allocates nothing per call.
+// Ordering heuristics return the elimination order of the graph's
+// remaining vertices together with the width of the tree decomposition
+// that order induces.
 package heur
 
 import (
@@ -16,6 +19,7 @@ import (
 	"math/rand"
 	"time"
 
+	"hypertree/internal/bitset"
 	"hypertree/internal/elim"
 	"hypertree/internal/interrupt"
 	"hypertree/internal/telemetry"
@@ -167,62 +171,7 @@ func MinorMinWidth(g *elim.Graph, rng *rand.Rand) int {
 // bound, so aborting early simply returns a (possibly weaker) admissible
 // bound — no error is needed.
 func MinorMinWidthCtx(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
-	chk := interrupt.New(ctx, 8)
-	c := g.Clone()
-	lb := 0
-	var ties []int
-	for c.Remaining() > 0 {
-		if chk.Stop() {
-			return lb
-		}
-		// Find min-degree vertex.
-		best := int(^uint(0) >> 1)
-		ties = ties[:0]
-		c.ForEachRemaining(func(v int) {
-			d := c.Degree(v)
-			switch {
-			case d < best:
-				best = d
-				ties = ties[:0]
-				ties = append(ties, v)
-			case d == best:
-				ties = append(ties, v)
-			}
-		})
-		v := pick(ties, rng)
-		if d := c.Degree(v); d > lb {
-			lb = d
-		}
-		if c.Degree(v) == 0 {
-			c.Remove(v)
-			continue
-		}
-		u := leastDegreeNeighbor(c, v, rng)
-		// Contract the edge: merge u into v (the merged vertex inherits
-		// both neighbourhoods, as in a graph minor).
-		c.Contract(v, u)
-	}
-	return lb
-}
-
-// leastDegreeNeighbor returns a neighbour of v with minimum degree,
-// breaking ties randomly.
-func leastDegreeNeighbor(c *elim.Graph, v int, rng *rand.Rand) int {
-	best := int(^uint(0) >> 1)
-	var ties []int
-	c.Neighbors(v).ForEach(func(u int) bool {
-		d := c.Degree(u)
-		switch {
-		case d < best:
-			best = d
-			ties = ties[:0]
-			ties = append(ties, u)
-		case d == best:
-			ties = append(ties, u)
-		}
-		return true
-	})
-	return pick(ties, rng)
+	return NewMinor(g.NumVertices()).MinorMinWidth(ctx, g, rng)
 }
 
 // MinorGammaR implements algorithm minor-γ_R (Fig. 4.8): sort remaining
@@ -237,62 +186,192 @@ func MinorGammaR(g *elim.Graph, rng *rand.Rand) int {
 // MinorGammaRCtx is MinorGammaR with cancellation; like MinorMinWidthCtx,
 // an early abort returns the (admissible) bound accumulated so far.
 func MinorGammaRCtx(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
-	chk := interrupt.New(ctx, 8)
-	c := g.Clone()
+	return NewMinor(g.NumVertices()).MinorGammaR(ctx, g, rng)
+}
+
+// Minor is the workspace of the contraction bounds: a copy of an
+// elimination graph's residual adjacency, with a degree array that every
+// contraction updates in place. A search keeps one and reuses it at every
+// node, so minor-min-width allocates nothing once the workspace has been
+// filled. A Minor is not safe for concurrent use.
+type Minor struct {
+	adj   []*bitset.Set // adjacency of the alive vertices
+	deg   []int         // deg[v] = |adj[v]| for alive v
+	alive *bitset.Set   // vertices neither removed nor contracted away
+	seen  *bitset.Set   // minor-γ_R's scanned prefix
+	order []int         // minor-γ_R's vertices by degree
+	ties  []int
+	chk   interrupt.Checker
+}
+
+// NewMinor returns a workspace for graphs of n vertices.
+func NewMinor(n int) *Minor {
+	m := &Minor{adj: make([]*bitset.Set, n), deg: make([]int, n), alive: bitset.New(n), seen: bitset.New(n)}
+	for v := range m.adj {
+		m.adj[v] = bitset.New(n)
+	}
+	return m
+}
+
+// load copies g's residual graph into the workspace and returns its
+// number of vertices.
+func (m *Minor) load(g *elim.Graph) int {
+	m.alive.Clear()
+	g.ForEachRemaining(func(v int) {
+		m.adj[v].CopyFrom(g.Neighbors(v))
+		m.deg[v] = g.Degree(v)
+		m.alive.Add(v)
+	})
+	return g.Remaining()
+}
+
+// LowerBound is LowerBoundCtx on m: minor-min-width, then minor-γ_R.
+func (m *Minor) LowerBound(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
+	return max(m.MinorMinWidth(ctx, g, rng), m.MinorGammaR(ctx, g, rng))
+}
+
+// MinorMinWidth runs minor-min-width on m's copy of g. It collects the same
+// ties in the same (ascending) order and makes the same rng draws as a run
+// on a clone of g, so the bound and rng's state afterwards are the same.
+func (m *Minor) MinorMinWidth(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
+	m.chk.Reset(ctx, 8)
 	lb := 0
-	for c.Remaining() > 1 {
-		if chk.Stop() {
+	for remaining := m.load(g); remaining > 0; remaining-- {
+		if m.chk.Stop() {
 			return lb
 		}
-		vs := c.RemainingVertices()
-		// Sort ascending by degree (stable by index for determinism).
-		sortByDegree(c, vs)
-		v := -1
-		for i := 1; i < len(vs); i++ {
-			adjAll := true
-			for j := 0; j < i; j++ {
-				if !c.Neighbors(vs[i]).Contains(vs[j]) {
-					adjAll = false
-					break
-				}
-			}
-			if !adjAll {
-				v = vs[i]
-				break
-			}
-		}
-		if v < 0 {
-			// Residual graph is complete: γ = n−1 and we are done.
-			if g := c.Remaining() - 1; g > lb {
-				lb = g
-			}
-			break
-		}
-		if d := c.Degree(v); d > lb {
+		// Find min-degree vertex.
+		best := int(^uint(0) >> 1)
+		m.ties = m.ties[:0]
+		m.alive.ForEach(func(v int) bool {
+			best = m.tie(v, best)
+			return true
+		})
+		v := pick(m.ties, rng)
+		if d := m.deg[v]; d > lb {
 			lb = d
 		}
-		if c.Degree(v) == 0 {
-			c.Remove(v)
+		if m.deg[v] == 0 {
+			m.alive.Remove(v)
 			continue
 		}
-		c.Contract(v, leastDegreeNeighbor(c, v, rng))
+		// Contract the edge: merge v's least-degree neighbour into v (the
+		// merged vertex inherits both neighbourhoods, as in a graph minor).
+		m.contract(v, m.leastDegreeNeighbor(v, rng))
 	}
 	return lb
 }
 
-func sortByDegree(c *elim.Graph, vs []int) {
+// MinorGammaR runs minor-γ_R on m's copy of g, with the same sort order,
+// contractions and rng draws as a run on a clone of g.
+func (m *Minor) MinorGammaR(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
+	m.chk.Reset(ctx, 8)
+	lb := 0
+	for remaining := m.load(g); remaining > 1; remaining-- {
+		if m.chk.Stop() {
+			return lb
+		}
+		// Sort ascending by degree (stable by index for determinism).
+		m.order = m.order[:0]
+		m.alive.ForEach(func(v int) bool {
+			m.order = append(m.order, v)
+			return true
+		})
+		m.sortByDegree(m.order)
+		v := -1
+		m.seen.Clear()
+		m.seen.Add(m.order[0])
+		for _, w := range m.order[1:] {
+			if !m.seen.SubsetOf(m.adj[w]) {
+				v = w
+				break
+			}
+			m.seen.Add(w)
+		}
+		if v < 0 {
+			// Residual graph is complete: γ = n−1 and we are done.
+			if g := remaining - 1; g > lb {
+				lb = g
+			}
+			break
+		}
+		if d := m.deg[v]; d > lb {
+			lb = d
+		}
+		if m.deg[v] == 0 {
+			m.alive.Remove(v)
+			continue
+		}
+		m.contract(v, m.leastDegreeNeighbor(v, rng))
+	}
+	return lb
+}
+
+// sortByDegree sorts vs by (degree, index) ascending.
+func (m *Minor) sortByDegree(vs []int) {
 	// Insertion sort: vertex lists here are short-lived and nearly sorted
 	// across iterations; avoids pulling in sort for a hot path.
 	for i := 1; i < len(vs); i++ {
 		v := vs[i]
-		d := c.Degree(v)
+		d := m.deg[v]
 		j := i - 1
-		for j >= 0 && (c.Degree(vs[j]) > d || (c.Degree(vs[j]) == d && vs[j] > v)) {
+		for j >= 0 && (m.deg[vs[j]] > d || (m.deg[vs[j]] == d && vs[j] > v)) {
 			vs[j+1] = vs[j]
 			j--
 		}
 		vs[j+1] = v
 	}
+}
+
+// leastDegreeNeighbor returns a neighbour of v with minimum degree,
+// breaking ties randomly.
+func (m *Minor) leastDegreeNeighbor(v int, rng *rand.Rand) int {
+	best := int(^uint(0) >> 1)
+	m.ties = m.ties[:0]
+	m.adj[v].ForEach(func(u int) bool {
+		best = m.tie(u, best)
+		return true
+	})
+	return pick(m.ties, rng)
+}
+
+// tie offers v to a running minimum-degree scan whose best degree so far is
+// best, collecting the vertices of minimum degree in m.ties in the order
+// offered. It returns the new best degree.
+func (m *Minor) tie(v, best int) int {
+	switch d := m.deg[v]; {
+	case d < best:
+		m.ties = append(m.ties[:0], v)
+		return d
+	case d == best:
+		m.ties = append(m.ties, v)
+	}
+	return best
+}
+
+// contract merges u into its neighbour v: v gains u's other neighbours and
+// u leaves the graph. Each w ∈ N(u) \ {v} loses u and, unless it was
+// already adjacent to v, gains v in its place.
+func (m *Minor) contract(v, u int) {
+	av := m.adj[v]
+	m.adj[u].ForEach(func(w int) bool {
+		if w == v {
+			return true
+		}
+		aw := m.adj[w]
+		aw.Remove(u)
+		if av.Contains(w) {
+			m.deg[w]--
+		} else {
+			av.Add(w)
+			aw.Add(v)
+			m.deg[v]++
+		}
+		return true
+	})
+	av.Remove(u)
+	m.deg[v]--
+	m.alive.Remove(u)
 }
 
 // Degeneracy returns the degeneracy lower bound (MMD): the maximum over the
@@ -319,11 +398,7 @@ func LowerBound(g *elim.Graph, rng *rand.Rand) int {
 // LowerBoundCtx is LowerBound with cancellation; aborting early yields a
 // weaker but still admissible bound.
 func LowerBoundCtx(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
-	lb := MinorMinWidthCtx(ctx, g, rng)
-	if r := MinorGammaRCtx(ctx, g, rng); r > lb {
-		lb = r
-	}
-	return lb
+	return NewMinor(g.NumVertices()).LowerBound(ctx, g, rng)
 }
 
 // UpperBound returns the min-fill upper bound and its ordering (§5.1 uses

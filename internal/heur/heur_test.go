@@ -1,10 +1,12 @@
 package heur
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hypertree/internal/elim"
+	"hypertree/internal/gen"
 	"hypertree/internal/hypergraph"
 )
 
@@ -223,5 +225,144 @@ func TestIsolatedVerticesHandled(t *testing.T) {
 	o, w := MinFill(e, nil)
 	if len(o) != 4 || w != 0 {
 		t.Fatalf("min-fill on edgeless: %v width %d", o, w)
+	}
+}
+
+// The clone-based contraction bounds that Minor replaced, kept as
+// references: they contract on a clone of the elimination graph and read
+// degrees from its adjacency sets.
+
+func minorMinWidthRef(g *elim.Graph, rng *rand.Rand) int {
+	c := g.Clone()
+	lb := 0
+	var ties []int
+	for c.Remaining() > 0 {
+		best := int(^uint(0) >> 1)
+		ties = ties[:0]
+		c.ForEachRemaining(func(v int) {
+			d := c.Degree(v)
+			switch {
+			case d < best:
+				best = d
+				ties = ties[:0]
+				ties = append(ties, v)
+			case d == best:
+				ties = append(ties, v)
+			}
+		})
+		v := pick(ties, rng)
+		if d := c.Degree(v); d > lb {
+			lb = d
+		}
+		if c.Degree(v) == 0 {
+			c.Remove(v)
+			continue
+		}
+		c.Contract(v, leastDegreeNeighborRef(c, v, rng))
+	}
+	return lb
+}
+
+func minorGammaRRef(g *elim.Graph, rng *rand.Rand) int {
+	c := g.Clone()
+	lb := 0
+	for c.Remaining() > 1 {
+		vs := c.RemainingVertices()
+		for i := 1; i < len(vs); i++ { // insertion sort by (degree, index)
+			v, d, j := vs[i], c.Degree(vs[i]), i-1
+			for j >= 0 && (c.Degree(vs[j]) > d || (c.Degree(vs[j]) == d && vs[j] > v)) {
+				vs[j+1] = vs[j]
+				j--
+			}
+			vs[j+1] = v
+		}
+		v := -1
+		for i := 1; i < len(vs) && v < 0; i++ {
+			for j := 0; j < i; j++ {
+				if !c.Neighbors(vs[i]).Contains(vs[j]) {
+					v = vs[i]
+					break
+				}
+			}
+		}
+		if v < 0 {
+			if g := c.Remaining() - 1; g > lb {
+				lb = g
+			}
+			break
+		}
+		if d := c.Degree(v); d > lb {
+			lb = d
+		}
+		if c.Degree(v) == 0 {
+			c.Remove(v)
+			continue
+		}
+		c.Contract(v, leastDegreeNeighborRef(c, v, rng))
+	}
+	return lb
+}
+
+func leastDegreeNeighborRef(c *elim.Graph, v int, rng *rand.Rand) int {
+	best := int(^uint(0) >> 1)
+	var ties []int
+	c.Neighbors(v).ForEach(func(u int) bool {
+		d := c.Degree(u)
+		switch {
+		case d < best:
+			best = d
+			ties = ties[:0]
+			ties = append(ties, u)
+		case d == best:
+			ties = append(ties, u)
+		}
+		return true
+	})
+	return pick(ties, rng)
+}
+
+// One kept Minor agrees with the clone-based references on seeded random
+// graphs with random eliminated prefixes, and leaves equally seeded
+// generators in the same state.
+func TestMinorMatchesCloneReference(t *testing.T) {
+	ctx := context.Background()
+	m := NewMinor(100)
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(98)
+		g := elim.New(randomGraph(n, 0.03+0.6*rng.Float64(), seed))
+		for _, v := range rng.Perm(n)[:rng.Intn(n)] {
+			g.Eliminate(v)
+		}
+		for _, k := range []struct {
+			name      string
+			got, want func(*rand.Rand) int
+		}{
+			{"minor-min-width", func(r *rand.Rand) int { return m.MinorMinWidth(ctx, g, r) }, func(r *rand.Rand) int { return minorMinWidthRef(g, r) }},
+			{"minor-γ_R", func(r *rand.Rand) int { return m.MinorGammaR(ctx, g, r) }, func(r *rand.Rand) int { return minorGammaRRef(g, r) }},
+		} {
+			if got, want := k.got(nil), k.want(nil); got != want {
+				t.Fatalf("seed %d: %s without rng = %d, reference %d", seed, k.name, got, want)
+			}
+			r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			if got, want := k.got(r1), k.want(r2); got != want {
+				t.Fatalf("seed %d: %s = %d, reference %d", seed, k.name, got, want)
+			}
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("seed %d: %s left the rng at %d, reference at %d", seed, k.name, a, b)
+			}
+		}
+	}
+}
+
+// Minor-min-width on a kept Minor allocates nothing after warm-up.
+func TestMinorMinWidthAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	g := elim.New(gen.Queen(5))
+	g.Eliminate(7)
+	m := NewMinor(g.NumVertices())
+	rng := rand.New(rand.NewSource(1))
+	if allocs := testing.AllocsPerRun(20, func() { m.MinorMinWidth(ctx, g, rng) }); allocs != 0 {
+		t.Fatalf("%v allocations per run, want 0", allocs)
 	}
 }

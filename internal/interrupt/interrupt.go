@@ -34,12 +34,20 @@ type Checker struct {
 // New returns a Checker over ctx that inspects the cancellation state once
 // every `every` calls to Stop (minimum 1).
 func New(ctx context.Context, every uint32) *Checker {
+	c := new(Checker)
+	c.Reset(ctx, every)
+	return c
+}
+
+// Reset makes c a fresh Checker over ctx, as New would return, without
+// allocating: a kernel that runs many short polled loops keeps one Checker
+// and resets it per loop.
+func (c *Checker) Reset(ctx context.Context, every uint32) {
 	if every == 0 {
 		every = 1
 	}
-	c := &Checker{done: ctx.Done(), every: every}
+	*c = Checker{done: ctx.Done(), every: every}
 	c.deadline, c.hasDeadline = ctx.Deadline()
-	return c
 }
 
 // Stop reports whether the context has been cancelled or its deadline has

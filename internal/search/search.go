@@ -133,12 +133,15 @@ func (m Measure) Evaluator(rng *rand.Rand) *order.Evaluator {
 //
 // Treewidth ignores opt.Cover, opt.FracBound and opt.Stats.
 func (m Measure) Mode(ctx context.Context, rng *rand.Rand, opt Options) Mode {
+	// The contraction bounds run on one workspace per mode (and so per
+	// search), which the residual bound reuses at every child.
+	minor := heur.NewMinor(m.G.NumVertices())
 	if m.H == nil {
 		return Mode{
 			StepCost:   func(g *elim.Graph, v int) int { return g.Degree(v) },
-			ResidualLB: func(g *elim.Graph) int { return heur.MinorMinWidthCtx(ctx, g, rng) },
+			ResidualLB: func(g *elim.Graph) int { return minor.MinorMinWidth(ctx, g, rng) },
 			FinishCost: func(g *elim.Graph) int { return g.Remaining() - 1 },
-			RootLB:     func(g *elim.Graph) int { return heur.LowerBoundCtx(ctx, g, rng) },
+			RootLB:     func(g *elim.Graph) int { return minor.LowerBound(ctx, g, rng) },
 			Reduction:  true,
 			Swappable:  PR2Swappable,
 		}
@@ -149,6 +152,7 @@ func (m Measure) Mode(ctx context.Context, rng *rand.Rand, opt Options) Mode {
 	}
 	scratch := bitset.New(h.NumVertices())
 	fracScratch := bitset.New(h.NumVertices())
+	ksc := setcover.SortedEdgeSizes(h)
 	// fracFloor raises base to the fractional completion bound, early-
 	// exiting once no remaining vertex can beat base. This is the cascade
 	// the ROADMAP's bound-quality question is about, so it self-reports:
@@ -206,8 +210,8 @@ func (m Measure) Mode(ctx context.Context, rng *rand.Rand, opt Options) Mode {
 			if g.Remaining() == 0 {
 				return 0
 			}
-			twlb := heur.MinorMinWidthCtx(ctx, g, rng)
-			lb := setcover.TwKscLowerBound(h, twlb)
+			twlb := minor.MinorMinWidth(ctx, g, rng)
+			lb := ksc.TwKscLowerBound(twlb)
 			if opt.FracBound {
 				lb = fracFloor(g, lb)
 			}
@@ -225,7 +229,7 @@ func (m Measure) Mode(ctx context.Context, rng *rand.Rand, opt Options) Mode {
 			if g.Remaining() == 0 {
 				return 0
 			}
-			lb := setcover.TwKscLowerBound(h, heur.LowerBoundCtx(ctx, g, rng))
+			lb := ksc.TwKscLowerBound(minor.LowerBound(ctx, g, rng))
 			if opt.FracBound {
 				lb = fracFloor(g, lb)
 			}
@@ -252,26 +256,10 @@ func PR2Swappable(g *elim.Graph, v, w int) bool {
 	if !nv.Contains(w) {
 		return true
 	}
-	// x ∈ N(v) \ (N(w) ∪ {w}) and y ∈ N(w) \ (N(v) ∪ {v}).
-	vPrivate, wPrivate := false, false
-	nv.ForEach(func(x int) bool {
-		if x != w && !nw.Contains(x) {
-			vPrivate = true
-			return false
-		}
-		return true
-	})
-	if !vPrivate {
-		return false
-	}
-	nw.ForEach(func(y int) bool {
-		if y != v && !nv.Contains(y) {
-			wPrivate = true
-			return false
-		}
-		return true
-	})
-	return wPrivate
+	// x ∈ N(v) \ (N(w) ∪ {w}) and y ∈ N(w) \ (N(v) ∪ {v}) exist iff each
+	// private part holds more than the other vertex itself.
+	common := nv.IntersectionCount(nw)
+	return g.Degree(v)-common > 1 && g.Degree(w)-common > 1
 }
 
 // NonAdjacentSwappable is the swap test valid for every width measure over
@@ -283,19 +271,63 @@ func NonAdjacentSwappable(g *elim.Graph, v, w int) bool {
 	return !g.Neighbors(v).Contains(w)
 }
 
-// PR2Pruned returns the set of candidate successors w of the elimination of
-// v that Pruning Rule 2 removes: w with w < v whose swap with v is width-
+// PR2Pruned fills pruned with the candidate successors w of the elimination
+// of v that Pruning Rule 2 removes: w with w < v whose swap with v is width-
 // preserving under the mode's Swappable test. The canonical representative
 // kept is the branch eliminating the smaller-indexed vertex first. Must be
-// called BEFORE eliminating v.
-func PR2Pruned(g *elim.Graph, v int, swappable func(*elim.Graph, int, int) bool) *bitset.Set {
-	pruned := bitset.New(g.NumVertices())
+// called BEFORE eliminating v. pruned is the caller's and is overwritten.
+func PR2Pruned(g *elim.Graph, v int, swappable func(*elim.Graph, int, int) bool, pruned *bitset.Set) {
+	pruned.Clear()
 	g.ForEachRemaining(func(w int) {
 		if w < v && swappable(g, v, w) {
 			pruned.Add(w)
 		}
 	})
-	return pruned
+}
+
+// maxDominanceEntries caps the eliminated sets a Dominance cache records.
+const maxDominanceEntries = 1 << 21
+
+// Dominance is the eliminated-set dominance cache of the exact searches
+// (an extension beyond the thesis, in the style of Dow & Korf duplicate
+// detection). The completions of a prefix depend only on the set it
+// eliminated, so a prefix that reaches a set at no lower cost than an
+// earlier one cannot improve on it. A nil *Dominance is disabled.
+type Dominance struct {
+	slot map[string]int32 // eliminated-set key → its index in cost
+	cost []int            // best prefix cost seen, per recorded set
+	key  []byte           // the probed key, reused
+}
+
+// NewDominance returns an empty cache, or nil when disabled.
+func NewDominance(disabled bool) *Dominance {
+	if disabled {
+		return nil
+	}
+	return &Dominance{slot: make(map[string]int32)}
+}
+
+// Pruned reports whether g's eliminated set was reached before at a prefix
+// cost of at most cg. Otherwise it records cg for the set, while the cache
+// holds fewer than its cap. Only recording a new set allocates.
+func (d *Dominance) Pruned(g *elim.Graph, cg int) bool {
+	if d == nil {
+		return false
+	}
+	d.key = g.EliminatedSet().AppendKey(d.key[:0])
+	i, ok := d.slot[string(d.key)]
+	if ok && d.cost[i] <= cg {
+		return true
+	}
+	if len(d.cost) < maxDominanceEntries {
+		if ok {
+			d.cost[i] = cg
+		} else {
+			d.slot[string(d.key)] = int32(len(d.cost))
+			d.cost = append(d.cost, cg)
+		}
+	}
+	return false
 }
 
 // OrderCost evaluates a complete elimination ordering of g's remaining

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"hypertree/internal/bitset"
 	"hypertree/internal/elim"
+	"hypertree/internal/gen"
 	"hypertree/internal/hypergraph"
 )
 
@@ -111,5 +113,82 @@ func TestOrderCostRestores(t *testing.T) {
 	}
 	if g.Remaining() != 5 || g.Depth() != 0 {
 		t.Fatal("OrderCost did not restore the graph")
+	}
+}
+
+// pr2SwappableRef is the private-neighbour scan PR2Swappable replaced.
+func pr2SwappableRef(g *elim.Graph, v, w int) bool {
+	nv, nw := g.Neighbors(v), g.Neighbors(w)
+	if !nv.Contains(w) {
+		return true
+	}
+	private := func(a, b *bitset.Set, other int) bool {
+		found := false
+		a.ForEach(func(x int) bool {
+			found = x != other && !b.Contains(x)
+			return !found
+		})
+		return found
+	}
+	return private(nv, nw, w) && private(nw, nv, v)
+}
+
+func TestPR2SwappableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(90)
+		g := hypergraph.NewGraph(n)
+		p := 0.05 + 0.6*rng.Float64()
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < p {
+					g.AddEdge(i, j)
+				}
+			}
+		}
+		e := elim.New(g)
+		for _, v := range rng.Perm(n)[:rng.Intn(n)] {
+			e.Eliminate(v)
+		}
+		e.ForEachRemaining(func(v int) {
+			e.ForEachRemaining(func(w int) {
+				if v == w {
+					return
+				}
+				if got, want := PR2Swappable(e, v, w), pr2SwappableRef(e, v, w); got != want {
+					t.Fatalf("trial %d: PR2Swappable(%d, %d) = %v, reference %v", trial, v, w, got, want)
+				}
+			})
+		})
+	}
+}
+
+// PR2 into a caller's set and a dominance probe that hits allocate nothing
+// after warm-up.
+func TestPR2AndDominanceAllocateNothing(t *testing.T) {
+	g := elim.New(gen.Queen(5))
+	pruned := bitset.New(g.NumVertices())
+	if allocs := testing.AllocsPerRun(20, func() {
+		for v := 0; v < g.NumVertices(); v++ {
+			PR2Pruned(g, v, PR2Swappable, pruned)
+		}
+	}); allocs != 0 {
+		t.Errorf("PR2Pruned: %v allocations per run, want 0", allocs)
+	}
+	dom := NewDominance(false)
+	g.Eliminate(3)
+	g.Eliminate(11)
+	if dom.Pruned(g, 5) {
+		t.Fatal("first probe of a set pruned")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if !dom.Pruned(g, 5) {
+			t.Fatal("repeat probe at the same cost not pruned")
+		}
+	}); allocs != 0 {
+		t.Errorf("dominance hit: %v allocations per run, want 0", allocs)
+	}
+	if dom.Pruned(g, 4) || !dom.Pruned(g, 4) {
+		t.Fatal("a cheaper probe must record its cost and then prune its repeat")
 	}
 }

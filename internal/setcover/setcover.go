@@ -295,21 +295,31 @@ func (s *Solver) greedyMasks(target *bitset.Set, cands []candidate) []int {
 	return cover
 }
 
-// CoverLowerBound returns a lower bound on the minimum number of hyperedges
-// needed to cover ANY vertex set of the given size: the smallest j such
-// that the j largest hyperedges together have at least size vertices. This
-// is the k-set-cover bound of §8.1.1.
-func CoverLowerBound(h *hypergraph.Hypergraph, size int) int {
-	if size <= 0 {
-		return 0
-	}
+// EdgeSizes holds a hypergraph's edge sizes in descending order: the input
+// of the k-set-cover bound, sorted once so that a search can evaluate the
+// bound at every node without allocating.
+type EdgeSizes []int
+
+// SortedEdgeSizes returns h's edge sizes in descending order.
+func SortedEdgeSizes(h *hypergraph.Hypergraph) EdgeSizes {
 	sizes := make([]int, h.NumEdges())
 	for e := range sizes {
 		sizes[e] = len(h.Edge(e))
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	return sizes
+}
+
+// CoverLowerBound returns a lower bound on the minimum number of hyperedges
+// needed to cover ANY vertex set of the given size: the smallest j such
+// that the j largest hyperedges together have at least size vertices. This
+// is the k-set-cover bound of §8.1.1.
+func (s EdgeSizes) CoverLowerBound(size int) int {
+	if size <= 0 {
+		return 0
+	}
 	total := 0
-	for j, sz := range sizes {
+	for j, sz := range s {
 		total += sz
 		if total >= size {
 			return j + 1
@@ -317,17 +327,23 @@ func CoverLowerBound(h *hypergraph.Hypergraph, size int) int {
 	}
 	// Not coverable at all — every χ-set is coverable in reality, so treat
 	// as "all edges".
-	return len(sizes)
+	return len(s)
 }
 
 // TwKscLowerBound implements algorithm tw-ksc-width (Fig. 8.1): combine a
 // lower bound L on the treewidth of the primal graph with the k-set-cover
 // bound. Any generalized hypertree decomposition has some χ-set of at least
 // L+1 vertices (otherwise it would be a tree decomposition of width < L),
-// and covering L+1 vertices needs at least CoverLowerBound(h, L+1) edges.
+// and covering L+1 vertices needs at least CoverLowerBound(L+1) edges.
 func TwKscLowerBound(h *hypergraph.Hypergraph, twLowerBound int) int {
-	lb := CoverLowerBound(h, twLowerBound+1)
-	if lb < 1 && h.NumEdges() > 0 {
+	return SortedEdgeSizes(h).TwKscLowerBound(twLowerBound)
+}
+
+// TwKscLowerBound is tw-ksc-width over the hypergraph whose sorted edge
+// sizes s holds.
+func (s EdgeSizes) TwKscLowerBound(twLowerBound int) int {
+	lb := s.CoverLowerBound(twLowerBound + 1)
+	if lb < 1 && len(s) > 0 {
 		lb = 1
 	}
 	return lb

@@ -158,7 +158,7 @@ func TestCoverLowerBound(t *testing.T) {
 		{0, 0}, {1, 1}, {4, 1}, {5, 2}, {7, 2}, {8, 3}, {10, 4}, {12, 4},
 	}
 	for _, c := range cases {
-		if got := CoverLowerBound(h, c.size); got != c.want {
+		if got := SortedEdgeSizes(h).CoverLowerBound(c.size); got != c.want {
 			t.Fatalf("CoverLowerBound(size=%d) = %d, want %d", c.size, got, c.want)
 		}
 	}
