@@ -16,6 +16,7 @@ import (
 	"context"
 	"strings"
 
+	"hypertree/internal/csp"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 	"hypertree/internal/telemetry"
@@ -31,8 +32,8 @@ type relKey struct {
 // of (name, arity) in column order, or the arity error per-query
 // evaluation would have reported.
 type sharedRel struct {
-	tuples [][]int
-	err    error
+	rel *csp.Relation
+	err error
 }
 
 // sharedBase interns one database's relations once for a whole batch: a
@@ -56,38 +57,29 @@ func newSharedBase(db *Database, stats *telemetry.Stats) *sharedBase {
 }
 
 // canonical returns the deduped interned rows of the named relation at the
-// given arity, building them on first use. Every further request is a
-// shared-base-join hit: the rows are aliased, not copied, and the batch
-// counter records the amortization.
-func (sb *sharedBase) canonical(name string, arity int) ([][]int, error) {
+// given arity, over the scope 0 … arity−1, building them on first use.
+// Every further request is a shared-base-join hit: the rows are shared,
+// not copied, and the batch counter records the amortization.
+func (sb *sharedBase) canonical(name string, arity int) (*csp.Relation, error) {
 	k := relKey{name, arity}
 	if sr, ok := sb.rels[k]; ok {
 		if sr.err == nil {
 			sb.stats.Add(telemetry.CQBatchSharedJoins, 1)
 		}
-		return sr.tuples, sr.err
+		return sr.rel, sr.err
 	}
+	// The shape of a plain atom over the relation: column i is variable i.
+	cols := make([]int, arity)
+	for i := range cols {
+		cols[i] = i
+	}
+	sh := atomShape{relation: name, first: cols, cols: cols}
 	sr := &sharedRel{}
+	sr.rel, sr.err = csp.DistinctRows(sh.cols, func(add func([]int)) error {
+		return sh.intern(sb.db.Relation(name), sb.terms, add)
+	})
 	sb.rels[k] = sr
-	dedupe := map[string]bool{}
-	for _, row := range sb.db.Relation(name) {
-		if len(row) != arity {
-			sr.err = errArity(name, len(row), arity)
-			sr.tuples = nil
-			return nil, sr.err
-		}
-		tuple := make([]int, arity)
-		key := ""
-		for i, v := range row {
-			tuple[i] = sb.terms.intern(v)
-			key += v + "\x00"
-		}
-		if !dedupe[key] {
-			dedupe[key] = true
-			sr.tuples = append(sr.tuples, tuple)
-		}
-	}
-	return sr.tuples, nil
+	return sr.rel, sr.err
 }
 
 // hypergraphSig renders the index structure of a hypergraph — vertex count

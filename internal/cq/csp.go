@@ -150,7 +150,8 @@ func (f *flow) witness(c *csp.CSP) []int {
 	pick = func(n *decomp.Node) {
 		r := f.down[f.idx[n]]
 	tuples:
-		for _, t := range r.Tuples {
+		for k := 0; k < r.Size(); k++ {
+			t := r.Row(k)
 			for i, v := range r.Scope {
 				if fixed[v] && sol[v] != t[i] {
 					continue tuples
@@ -212,7 +213,7 @@ func (f *flow) count(ctx context.Context, c *csp.CSP) (int, error) {
 	// The count is the root's group sum against the empty-scope relation,
 	// times the domain size of each variable in no node relation: those are
 	// unconstrained.
-	total, ok := csp.GroupSum(&csp.Relation{Tuples: [][]int{{}}}, f.base[f.root], counts[f.root])
+	total, ok := csp.GroupSum(csp.NewRelation(nil, [][]int{{}}), f.base[f.root], counts[f.root])
 	inScope := make([]bool, c.NumVars())
 	for _, r := range f.base {
 		for _, v := range r.Scope {

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -318,7 +319,7 @@ func (f *flow) baseStep(ctx context.Context, i int) (*csp.Relation, error) {
 	chi := n.Chi.Slice()
 	switch len(n.Lambda) {
 	case 0:
-		return &csp.Relation{Tuples: [][]int{{}}}, nil
+		return csp.NewRelation(nil, [][]int{{}}), nil
 	case 1:
 		return csp.Project(f.in.atomRel[n.Lambda[0]], chi), nil
 	}
@@ -586,7 +587,9 @@ func stopCause(ctx context.Context) error {
 // evaluator so both produce byte-identical answer sets. The rows need no
 // deduplication: the root's out rows are distinct, every root column is a
 // head variable, and interning is one-to-one, so distinct tuples render as
-// distinct rows even when the head repeats a variable.
+// distinct rows even when the head repeats a variable. For the same reason
+// the rows sort on int codes ranked by their strings, which orders them as
+// the strings would.
 func assembleAnswers(q *Query, in *instance, root *csp.Relation) ([][]string, error) {
 	colOf := make([]int, len(q.Head))
 	for i, hv := range q.Head {
@@ -608,16 +611,44 @@ func assembleAnswers(q *Query, in *instance, root *csp.Relation) ([][]string, er
 		// Boolean-shaped query: report one empty row when satisfiable.
 		return [][]string{{}}, nil
 	}
+	// rank[c] orders code c among the codes the answers use.
+	rank := make([]int32, len(in.terms.dict))
+	var codes []int
+	for r := 0; r < root.Size(); r++ {
+		t := root.Row(r)
+		for _, col := range colOf {
+			if c := t[col]; rank[c] == 0 {
+				rank[c] = 1
+				codes = append(codes, c)
+			}
+		}
+	}
+	slices.SortFunc(codes, func(x, y int) int { return strings.Compare(in.value(x), in.value(y)) })
+	for i, c := range codes {
+		rank[c] = int32(i)
+	}
 	w := len(q.Head)
-	block := make([]string, len(root.Tuples)*w)
-	rows := make([][]string, len(root.Tuples))
-	for r, t := range root.Tuples {
-		row := block[r*w : (r+1)*w : (r+1)*w]
+	keys := make([]int32, root.Size()*w)
+	order := make([]int32, root.Size())
+	for r := range order {
+		order[r] = int32(r)
+		t := root.Row(r)
+		for i, c := range colOf {
+			keys[r*w+i] = rank[t[c]]
+		}
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		return slices.Compare(keys[int(x)*w:int(x)*w+w], keys[int(y)*w:int(y)*w+w])
+	})
+	block := make([]string, len(order)*w)
+	rows := make([][]string, len(order))
+	for k, r := range order {
+		row := block[k*w : (k+1)*w : (k+1)*w]
+		t := root.Row(int(r))
 		for i, c := range colOf {
 			row[i] = in.value(t[c])
 		}
-		rows[r] = row
+		rows[k] = row
 	}
-	sortRows(rows)
 	return rows, nil
 }

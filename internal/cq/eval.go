@@ -82,8 +82,90 @@ type instance struct {
 	h        *hypergraph.Hypergraph // one vertex per variable, one edge per atom
 	varIndex map[string]int         // query variable → hypergraph vertex index
 	terms    *interner              // constant dictionary (shared across a batch)
+	shapes   []atomShape            // per body atom
 	atomRel  []*csp.Relation        // per body atom, scope = its vertex indices
 	empty    bool                   // a ground atom failed: no answers
+}
+
+// atomShape is one body atom read against the hypergraph: its scope (the
+// vertices of its distinct variables, in term order), the database column
+// that supplies each scope variable, and the equalities a database row
+// must meet to match the atom.
+type atomShape struct {
+	relation string
+	terms    []Term // read for constants only
+	first    []int  // per term: the column of its variable's first term; −1 for a constant
+	scope    []int
+	cols     []int // per scope position: the column of its variable's first term
+}
+
+// newAtomShape reads atom a against the vertex of each variable.
+func newAtomShape(a Atom, varIndex map[string]int) atomShape {
+	sh := atomShape{relation: a.Relation, terms: a.Terms, first: make([]int, len(a.Terms))}
+	col := map[string]int{}
+	for j, t := range a.Terms {
+		sh.first[j] = -1
+		if !t.IsVar {
+			continue
+		}
+		c, seen := col[t.Value]
+		if !seen {
+			c = j
+			col[t.Value] = j
+			sh.scope = append(sh.scope, varIndex[t.Value])
+			sh.cols = append(sh.cols, j)
+		}
+		sh.first[j] = c
+	}
+	return sh
+}
+
+// plain reports whether every term of the atom is a variable and no
+// variable repeats: the shape whose per-atom relation equals the raw
+// deduped relation rows in column order.
+func (sh *atomShape) plain() bool { return len(sh.cols) == len(sh.first) }
+
+// match reports whether a database row of the atom's arity meets its
+// constants and repeated variables.
+func (sh *atomShape) match(row []string) bool {
+	for j, c := range sh.first {
+		if c < 0 {
+			if row[j] != sh.terms[j].Value {
+				return false
+			}
+		} else if row[j] != row[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// key renders the scope values of a matching row as a string key.
+func (sh *atomShape) key(row []string) string {
+	key := ""
+	for _, c := range sh.cols {
+		key += row[c] + "\x00"
+	}
+	return key
+}
+
+// intern passes add the interned scope values of each row that matches
+// the atom, in row order. A row of another arity is an error.
+func (sh *atomShape) intern(rows [][]string, terms *interner, add func(row []int)) error {
+	tuple := make([]int, len(sh.cols))
+	for _, row := range rows {
+		if len(row) != len(sh.first) {
+			return errArity(sh.relation, len(row), len(sh.first))
+		}
+		if !sh.match(row) {
+			continue
+		}
+		for si, c := range sh.cols {
+			tuple[si] = terms.intern(row[c])
+		}
+		add(tuple)
+	}
+	return nil
 }
 
 // newInstance interns db against q with a private dictionary; sb, when
@@ -109,65 +191,40 @@ func newInstance(q *Query, db *Database, sb *sharedBase) (*instance, error) {
 	}
 
 	for i, a := range q.Body {
+		sh := newAtomShape(a, in.varIndex)
+		in.shapes = append(in.shapes, sh)
 		rows := db.Relation(a.Relation)
-		// Distinct variables of the atom, in hypergraph order.
-		var scope []int
-		seenV := map[string]bool{}
-		for _, t := range a.Terms {
-			if t.IsVar && !seenV[t.Value] {
-				seenV[t.Value] = true
-				scope = append(scope, in.varIndex[t.Value])
-			}
-		}
-		if sb != nil && isPlainAtom(a) && len(scope) > 0 {
-			// Plain atom: its relation is exactly the canonical deduped row
-			// set of (relation, arity) — share the batch's interned copy.
-			tuples, err := sb.canonical(a.Relation, len(a.Terms))
-			if err != nil {
-				return nil, err
-			}
-			in.atomRel = append(in.atomRel, &csp.Relation{Scope: scope, Tuples: tuples})
-			continue
-		}
-		groundOK := false
-		rel := &csp.Relation{Scope: scope}
-		dedupe := map[string]bool{}
-		for _, row := range rows {
-			if len(row) != len(a.Terms) {
-				return nil, errArity(a.Relation, len(row), len(a.Terms))
-			}
-			binding, ok := bindAtomRow(a, row)
-			if !ok {
-				continue
-			}
-			groundOK = true
-			if len(scope) == 0 {
-				continue
-			}
-			// Fill the tuple in hypergraph-scope order.
-			tuple := make([]int, len(scope))
-			key := ""
-			for si, v := range scope {
-				name := varName(q, a, v, in)
-				tuple[si] = in.terms.intern(binding[name])
-				key += binding[name] + "\x00"
-			}
-			if !dedupe[key] {
-				dedupe[key] = true
-				rel.Tuples = append(rel.Tuples, tuple)
-			}
-		}
-		if len(scope) == 0 {
+		var rel *csp.Relation
+		var err error
+		switch {
+		case len(sh.scope) == 0:
 			// Ground atom: represent via its dummy vertex with a single
 			// tuple when satisfied.
+			groundOK := false
+			if err = sh.intern(rows, in.terms, func([]int) { groundOK = true }); err != nil {
+				return nil, err
+			}
 			dummyIdx := -1
-			es := h.EdgeSet(i)
-			es.ForEach(func(v int) bool { dummyIdx = v; return false })
-			rel = &csp.Relation{Scope: []int{dummyIdx}}
+			h.EdgeSet(i).ForEach(func(v int) bool { dummyIdx = v; return false })
+			rel = csp.NewRelation([]int{dummyIdx}, nil)
 			if groundOK {
-				rel.Tuples = [][]int{{in.terms.intern("_")}}
+				rel.AppendRow([]int{in.terms.intern("_")})
 			} else {
 				in.empty = true
+			}
+		case sb != nil && sh.plain():
+			// Plain atom: its relation is exactly the canonical deduped row
+			// set of (relation, arity) — share the batch's interned copy.
+			if rel, err = sb.canonical(a.Relation, len(a.Terms)); err != nil {
+				return nil, err
+			}
+			rel = rel.WithScope(sh.scope)
+		default:
+			rel, err = csp.DistinctRows(sh.scope, func(add func([]int)) error {
+				return sh.intern(rows, in.terms, add)
+			})
+			if err != nil {
+				return nil, err
 			}
 		}
 		in.atomRel = append(in.atomRel, rel)
@@ -175,55 +232,7 @@ func newInstance(q *Query, db *Database, sb *sharedBase) (*instance, error) {
 	return in, nil
 }
 
-// bindAtomRow matches one database row against an atom's constants and
-// repeated variables, returning the variable binding (nil, false when the
-// row is rejected). The row must already have the atom's arity.
-func bindAtomRow(a Atom, row []string) (map[string]string, bool) {
-	binding := map[string]string{}
-	for j, t := range a.Terms {
-		if !t.IsVar {
-			if row[j] != t.Value {
-				return nil, false
-			}
-			continue
-		}
-		if prev, bound := binding[t.Value]; bound {
-			if prev != row[j] {
-				return nil, false
-			}
-			continue
-		}
-		binding[t.Value] = row[j]
-	}
-	return binding, true
-}
-
-// varName finds the variable name whose hypergraph index is v among the
-// atom's terms.
-func varName(q *Query, a Atom, v int, in *instance) string {
-	for _, t := range a.Terms {
-		if t.IsVar && in.varIndex[t.Value] == v {
-			return t.Value
-		}
-	}
-	return ""
-}
-
 func (in *instance) value(i int) string { return in.terms.value(i) }
-
-// isPlainAtom reports whether every term of a is a variable and no
-// variable repeats — the shape whose per-atom relation equals the raw
-// deduped relation rows in column order.
-func isPlainAtom(a Atom) bool {
-	seen := map[string]bool{}
-	for _, t := range a.Terms {
-		if !t.IsVar || seen[t.Value] {
-			return false
-		}
-		seen[t.Value] = true
-	}
-	return true
-}
 
 func sortRows(rows [][]string) {
 	sort.Slice(rows, func(i, j int) bool {

@@ -28,6 +28,7 @@ package cq
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,15 +36,6 @@ import (
 	"hypertree/internal/decomp"
 	"hypertree/internal/telemetry"
 )
-
-// atomState is the per-atom maintenance record of a standing query.
-type atomState struct {
-	scope      []int          // hypergraph vertex per scope position
-	scopeNames []string       // variable name per scope position
-	counts     map[string]int // projected-row key → multiplicity in the database
-	ground     bool           // atom has no variables
-	groundVal  int            // interned "_" filling the dummy vertex of a ground atom
-}
 
 // StandingQuery is a continuously maintained conjunctive query: it
 // captures the database contents at creation and re-answers after every
@@ -54,9 +46,9 @@ type StandingQuery struct {
 	q  *Query
 	*flow
 
-	atomNodes [][]int // atom index → indices of nodes whose λ contains it
-	atoms     []atomState
-	isEmpty   bool // some base/up relation is empty: no answers
+	atomNodes [][]int          // atom index → indices of nodes whose λ contains it
+	counts    []map[string]int // atom index → projected-row key → multiplicity in the database
+	isEmpty   bool             // some base/up relation is empty: no answers
 	answers   [][]string
 
 	undo []func() // rollback journal of the in-flight delta
@@ -94,29 +86,15 @@ func NewStandingQuery(ctx context.Context, q *Query, db *Database, d *decomp.Dec
 		}
 	}
 
-	s.atoms = make([]atomState, len(q.Body))
+	s.counts = make([]map[string]int, len(q.Body))
 	for ai, a := range q.Body {
-		st := &s.atoms[ai]
-		seenV := map[string]bool{}
-		for _, t := range a.Terms {
-			if t.IsVar && !seenV[t.Value] {
-				seenV[t.Value] = true
-				st.scope = append(st.scope, in.varIndex[t.Value])
-				st.scopeNames = append(st.scopeNames, t.Value)
-			}
-		}
-		st.counts = map[string]int{}
-		if len(st.scope) == 0 {
-			st.ground = true
-			st.groundVal = in.terms.intern("_")
-		}
+		sh := &in.shapes[ai]
+		s.counts[ai] = map[string]int{}
 		for _, row := range db.Relation(a.Relation) {
 			// Arity was validated by newInstance above.
-			binding, ok := bindAtomRow(a, row)
-			if !ok {
-				continue
+			if sh.match(row) {
+				s.counts[ai][sh.key(row)]++
 			}
-			st.counts[s.rowKey(st, binding)]++
 		}
 	}
 	// Opening is one full propagation: every node is dirty and every layer
@@ -130,15 +108,6 @@ func NewStandingQuery(ctx context.Context, q *Query, db *Database, d *decomp.Dec
 	}
 	s.undo = nil
 	return s, nil
-}
-
-// rowKey renders a binding as the atom's projected-row count key.
-func (s *StandingQuery) rowKey(st *atomState, binding map[string]string) string {
-	key := ""
-	for _, name := range st.scopeNames {
-		key += binding[name] + "\x00"
-	}
-	return key
 }
 
 // anyEmpty reports whether some base or bottom-up-reduced relation is
@@ -220,12 +189,11 @@ func (s *StandingQuery) apply(ctx context.Context, relation string, tuple []stri
 	s.undo = s.undo[:0]
 	dirty := make([]bool, len(s.nodes))
 	any := false
-	for ai := range s.q.Body {
-		a := s.q.Body[ai]
+	for ai, a := range s.q.Body {
 		if a.Relation != relation {
 			continue
 		}
-		if !s.applyAtom(ai, a, tuple, insert) {
+		if !s.applyAtom(ai, tuple, insert) {
 			continue
 		}
 		any = true
@@ -265,32 +233,31 @@ func (s *StandingQuery) apply(ctx context.Context, relation string, tuple []stri
 // matching rows actually changes, its per-atom relation. Relations are
 // replaced wholesale — never mutated — so the undo journal's saved
 // pointers stay valid. Reports whether the relation changed.
-func (s *StandingQuery) applyAtom(ai int, a Atom, tuple []string, insert bool) bool {
-	binding, ok := bindAtomRow(a, tuple)
-	if !ok {
+func (s *StandingQuery) applyAtom(ai int, tuple []string, insert bool) bool {
+	sh := &s.in.shapes[ai]
+	if !sh.match(tuple) {
 		return false
 	}
-	st := &s.atoms[ai]
-	key := s.rowKey(st, binding)
-	old := st.counts[key]
+	counts := s.counts[ai]
+	key := sh.key(tuple)
+	old := counts[key]
 	if insert {
-		st.counts[key] = old + 1
+		counts[key] = old + 1
 	} else {
 		if old == 0 {
 			return false
 		}
 		if old == 1 {
-			delete(st.counts, key)
+			delete(counts, key)
 		} else {
-			st.counts[key] = old - 1
+			counts[key] = old - 1
 		}
 	}
-	oldCount := old
 	s.undo = append(s.undo, func() {
-		if oldCount == 0 {
-			delete(st.counts, key)
+		if old == 0 {
+			delete(counts, key)
 		} else {
-			st.counts[key] = oldCount
+			counts[key] = old
 		}
 	})
 	changed := (insert && old == 0) || (!insert && old == 1)
@@ -299,43 +266,29 @@ func (s *StandingQuery) applyAtom(ai int, a Atom, tuple []string, insert bool) b
 	}
 	oldRel := s.in.atomRel[ai]
 	s.undo = append(s.undo, func() { s.in.atomRel[ai] = oldRel })
-	rel := &csp.Relation{Scope: oldRel.Scope}
-	if st.ground {
+	if len(sh.scope) == 0 {
+		// Ground atom: one tuple filling its dummy vertex while satisfied.
+		var rows [][]int
 		if insert {
-			rel.Tuples = [][]int{{st.groundVal}}
+			rows = [][]int{{s.in.terms.intern("_")}}
 		}
-		s.in.atomRel[ai] = rel
+		s.in.atomRel[ai] = csp.NewRelation(oldRel.Scope, rows)
 		return true
 	}
-	row := make([]int, len(st.scope))
-	for si, name := range st.scopeNames {
-		row[si] = s.in.terms.intern(binding[name])
+	row := make([]int, len(sh.cols))
+	for si, c := range sh.cols {
+		row[si] = s.in.terms.intern(tuple[c])
+	}
+	rows := make([][]int, 0, oldRel.Size()+1)
+	for i := 0; i < oldRel.Size(); i++ {
+		if t := oldRel.Row(i); insert || !slices.Equal(t, row) {
+			rows = append(rows, t)
+		}
 	}
 	if insert {
-		rel.Tuples = make([][]int, 0, len(oldRel.Tuples)+1)
-		rel.Tuples = append(rel.Tuples, oldRel.Tuples...)
-		rel.Tuples = append(rel.Tuples, row)
-	} else {
-		rel.Tuples = make([][]int, 0, len(oldRel.Tuples))
-		for _, t := range oldRel.Tuples {
-			if !equalRow(t, row) {
-				rel.Tuples = append(rel.Tuples, t)
-			}
-		}
+		rows = append(rows, row)
 	}
-	s.in.atomRel[ai] = rel
-	return true
-}
-
-func equalRow(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
+	s.in.atomRel[ai] = csp.NewRelation(oldRel.Scope, rows)
 	return true
 }
 

@@ -44,11 +44,11 @@ func (c *CSP) Validate() error {
 				return fmt.Errorf("csp: constraint %s references variable %d out of range", con.Name, v)
 			}
 		}
-		for _, t := range con.Rel.Tuples {
-			if len(t) != len(con.Rel.Scope) {
-				return fmt.Errorf("csp: constraint %s has tuple of arity %d, scope %d", con.Name, len(t), len(con.Rel.Scope))
-			}
-			for i, val := range t {
+		if r := con.Rel; r.refused > 0 {
+			return fmt.Errorf("csp: constraint %s has tuple of arity %d, scope %d", con.Name, r.refusedLen, len(r.Scope))
+		}
+		for k := 0; k < con.Rel.Size(); k++ {
+			for i, val := range con.Rel.Row(k) {
 				if !contains(c.Domains[con.Rel.Scope[i]], val) {
 					return fmt.Errorf("csp: constraint %s tuple value %d outside domain of %s",
 						con.Name, val, c.VarNames[con.Rel.Scope[i]])
@@ -103,7 +103,8 @@ func (c *CSP) Check(assignment []int) bool {
 // allows reports whether the relation contains the projection of the
 // complete assignment onto its scope.
 func (r *Relation) allows(assignment []int) bool {
-	for _, t := range r.Tuples {
+	for k := 0; k < r.n; k++ {
+		t := r.Row(k)
 		ok := true
 		for i, v := range r.Scope {
 			if t[i] != assignment[v] {

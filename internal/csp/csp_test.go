@@ -1,6 +1,7 @@
 package csp
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -88,6 +89,66 @@ func TestValidate(t *testing.T) {
 	}
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("out-of-domain tuple must fail validation")
+	}
+	bad4 := &CSP{
+		VarNames:    []string{"a"},
+		Domains:     [][]int{{0}},
+		Constraints: []*Constraint{{Name: "c", Rel: NewRelation([]int{0}, [][]int{{0, 0}})}},
+	}
+	if err := bad4.Validate(); err == nil {
+		t.Fatal("tuple of the wrong arity must fail validation")
+	}
+}
+
+// TestRelationStore pins the flat store's contract: NewRelation and
+// AppendRow copy their rows, a row of the wrong length is recorded rather
+// than stored, a zero-arity relation holds empty rows, and two relations
+// that share a store through WithScope append independently.
+func TestRelationStore(t *testing.T) {
+	rows := [][]int{{1, 2}, {3, 4}}
+	r := NewRelation([]int{0, 1}, rows)
+	rows[0][0] = 9
+	r.AppendRow([]int{5})
+	r.AppendRow([]int{5, 6})
+	if got := rowsOf(r); !reflect.DeepEqual(got, [][]int{{1, 2}, {3, 4}, {5, 6}}) || r.refused != 1 || r.refusedLen != 1 {
+		t.Fatalf("rows %v, refused %d of length %d", got, r.refused, r.refusedLen)
+	}
+	unit := NewRelation(nil, [][]int{{}})
+	if unit.Size() != 1 || len(unit.Row(0)) != 0 {
+		t.Fatalf("zero-arity relation: %d rows", unit.Size())
+	}
+	v := r.WithScope([]int{7, 8})
+	v.AppendRow([]int{10, 11})
+	r.AppendRow([]int{12, 13})
+	if got := rowsOf(v); !reflect.DeepEqual(got[3], []int{10, 11}) || v.Size() != 4 {
+		t.Fatalf("WithScope relation %v", got)
+	}
+	if got := rowsOf(r); !reflect.DeepEqual(got[3], []int{12, 13}) || r.Size() != 4 {
+		t.Fatalf("original relation %v", got)
+	}
+}
+
+// TestDistinctRows checks the deduplicating builder: each distinct row
+// once, in first-occurrence order, from a reused buffer, past several
+// doublings of its table; an error from fill comes back alone.
+func TestDistinctRows(t *testing.T) {
+	var want [][]int
+	r, err := DistinctRows([]int{4, 2}, func(add func([]int)) error {
+		row := make([]int, 2)
+		for i := 0; i < 200; i++ {
+			row[0], row[1] = i%50, i%5
+			if i < 50 {
+				want = append(want, append([]int(nil), row...))
+			}
+			add(row)
+		}
+		return nil
+	})
+	if err != nil || !reflect.DeepEqual(r.Scope, []int{4, 2}) || !reflect.DeepEqual(rowsOf(r), want) {
+		t.Fatalf("DistinctRows = %v, %v; want %v", rowsOf(r), err, want)
+	}
+	if r, err := DistinctRows(nil, func(func([]int)) error { return errors.New("stop") }); r != nil || err == nil {
+		t.Fatalf("DistinctRows = %v, %v; want the fill error", r, err)
 	}
 }
 
@@ -265,7 +326,7 @@ func randomRelation(rng *rand.Rand, scope []int, domainSize int) *Relation {
 		for j := range t {
 			t[j] = rng.Intn(domainSize)
 		}
-		k := refKey(&Relation{Scope: scope, Tuples: [][]int{t}}, t, scope)
+		k := refKey(&Relation{Scope: scope}, t, scope)
 		if !seen[k] {
 			seen[k] = true
 			tuples = append(tuples, t)
@@ -275,7 +336,7 @@ func randomRelation(rng *rand.Rand, scope []int, domainSize int) *Relation {
 }
 
 func relAllowsMap(r *Relation, a map[int]int) bool {
-	for _, t := range r.Tuples {
+	for _, t := range rowsOf(r) {
 		ok := true
 		for i, v := range r.Scope {
 			if t[i] != a[v] {

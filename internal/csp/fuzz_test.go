@@ -18,7 +18,7 @@ func fuzzRelation(next func() int) *Relation {
 		for i := range row {
 			row[i] = next() % 3
 		}
-		r.Tuples = append(r.Tuples, row)
+		r.AppendRow(row)
 	}
 	return r
 }

@@ -87,12 +87,12 @@ func ReadJSON(r io.Reader) (*CSP, [][]string, error) {
 			}
 			scope[i] = idx
 		}
-		tuples := make([][]int, 0, len(con.Tuples))
+		rel := NewRelation(scope, nil)
+		row := make([]int, len(scope))
 		for _, t := range con.Tuples {
 			if len(t) != len(scope) {
 				return nil, nil, fmt.Errorf("csp: constraint %s tuple arity %d ≠ scope %d", name, len(t), len(scope))
 			}
-			row := make([]int, len(t))
 			for i, val := range t {
 				idx, ok := valIdx[scope[i]][val]
 				if !ok {
@@ -101,9 +101,9 @@ func ReadJSON(r io.Reader) (*CSP, [][]string, error) {
 				}
 				row[i] = idx
 			}
-			tuples = append(tuples, row)
+			rel.AppendRow(row)
 		}
-		c.Constraints = append(c.Constraints, &Constraint{Name: name, Rel: NewRelation(scope, tuples)})
+		c.Constraints = append(c.Constraints, &Constraint{Name: name, Rel: rel})
 	}
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
@@ -123,7 +123,8 @@ func WriteJSON(w io.Writer, c *CSP, valueNames [][]string) error {
 		for _, v := range con.Rel.Scope {
 			jc.Scope = append(jc.Scope, c.VarNames[v])
 		}
-		for _, t := range con.Rel.Tuples {
+		for k := 0; k < con.Rel.Size(); k++ {
+			t := con.Rel.Row(k)
 			row := make([]string, len(t))
 			for i, val := range t {
 				row[i] = valueNames[con.Rel.Scope[i]][val]

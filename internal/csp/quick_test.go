@@ -51,10 +51,10 @@ func TestQuickSemijoinSubsetIdempotent(t *testing.T) {
 		}
 		// Every surviving tuple must appear in a.
 		inA := map[string]bool{}
-		for _, ta := range a.Tuples {
+		for _, ta := range rowsOf(a) {
 			inA[refKey(a, ta, a.Scope)] = true
 		}
-		for _, ts := range sj.Tuples {
+		for _, ts := range rowsOf(sj) {
 			if !inA[refKey(sj, ts, sj.Scope)] {
 				return false
 			}

@@ -6,34 +6,74 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"sync"
 )
 
-// Relation is a finite relation over a scope of variable indices: Tuples[i]
-// is a row whose j-th entry is the value of variable Scope[j].
+// Relation is a finite relation over a scope of variable indices. Its rows
+// sit back to back in one flat, pointer-free store, Arity() values per
+// row: value j of row i is the value of variable Scope[j]. NewRelation and
+// AppendRow copy rows in; Size and Row read them.
 //
-// The relational kernels below (Join, JoinProject, Semijoin, Project) never
-// mutate their inputs, but for allocation economy some outputs alias input
-// rows: Semijoin's output shares the surviving rows of its left input, and
-// a degenerate Join (no right-private columns) shares rows likewise.
-// JoinProject's and Project's rows never alias their inputs. Callers must
-// treat tuple rows as immutable once handed to a kernel — which every
-// consumer in this repository already does.
+// The relational kernels below (JoinProject, Semijoin, Project, SameSet,
+// GroupSum) never mutate their inputs and share no memory with them: each
+// allocates its output once, at its exact size, and works in hash tables
+// and buffers that later calls reuse.
 type Relation struct {
-	Scope  []int
-	Tuples [][]int
+	Scope []int
+	vals  []int // the rows back to back, Arity() values each
+	n     int   // number of rows
+	// refused counts the rows NewRelation and AppendRow kept out of the
+	// store because their length was not the arity; refusedLen is the
+	// length of the first. CSP.Validate reports them.
+	refused, refusedLen int
 }
 
-// NewRelation returns a relation with the given scope and rows. Rows are
-// used as-is; the caller must not alias them afterwards.
+// NewRelation returns a relation with the given scope and a copy of the
+// given rows. A row whose length is not the scope's is left out and
+// recorded, so CSP.Validate reports it.
 func NewRelation(scope []int, tuples [][]int) *Relation {
-	return &Relation{Scope: append([]int(nil), scope...), Tuples: tuples}
+	r := &Relation{Scope: append([]int(nil), scope...)}
+	r.vals = make([]int, 0, len(tuples)*len(scope))
+	for _, t := range tuples {
+		r.AppendRow(t)
+	}
+	return r
+}
+
+// AppendRow appends a copy of row. A row whose length is not the arity is
+// left out and recorded, as NewRelation does.
+func (r *Relation) AppendRow(row []int) {
+	if len(row) != len(r.Scope) {
+		if r.refused == 0 {
+			r.refusedLen = len(row)
+		}
+		r.refused++
+		return
+	}
+	r.vals = append(r.vals, row...)
+	r.n++
+}
+
+// WithScope returns a relation over scope, which must have r's arity,
+// holding r's rows. The two share one store, and appending to either
+// leaves the other unchanged.
+func (r *Relation) WithScope(scope []int) *Relation {
+	vals := r.vals[:len(r.vals):len(r.vals)]
+	return &Relation{Scope: scope, vals: vals, n: r.n}
 }
 
 // Arity returns the number of scope variables.
 func (r *Relation) Arity() int { return len(r.Scope) }
 
-// Size returns the number of tuples.
-func (r *Relation) Size() int { return len(r.Tuples) }
+// Size returns the number of rows.
+func (r *Relation) Size() int { return r.n }
+
+// Row returns row i. It is a view into the relation's store: callers must
+// not modify it.
+func (r *Relation) Row(i int) []int {
+	w := len(r.Scope)
+	return r.vals[i*w : i*w+w : i*w+w]
+}
 
 // pos returns the scope position of variable v, or −1.
 func (r *Relation) pos(v int) int {
@@ -45,26 +85,25 @@ func (r *Relation) pos(v int) int {
 	return -1
 }
 
-// sharedVars returns the variables occurring in both scopes.
-func sharedVars(a, b *Relation) []int {
-	var shared []int
+// sharedVars appends to dst the variables occurring in both scopes, in a's
+// scope order.
+func sharedVars(dst []int, a, b *Relation) []int {
 	for _, v := range a.Scope {
 		if b.pos(v) >= 0 {
-			shared = append(shared, v)
+			dst = append(dst, v)
 		}
 	}
-	return shared
+	return dst
 }
 
-// positions maps each of vars to its scope position in r. Kernels call
-// this once per operation and index tuples through the result, instead of
-// running an O(arity) pos() scan per tuple.
-func (r *Relation) positions(vars []int) []int {
-	out := make([]int, len(vars))
-	for i, v := range vars {
-		out[i] = r.pos(v)
+// positions appends to dst the scope position in r of each of vars.
+// Kernels call this once per operation and index rows through the result,
+// instead of running an O(arity) pos() scan per row.
+func (r *Relation) positions(dst, vars []int) []int {
+	for _, v := range vars {
+		dst = append(dst, r.pos(v))
 	}
-	return out
+	return dst
 }
 
 // hashTuple is the 64-bit tuple hash of the kernels: FNV-1a over the values
@@ -115,236 +154,285 @@ func equalAt(ta []int, pa []int, tb []int, pb []int) bool {
 	return true
 }
 
-// tupleIndex is a chained hash index over one relation's tuples, keyed by
-// the values at a fixed set of column positions. head maps a key hash to
-// the first tuple of its chain and next[i] is the tuple after i in the same
-// chain (−1 ends it): one map entry per distinct hash plus one int32 per
-// tuple, with no per-bucket slice. Probes verify candidates by equality,
-// so hash collisions cost a probe but never an answer.
+// slot is one entry of a tupleIndex's open-addressed table: the low 32 bits
+// of a key hash, and the first row of its chain plus one, so that zero
+// marks an empty slot. Keys whose hashes share those bits share a chain,
+// which costs a probe but never an answer.
+type slot struct {
+	hash uint32
+	head int32
+}
+
+// tupleIndex is a chained hash index over rows of one flat store, keyed by
+// the values at fixed column positions. Its table holds one slot per
+// chain, a power of two long and at most half full, probed linearly;
+// next[i] is the row after i in the same chain (−1 ends it). Probes verify
+// candidates by equality.
 type tupleIndex struct {
-	rel  *Relation
-	pos  []int
-	head map[uint64]int32
-	next []int32
+	vals  []int // the indexed rows, width values each
+	width int
+	pos   []int // the key columns
+	slots []slot
+	used  int // occupied slots
+	next  []int32
 }
 
-// indexTuples builds a tupleIndex over r keyed by the columns at pos.
-// Tuples are linked from last to first, so every chain runs in tuple order
-// and a probe meets its matches in the order they occur in r.
-func indexTuples(r *Relation, pos []int) *tupleIndex {
-	idx := &tupleIndex{
-		rel:  r,
-		pos:  pos,
-		head: make(map[uint64]int32, len(r.Tuples)),
-		next: make([]int32, len(r.Tuples)),
+// grow returns s resliced to length n, reallocated only when too short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	for i := len(r.Tuples) - 1; i >= 0; i-- {
-		h := hashTuple(r.Tuples[i], pos)
-		idx.next[i] = idx.first(h)
-		idx.head[h] = int32(i)
-	}
-	return idx
+	return s[:n]
 }
 
-// first returns the first tuple of chain h, or −1 when the chain is empty.
-func (idx *tupleIndex) first(h uint64) int32 {
-	if i, ok := idx.head[h]; ok {
-		return i
+// reset empties the table, sized for keys chains.
+func (x *tupleIndex) reset(keys int) {
+	size := 8
+	for size < 2*keys {
+		size <<= 1
 	}
-	return -1
+	x.slots = grow(x.slots, size)
+	clear(x.slots)
+	x.used = 0
 }
 
-// find returns the first indexed tuple that matches probe (a tuple read
+// row returns indexed row i.
+func (x *tupleIndex) row(i int32) []int {
+	k := int(i) * x.width
+	return x.vals[k : k+x.width]
+}
+
+// slot returns the slot of hash h: the one holding it, or the empty slot
+// where it goes.
+func (x *tupleIndex) slot(h uint64) *slot {
+	mask := uint64(len(x.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if s := &x.slots[i]; s.head == 0 || s.hash == uint32(h) {
+			return s
+		}
+	}
+}
+
+// first returns the first row of chain h, or −1 when the chain is empty.
+func (x *tupleIndex) first(h uint64) int32 { return x.slot(h).head - 1 }
+
+// link chains rows 0 … n−1 into the empty table, from last to first, so
+// every chain runs in row order.
+func (x *tupleIndex) link(n int) {
+	for i := n - 1; i >= 0; i-- {
+		h := hashTuple(x.row(int32(i)), x.pos)
+		s := x.slot(h)
+		if s.head == 0 {
+			s.hash = uint32(h)
+			x.used++
+		}
+		x.next[i] = s.head - 1
+		s.head = int32(i) + 1
+	}
+}
+
+// build indexes the rows of r keyed by the columns at pos. A probe meets
+// its matches in the order they occur in r.
+func (x *tupleIndex) build(r *Relation, pos []int) {
+	x.vals, x.width, x.pos = r.vals, r.Arity(), pos
+	x.reset(r.n)
+	x.next = grow(x.next, r.n)
+	x.link(r.n)
+}
+
+// find returns the first indexed row that matches probe (a tuple read
 // through probePos), or −1 when none does.
-func (idx *tupleIndex) find(probe []int, probePos []int) int32 {
-	for i := idx.first(hashTuple(probe, probePos)); i >= 0; i = idx.next[i] {
-		if equalAt(probe, probePos, idx.rel.Tuples[i], idx.pos) {
+func (x *tupleIndex) find(probe []int, probePos []int) int32 {
+	for i := x.first(hashTuple(probe, probePos)); i >= 0; i = x.next[i] {
+		if equalAt(probe, probePos, x.row(i), x.pos) {
 			return i
 		}
 	}
 	return -1
 }
 
-// arenaRows is the number of rows a kernel carves from one allocation.
-const arenaRows = 512
-
-// rowArena hands out fixed-width output rows carved from blocks of
-// arenaRows rows, so a kernel allocates once per block, not once per row.
-type rowArena []int
-
-// newRowArena returns an arena for an output of at most rows rows. Its
-// first block holds min(rows, arenaRows) rows, so a small output does not
-// pin a full block. The block is never nil, so a width-0 row is a non-nil
-// empty slice, like any other row.
-func newRowArena(rows, width int) rowArena {
-	return make(rowArena, min(rows, arenaRows)*width)
-}
-
-func (a *rowArena) row(width int) []int {
-	if len(*a) < width {
-		*a = make([]int, arenaRows*width)
-	}
-	r := (*a)[:width:width]
-	*a = (*a)[width:]
-	return r
-}
-
-// rowSet collects distinct rows in first-occurrence order: a tupleIndex
-// over the rows kept so far, keyed by all their columns.
+// rowSet collects distinct rows in first-occurrence order: an index over
+// the rows kept so far, keyed by all their columns, whose table doubles
+// once it is half full.
 type rowSet struct {
 	tupleIndex
-	arena rowArena
+	buf []int // the kept rows back to back; tupleIndex.vals views it
 }
 
-// newRowSet returns an empty set over scope that will be offered at most
-// rows rows.
-func newRowSet(scope []int, rows int) *rowSet {
-	pos := make([]int, len(scope))
-	for i := range pos {
-		pos[i] = i
+// reset empties the set for rows of the given width, sized for about rows
+// distinct rows.
+func (s *rowSet) reset(width, rows int) {
+	s.pos = s.pos[:0]
+	for i := 0; i < width; i++ {
+		s.pos = append(s.pos, i)
 	}
-	return &rowSet{
-		tupleIndex: tupleIndex{
-			rel:  &Relation{Scope: scope},
-			pos:  pos,
-			head: map[uint64]int32{},
-		},
-		arena: newRowArena(rows, len(scope)),
-	}
+	s.width = width
+	s.buf = s.buf[:0]
+	s.vals = s.buf
+	s.next = s.next[:0]
+	s.tupleIndex.reset(rows)
 }
 
 // add returns the position of row in the set, first appending a copy of
-// it unless the set already holds an equal row. A new row goes to the
-// front of its chain; a set needs no chain order.
+// it unless the set already holds an equal row.
 func (s *rowSet) add(row []int) int32 {
 	h := hashTuple(row, s.pos)
-	first := s.first(h)
-	for i := first; i >= 0; i = s.next[i] {
-		if equalAt(row, s.pos, s.rel.Tuples[i], s.pos) {
+	sl := s.slot(h)
+	for i := sl.head - 1; i >= 0; i = s.next[i] {
+		if equalAt(row, s.pos, s.row(i), s.pos) {
 			return i
 		}
 	}
-	kept := s.arena.row(len(row))
-	copy(kept, row)
+	if sl.head == 0 {
+		if 2*(s.used+1) > len(s.slots) {
+			// Double the table and relink the kept rows into it.
+			s.tupleIndex.reset(len(s.slots))
+			s.link(len(s.next))
+			sl = s.slot(h)
+		}
+		sl.hash = uint32(h)
+		s.used++
+	}
 	i := int32(len(s.next))
-	s.head[h] = i
-	s.next = append(s.next, first)
-	s.rel.Tuples = append(s.rel.Tuples, kept)
+	s.next = append(s.next, sl.head-1)
+	sl.head = i + 1
+	s.buf = append(s.buf, row...)
+	s.vals = s.buf
 	return i
 }
 
-// Join returns the natural join a ⋈ b: a hash join on the shared variables,
-// with b indexed once and a probing in tuple order, each probe meeting its
-// matches in b's tuple order. All position maps are computed once up front;
-// the per-tuple work is one hash and the chain walk, and output rows are
-// carved from block allocations.
-func Join(a, b *Relation) *Relation {
-	shared := sharedVars(a, b)
-	// Output scope: a's scope followed by b's private variables.
-	outScope := append([]int(nil), a.Scope...)
-	var bPrivate []int
-	for _, v := range b.Scope {
-		if a.pos(v) < 0 {
-			outScope = append(outScope, v)
-			bPrivate = append(bPrivate, v)
-		}
-	}
-	aShared := a.positions(shared)
-	bShared := b.positions(shared)
-	bPriv := b.positions(bPrivate)
-
-	idx := indexTuples(b, bShared)
-	out := &Relation{Scope: outScope}
-	var arena rowArena // only a join that adds columns carves rows
-	if len(bPriv) > 0 {
-		arena = newRowArena(len(a.Tuples)*len(b.Tuples), len(outScope))
-	}
-	for _, ta := range a.Tuples {
-		for ti := idx.first(hashTuple(ta, aShared)); ti >= 0; ti = idx.next[ti] {
-			tb := b.Tuples[ti]
-			if !equalAt(ta, aShared, tb, bShared) {
-				continue
-			}
-			if len(bPriv) == 0 {
-				// b adds no columns: the output row aliases a's row, once
-				// per match (same multiplicity, no per-tuple clone).
-				out.Tuples = append(out.Tuples, ta)
-				continue
-			}
-			row := arena.row(len(outScope))
-			copy(row, ta)
-			for i, p := range bPriv {
-				row[len(a.Scope)+i] = tb[p]
-			}
-			out.Tuples = append(out.Tuples, row)
-		}
-	}
-	return out
+// relation returns the kept rows as a new relation over scope, allocated
+// at its exact size.
+func (s *rowSet) relation(scope []int) *Relation {
+	vals := make([]int, len(s.buf))
+	copy(vals, s.buf)
+	return &Relation{Scope: scope, vals: vals, n: len(s.next)}
 }
 
-// JoinProject returns π_vars(a ⋈ b) without materialising the join: it
-// probes exactly as Join does and drops every projected row it has already
-// emitted, so its output is Project(Join(a, b), vars) row for row — the
-// same scope and the same rows in the same order. Variables in neither
-// scope are ignored.
+// scratch is the working memory of one kernel call: its index, its row
+// set and its position maps. Kernels take one from scratchPool and put it
+// back when they return, so a warm kernel allocates only its output.
+type scratch struct {
+	idx        tupleIndex
+	set        rowSet
+	shared     []int   // the variables both inputs hold
+	aPos, bPos []int   // their positions in each input
+	src        []int   // JoinProject's source column for each output column
+	scope      []int   // an output scope being collected
+	row        []int   // the row being offered to set
+	keep       []int32 // Semijoin's surviving rows
+	totals     []int   // GroupSum's weight per group
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.shared, s.aPos, s.bPos = s.shared[:0], s.aPos[:0], s.bPos[:0]
+	s.src, s.scope, s.keep = s.src[:0], s.scope[:0], s.keep[:0]
+	return s
+}
+
+// release returns s to the pool, dropping its view of an input.
+func (s *scratch) release() {
+	s.idx.vals = nil
+	scratchPool.Put(s)
+}
+
+// offer adds the values of t at pos to the set, through the row buffer.
+func (s *scratch) offer(t []int, pos []int) int32 {
+	for i, p := range pos {
+		s.row[i] = t[p]
+	}
+	return s.set.add(s.row)
+}
+
+// DistinctRows returns the relation over scope holding each distinct row
+// that fill passes to add, once and in first-occurrence order. add copies
+// its row, so fill may reuse one buffer. An error from fill is returned
+// with no relation.
+func DistinctRows(scope []int, fill func(add func(row []int)) error) (*Relation, error) {
+	s := getScratch()
+	defer s.release()
+	s.set.reset(len(scope), 0)
+	if err := fill(func(row []int) { s.set.add(row) }); err != nil {
+		return nil, err
+	}
+	return s.set.relation(append([]int(nil), scope...)), nil
+}
+
+// JoinProject returns π_vars(a ⋈ b) without materialising the join: a
+// hash join on the shared variables, with b indexed once and a probing in
+// row order, each probe meeting its matches in b's row order, that drops
+// every projected row it has already emitted. Its output is therefore the
+// projection of that join row for row: the same scope, the same rows in
+// the same order. Variables in neither scope are ignored.
 func JoinProject(a, b *Relation, vars []int) *Relation {
-	shared := sharedVars(a, b)
-	aShared := a.positions(shared)
-	bShared := b.positions(shared)
+	s := getScratch()
+	defer s.release()
+	s.shared = sharedVars(s.shared, a, b)
+	s.aPos = a.positions(s.aPos, s.shared)
+	s.bPos = b.positions(s.bPos, s.shared)
 	// src[i] locates output column i in a's row followed by b's row; a
-	// shared variable is read from a, as Join's output holds it.
-	var keep, src []int
+	// shared variable is read from a.
 	for _, v := range vars {
 		if p := a.pos(v); p >= 0 {
-			keep, src = append(keep, v), append(src, p)
+			s.scope, s.src = append(s.scope, v), append(s.src, p)
 		} else if p := b.pos(v); p >= 0 {
-			keep, src = append(keep, v), append(src, len(a.Scope)+p)
+			s.scope, s.src = append(s.scope, v), append(s.src, a.Arity()+p)
 		}
 	}
-
-	idx := indexTuples(b, bShared)
-	out := newRowSet(keep, len(a.Tuples)*len(b.Tuples))
-	row := make([]int, len(keep))
-	for _, ta := range a.Tuples {
-		for ti := idx.first(hashTuple(ta, aShared)); ti >= 0; ti = idx.next[ti] {
-			tb := b.Tuples[ti]
-			if !equalAt(ta, aShared, tb, bShared) {
+	s.idx.build(b, s.bPos)
+	s.set.reset(len(s.src), max(a.n, b.n))
+	s.row = grow(s.row, len(s.src))
+	wa := a.Arity()
+	for i := 0; i < a.n; i++ {
+		ta := a.Row(i)
+		for ti := s.idx.first(hashTuple(ta, s.aPos)); ti >= 0; ti = s.idx.next[ti] {
+			tb := s.idx.row(ti)
+			if !equalAt(ta, s.aPos, tb, s.bPos) {
 				continue
 			}
-			for i, p := range src {
-				if p < len(ta) {
-					row[i] = ta[p]
+			for k, p := range s.src {
+				if p < wa {
+					s.row[k] = ta[p]
 				} else {
-					row[i] = tb[p-len(ta)]
+					s.row[k] = tb[p-wa]
 				}
 			}
-			out.add(row)
+			s.set.add(s.row)
 		}
 	}
-	return out.rel
+	return s.set.relation(append([]int(nil), s.scope...))
 }
 
-// Semijoin returns a ⋉ b: the tuples of a that join with some tuple of b.
-// Surviving rows are shared with a, not cloned — a semijoin only filters.
+// Semijoin returns a ⋉ b: a copy of the rows of a that join with some row
+// of b, in a's order.
 func Semijoin(a, b *Relation) *Relation {
-	shared := sharedVars(a, b)
-	if len(shared) == 0 {
-		// A tuple of a survives iff b is non-empty.
-		if len(b.Tuples) == 0 {
-			return &Relation{Scope: append([]int(nil), a.Scope...)}
+	s := getScratch()
+	defer s.release()
+	s.shared = sharedVars(s.shared, a, b)
+	switch {
+	case len(s.shared) > 0:
+		s.aPos = a.positions(s.aPos, s.shared)
+		s.bPos = b.positions(s.bPos, s.shared)
+		s.idx.build(b, s.bPos)
+		for i := 0; i < a.n; i++ {
+			if s.idx.find(a.Row(i), s.aPos) >= 0 {
+				s.keep = append(s.keep, int32(i))
+			}
 		}
-		out := &Relation{Scope: append([]int(nil), a.Scope...)}
-		out.Tuples = append(out.Tuples, a.Tuples...)
-		return out
+	case b.n > 0:
+		// With no shared variable every row of a survives iff b is
+		// non-empty.
+		for i := 0; i < a.n; i++ {
+			s.keep = append(s.keep, int32(i))
+		}
 	}
-	aShared := a.positions(shared)
-	bShared := b.positions(shared)
-	idx := indexTuples(b, bShared)
-	out := &Relation{Scope: append([]int(nil), a.Scope...)}
-	for _, ta := range a.Tuples {
-		if idx.find(ta, aShared) >= 0 {
-			out.Tuples = append(out.Tuples, ta)
-		}
+	w := a.Arity()
+	out := &Relation{Scope: append([]int(nil), a.Scope...), vals: make([]int, len(s.keep)*w), n: len(s.keep)}
+	for k, i := range s.keep {
+		copy(out.vals[k*w:], a.Row(int(i)))
 	}
 	return out
 }
@@ -352,22 +440,19 @@ func Semijoin(a, b *Relation) *Relation {
 // Project returns π_vars(r) with duplicates removed, keeping each row's
 // first occurrence. Variables not in r's scope are ignored.
 func Project(r *Relation, vars []int) *Relation {
-	var keep []int
+	s := getScratch()
+	defer s.release()
 	for _, v := range vars {
-		if r.pos(v) >= 0 {
-			keep = append(keep, v)
+		if p := r.pos(v); p >= 0 {
+			s.scope, s.aPos = append(s.scope, v), append(s.aPos, p)
 		}
 	}
-	keepPos := r.positions(keep)
-	out := newRowSet(keep, len(r.Tuples))
-	row := make([]int, len(keep))
-	for _, t := range r.Tuples {
-		for i, p := range keepPos {
-			row[i] = t[p]
-		}
-		out.add(row)
+	s.set.reset(len(s.aPos), r.n)
+	s.row = grow(s.row, len(s.aPos))
+	for i := 0; i < r.n; i++ {
+		s.offer(r.Row(i), s.aPos)
 	}
-	return out.rel
+	return s.set.relation(append([]int(nil), s.scope...))
 }
 
 // SameSet reports whether a and b hold the same set of tuples over the same
@@ -377,67 +462,70 @@ func Project(r *Relation, vars []int) *Relation {
 // set, delta propagation past that node is provably a no-op — every kernel
 // consumes its inputs with set semantics.
 func SameSet(a, b *Relation) bool {
-	if len(a.Scope) != len(b.Scope) || len(a.Tuples) != len(b.Tuples) {
+	if len(a.Scope) != len(b.Scope) || a.n != b.n {
 		return false
 	}
-	bPos := b.positions(a.Scope)
-	for _, p := range bPos {
+	s := getScratch()
+	defer s.release()
+	s.bPos = b.positions(s.bPos, a.Scope)
+	for i, p := range s.bPos {
 		if p < 0 {
 			return false
 		}
+		s.aPos = append(s.aPos, i)
 	}
-	aPos := make([]int, len(a.Scope))
-	for i := range aPos {
-		aPos[i] = i
-	}
-	idx := indexTuples(b, bPos)
-	for _, ta := range a.Tuples {
-		if idx.find(ta, aPos) < 0 {
+	s.idx.build(b, s.bPos)
+	for i := 0; i < a.n; i++ {
+		if s.idx.find(a.Row(i), s.aPos) < 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// GroupSum returns, for each tuple of a, the total weight of the tuples of
-// b that agree with it on the shared variables, where weight[j] weighs
-// b.Tuples[j]: Semijoin's test with a sum in place of a bit. b's tuples are
-// grouped once by their shared values, a rowSet whose g-th row is group g.
-// It reports false when a sum overflows int.
+// GroupSum returns, for each row of a, the total weight of the rows of b
+// that agree with it on the shared variables, where weight[j] weighs row j
+// of b: Semijoin's test with a sum in place of a bit. b's rows are grouped
+// once by their shared values, a rowSet whose g-th row is group g. It
+// reports false when a sum overflows int.
 func GroupSum(a, b *Relation, weight []int) ([]int, bool) {
-	shared := sharedVars(a, b)
-	bPos := b.positions(shared)
-	groups := newRowSet(shared, len(b.Tuples))
-	var totals []int
-	key := make([]int, len(shared))
-	for j, t := range b.Tuples {
-		for i, p := range bPos {
-			key[i] = t[p]
+	s := getScratch()
+	defer s.release()
+	s.shared = sharedVars(s.shared, a, b)
+	s.bPos = b.positions(s.bPos, s.shared)
+	s.set.reset(len(s.shared), b.n)
+	s.row = grow(s.row, len(s.shared))
+	s.totals = s.totals[:0]
+	for j := 0; j < b.n; j++ {
+		g := s.offer(b.Row(j), s.bPos)
+		if int(g) == len(s.totals) {
+			s.totals = append(s.totals, 0)
 		}
-		g := groups.add(key)
-		if int(g) == len(totals) {
-			totals = append(totals, 0)
-		}
-		sum, carry := bits.Add(uint(totals[g]), uint(weight[j]), 0)
+		sum, carry := bits.Add(uint(s.totals[g]), uint(weight[j]), 0)
 		if carry != 0 || sum > math.MaxInt {
 			return nil, false
 		}
-		totals[g] = int(sum)
+		s.totals[g] = int(sum)
 	}
-	aPos := a.positions(shared)
-	sums := make([]int, len(a.Tuples))
-	for i, t := range a.Tuples {
-		if g := groups.find(t, aPos); g >= 0 {
-			sums[i] = totals[g]
+	s.aPos = a.positions(s.aPos, s.shared)
+	sums := make([]int, a.n)
+	for i := range sums {
+		if g := s.set.find(a.Row(i), s.aPos); g >= 0 {
+			sums[i] = s.totals[g]
 		}
 	}
 	return sums, true
 }
 
-// Sorted returns the tuples in lexicographic order (for stable tests).
+// Sorted returns a copy of the rows in lexicographic order (for stable
+// tests).
 func (r *Relation) Sorted() [][]int {
-	out := make([][]int, len(r.Tuples))
-	copy(out, r.Tuples)
+	vals := append([]int(nil), r.vals...)
+	w := len(r.Scope)
+	out := make([][]int, r.n)
+	for i := range out {
+		out[i] = vals[i*w : i*w+w : i*w+w]
+	}
 	sort.Slice(out, func(i, j int) bool {
 		for k := range out[i] {
 			if out[i][k] != out[j][k] {

@@ -10,11 +10,49 @@ import (
 )
 
 // This file pins the hashed kernels to the string-key implementations they
-// replaced: refJoin/refSemijoin/refProject below are verbatim ports of the
+// replaced: refJoin/refSemijoin/refProject below are ports of the
 // pre-integer-hash kernels, and the tests assert tuple-for-tuple agreement
 // on randomized relations — including under a deliberately degenerate hash
 // that forces every tuple into colliding buckets, proving the collision
 // chains are verified by equality rather than trusted.
+
+// Join returns the natural join a ⋈ b: a hash join on the shared
+// variables, with b indexed once and a probing in row order, each probe
+// meeting its matches in b's row order. The engine only ever projects its
+// joins, so Join is test code: the reference that pins JoinProject(a, b,
+// vars) to Project(Join(a, b), vars) row for row.
+func Join(a, b *Relation) *Relation {
+	shared := sharedVars(nil, a, b)
+	// Output scope: a's scope followed by b's private variables.
+	outScope := append([]int(nil), a.Scope...)
+	var bPriv []int
+	for p, v := range b.Scope {
+		if a.pos(v) < 0 {
+			outScope = append(outScope, v)
+			bPriv = append(bPriv, p)
+		}
+	}
+	aShared, bShared := a.positions(nil, shared), b.positions(nil, shared)
+	var idx tupleIndex
+	idx.build(b, bShared)
+	out := &Relation{Scope: outScope}
+	row := make([]int, len(outScope))
+	for i := 0; i < a.Size(); i++ {
+		ta := a.Row(i)
+		for ti := idx.first(hashTuple(ta, aShared)); ti >= 0; ti = idx.next[ti] {
+			tb := b.Row(int(ti))
+			if !equalAt(ta, aShared, tb, bShared) {
+				continue
+			}
+			copy(row, ta)
+			for k, p := range bPriv {
+				row[len(ta)+k] = tb[p]
+			}
+			out.AppendRow(row)
+		}
+	}
+	return out
+}
 
 // refKey renders the values of tuple t (from relation r) at the given
 // variables as a hashable string — the old kernel key function.
@@ -28,7 +66,7 @@ func refKey(r *Relation, t []int, vars []int) string {
 
 // refJoin is the old string-keyed natural join.
 func refJoin(a, b *Relation) *Relation {
-	shared := sharedVars(a, b)
+	shared := sharedVars(nil, a, b)
 	outScope := append([]int(nil), a.Scope...)
 	var bPrivate []int
 	for _, v := range b.Scope {
@@ -38,12 +76,12 @@ func refJoin(a, b *Relation) *Relation {
 		}
 	}
 	index := make(map[string][][]int)
-	for _, tb := range b.Tuples {
+	for _, tb := range rowsOf(b) {
 		k := refKey(b, tb, shared)
 		index[k] = append(index[k], tb)
 	}
 	out := &Relation{Scope: outScope}
-	for _, ta := range a.Tuples {
+	for _, ta := range rowsOf(a) {
 		k := refKey(a, ta, shared)
 		for _, tb := range index[k] {
 			row := make([]int, 0, len(outScope))
@@ -51,7 +89,7 @@ func refJoin(a, b *Relation) *Relation {
 			for _, v := range bPrivate {
 				row = append(row, tb[b.pos(v)])
 			}
-			out.Tuples = append(out.Tuples, row)
+			out.AppendRow(row)
 		}
 	}
 	return out
@@ -59,21 +97,21 @@ func refJoin(a, b *Relation) *Relation {
 
 // refSemijoin is the old string-keyed semijoin.
 func refSemijoin(a, b *Relation) *Relation {
-	shared := sharedVars(a, b)
+	shared := sharedVars(nil, a, b)
 	if len(shared) == 0 {
-		if len(b.Tuples) == 0 {
+		if b.Size() == 0 {
 			return &Relation{Scope: append([]int(nil), a.Scope...)}
 		}
-		return &Relation{Scope: append([]int(nil), a.Scope...), Tuples: append([][]int(nil), a.Tuples...)}
+		return NewRelation(a.Scope, rowsOf(a))
 	}
 	seen := make(map[string]bool)
-	for _, tb := range b.Tuples {
+	for _, tb := range rowsOf(b) {
 		seen[refKey(b, tb, shared)] = true
 	}
 	out := &Relation{Scope: append([]int(nil), a.Scope...)}
-	for _, ta := range a.Tuples {
+	for _, ta := range rowsOf(a) {
 		if seen[refKey(a, ta, shared)] {
-			out.Tuples = append(out.Tuples, append([]int(nil), ta...))
+			out.AppendRow(ta)
 		}
 	}
 	return out
@@ -89,7 +127,7 @@ func refProject(r *Relation, vars []int) *Relation {
 	}
 	out := &Relation{Scope: keep}
 	seen := make(map[string]bool)
-	for _, t := range r.Tuples {
+	for _, t := range rowsOf(r) {
 		row := make([]int, len(keep))
 		for i, v := range keep {
 			row[i] = t[r.pos(v)]
@@ -97,7 +135,7 @@ func refProject(r *Relation, vars []int) *Relation {
 		k := fmt.Sprint(row)
 		if !seen[k] {
 			seen[k] = true
-			out.Tuples = append(out.Tuples, row)
+			out.AppendRow(row)
 		}
 	}
 	return out
@@ -116,7 +154,7 @@ func randRelation(rng *rand.Rand, universe, maxArity, maxTuples, domain int) *Re
 		for j := range t {
 			t[j] = rng.Intn(domain)
 		}
-		r.Tuples = append(r.Tuples, t)
+		r.AppendRow(t)
 	}
 	return r
 }
@@ -133,11 +171,20 @@ func sameRelation(t *testing.T, op string, got, want *Relation) {
 	}
 }
 
+// rowsOf returns a copy of r's rows in order, each a non-nil slice.
+func rowsOf(r *Relation) [][]int {
+	out := make([][]int, r.Size())
+	for i := range out {
+		out[i] = append([]int{}, r.Row(i)...)
+	}
+	return out
+}
+
 // sameRows asserts equal scope and equal rows in the same order.
 func sameRows(t *testing.T, op string, got, want *Relation) {
 	t.Helper()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: got %v %v\nwant %v %v", op, got.Scope, got.Tuples, want.Scope, want.Tuples)
+	if !reflect.DeepEqual(got.Scope, want.Scope) || !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+		t.Fatalf("%s: got %v %v\nwant %v %v", op, got.Scope, rowsOf(got), want.Scope, rowsOf(want))
 	}
 }
 
@@ -206,20 +253,20 @@ func TestGroupSumsSurvivesForcedHashCollisions(t *testing.T) {
 		for trial := 0; trial < 100; trial++ {
 			child := randRelation(rng, 5, 3, 16, 3)
 			parent := randRelation(rng, 5, 3, 16, 3)
-			w := make([]int, len(child.Tuples))
+			w := make([]int, child.Size())
 			for i := range w {
 				w[i] = 1 + rng.Intn(4)
 			}
-			shared := sharedVars(child, parent)
+			shared := sharedVars(nil, child, parent)
 			sums, ok := GroupSum(parent, child, w)
 			if !ok {
 				t.Fatalf("trial %d: GroupSum overflowed", trial)
 			}
-			pPos := parent.positions(shared)
-			for pi, pt := range parent.Tuples {
+			pPos, cPos := parent.positions(nil, shared), child.positions(nil, shared)
+			for pi, pt := range rowsOf(parent) {
 				want := 0
-				for ci, ct := range child.Tuples {
-					if equalAt(pt, pPos, ct, child.positions(shared)) {
+				for ci, ct := range rowsOf(child) {
+					if equalAt(pt, pPos, ct, cPos) {
 						want += w[ci]
 					}
 				}
@@ -246,39 +293,52 @@ func TestGroupSumOverflow(t *testing.T) {
 	}
 }
 
-// TestSemijoinAliasesLeftRows pins the allocation contract: semijoin output
-// rows are shared with the left input, not cloned.
-func TestSemijoinAliasesLeftRows(t *testing.T) {
-	a := NewRelation([]int{0, 1}, [][]int{{1, 2}, {3, 4}})
-	b := NewRelation([]int{1}, [][]int{{2}})
-	out := Semijoin(a, b)
-	if out.Size() != 1 {
-		t.Fatalf("size = %d", out.Size())
+// TestOutputsSurviveScratchReuse pins the ownership contract: an output
+// shares no memory with its inputs or with the scratch it was built in, so
+// it keeps its rows after later kernel calls reuse that scratch.
+func TestOutputsSurviveScratchReuse(t *testing.T) {
+	a, b := benchRelations()
+	outs := []*Relation{Semijoin(a, b), Project(a, []int{1, 2}), JoinProject(a, b, []int{0, 3})}
+	want := make([][][]int, len(outs))
+	for i, out := range outs {
+		if out.Size() == 0 {
+			t.Fatalf("output %d is empty", i)
+		}
+		want[i] = rowsOf(out)
 	}
-	if &out.Tuples[0][0] != &a.Tuples[0][0] {
-		t.Fatal("semijoin cloned a surviving row; expected aliasing")
+	if &outs[0].Row(0)[0] == &a.Row(0)[0] {
+		t.Fatal("Semijoin shares its left input's store")
+	}
+	w := make([]int, a.Size())
+	for k := 0; k < 3; k++ {
+		Semijoin(b, a)
+		Project(b, []int{3, 2})
+		JoinProject(b, a, []int{3, 1, 0})
+		GroupSum(b, a, w)
+		SameSet(outs[1], outs[1])
+	}
+	for i, out := range outs {
+		if !reflect.DeepEqual(rowsOf(out), want[i]) {
+			t.Fatalf("output %d changed after later kernel calls", i)
+		}
 	}
 }
 
-// TestKernelRowsSpanArenaBlocks runs the kernels on outputs larger than
-// one arena block: the rows must still match the references, and each row
-// must be capped at its width so no row can grow into its neighbour.
-func TestKernelRowsSpanArenaBlocks(t *testing.T) {
+// TestKernelOutputsSpanTableGrowth runs the kernels on outputs far larger
+// than the tables they start with: JoinProject's set starts sized for its
+// larger input and doubles as it fills. The rows must still match the
+// references.
+func TestKernelOutputsSpanTableGrowth(t *testing.T) {
 	a, b := benchRelations()
-	outs := []*Relation{Join(a, b), Project(a, a.Scope), JoinProject(a, b, []int{3, 0})}
-	sameRows(t, "Join", outs[0], refJoin(a, b))
-	sameRelation(t, "Project", outs[1], refProject(a, a.Scope))
-	checkJoinProject(t, a, b, []int{3, 0})
-	for _, out := range outs {
-		if out.Size() <= arenaRows {
-			t.Fatalf("scope %v: %d rows fit one arena block", out.Scope, out.Size())
-		}
-		for _, row := range out.Tuples {
-			if cap(row) != len(out.Scope) {
-				t.Fatalf("scope %v: row cap %d, want %d", out.Scope, cap(row), len(out.Scope))
-			}
-		}
+	all := []int{0, 1, 2, 3}
+	out := JoinProject(a, b, all)
+	if out.Size() < 8*max(a.Size(), b.Size()) {
+		t.Fatalf("%d rows: too few for several table doublings", out.Size())
 	}
+	sameRows(t, "JoinProject", out, Project(Join(a, b), all))
+	sameRows(t, "Join", Join(a, b), refJoin(a, b))
+	sameRelation(t, "Project", Project(a, a.Scope), refProject(a, a.Scope))
+	checkJoinProject(t, a, b, []int{3, 0})
 }
 
 // benchRelations builds a pair of relations sized for the allocation
@@ -288,8 +348,8 @@ func benchRelations() (*Relation, *Relation) {
 	a := &Relation{Scope: []int{0, 1, 2}}
 	b := &Relation{Scope: []int{1, 2, 3}}
 	for i := 0; i < 1000; i++ {
-		a.Tuples = append(a.Tuples, []int{rng.Intn(50), rng.Intn(8), rng.Intn(8)})
-		b.Tuples = append(b.Tuples, []int{rng.Intn(8), rng.Intn(8), rng.Intn(50)})
+		a.AppendRow([]int{rng.Intn(50), rng.Intn(8), rng.Intn(8)})
+		b.AppendRow([]int{rng.Intn(8), rng.Intn(8), rng.Intn(50)})
 	}
 	return a, b
 }
