@@ -22,7 +22,8 @@
 // -compare diffs every (instance, kind, method) record of the two reports:
 // any width regression (larger width, lost exactness, weaker lower bound,
 // or a new error) is always a violation; wall time, heap high-water, and
-// the tail-latency quantiles (oracle-probe and level-wait p99, -max-p99)
+// the tail-latency quantiles (oracle-probe, level-wait and delta-apply
+// p99, -max-p99)
 // violate only beyond their -max-* factors over a clamped baseline floor.
 // Exit status: 0 when the gate passes, 1 on violations, 2 on usage or I/O
 // errors.
@@ -62,7 +63,7 @@ func main() {
 	maxNodes := flag.Float64("max-nodes", 0, "-compare: fail when node count exceeds this factor of the baseline (0 = off; portfolio node totals are scheduling-dependent)")
 	minWallMs := flag.Float64("min-wall-ms", 250, "-compare: clamp wall baselines up to this floor before the factor applies")
 	minHeapMB := flag.Int64("min-heap-mb", 64, "-compare: clamp heap baselines up to this floor (MiB) before the factor applies")
-	maxP99 := flag.Float64("max-p99", 5.0, "-compare: fail when the oracle-probe or level-wait p99 exceeds this factor of the baseline (0 = off; skipped when the baseline has no observations)")
+	maxP99 := flag.Float64("max-p99", 5.0, "-compare: fail when the oracle-probe, level-wait or delta-apply p99 exceeds this factor of the baseline (0 = off; skipped when the baseline has no observations)")
 	minP99Ms := flag.Float64("min-p99-ms", 2, "-compare: clamp p99 baselines up to this floor (ms) before the factor applies")
 	maxLPShare := flag.Float64("max-lp-share", 3.0, "-compare: fail when the LP phase clock's share of wall exceeds this factor of the baseline (0 = off; skipped when the baseline has no LP share)")
 	minLPShare := flag.Float64("min-lp-share", 0.05, "-compare: clamp LP-share baselines up to this floor (fraction of wall) before the factor applies")

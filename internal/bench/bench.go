@@ -65,17 +65,21 @@ type Record struct {
 	TotalAllocBytes    int64   `json:"total_alloc_bytes"`
 	GCPauseTotalMs     float64 `json:"gc_pause_total_ms"`
 	// Latency quantiles (milliseconds) distilled from the run's histograms:
-	// cover-oracle probe latency and the parallel engine's per-level barrier
-	// wait. Zero when the run recorded no such observations (runs that never
-	// touch the oracle or the parallel engine, and baselines predating the
-	// histograms); the compare gate skips p99 checks for such baselines. The
-	// full bucket vectors ride along inside Counters.
+	// cover-oracle probe latency, the parallel engine's per-level barrier
+	// wait, and a standing query's delta apply latency (Insert or Delete to
+	// refreshed answers). Zero when the run recorded no such observations
+	// (runs that never touch the oracle, the parallel engine or a standing
+	// query, and baselines predating the histograms); the compare gate
+	// skips p99 checks for such baselines. The full bucket vectors ride
+	// along inside Counters.
 	OracleProbeP50Ms float64 `json:"oracle_probe_p50_ms,omitempty"`
 	OracleProbeP95Ms float64 `json:"oracle_probe_p95_ms,omitempty"`
 	OracleProbeP99Ms float64 `json:"oracle_probe_p99_ms,omitempty"`
 	LevelWaitP50Ms   float64 `json:"level_wait_p50_ms,omitempty"`
 	LevelWaitP95Ms   float64 `json:"level_wait_p95_ms,omitempty"`
 	LevelWaitP99Ms   float64 `json:"level_wait_p99_ms,omitempty"`
+	DeltaApplyP50Ms  float64 `json:"delta_apply_p50_ms,omitempty"`
+	DeltaApplyP99Ms  float64 `json:"delta_apply_p99_ms,omitempty"`
 	// Phase-share and bound-quality distillates (zero in baselines from
 	// before the cost-attribution layer; the compare gate skips them then).
 	// PhaseCoverage is Σ exclusive phase time / wall; LPShare is the LP
@@ -255,6 +259,10 @@ func fill(rec *Record, res htd.Result, err error, wall time.Duration, st *htd.St
 		rec.LevelWaitP50Ms = hs.P50() / 1e6
 		rec.LevelWaitP95Ms = hs.P95() / 1e6
 		rec.LevelWaitP99Ms = hs.P99() / 1e6
+	}
+	if hs := rec.Counters.CQDeltaApplyNs; hs.Count > 0 {
+		rec.DeltaApplyP50Ms = hs.P50() / 1e6
+		rec.DeltaApplyP99Ms = hs.P99() / 1e6
 	}
 	if wallNs := wall.Nanoseconds(); wallNs > 0 {
 		rec.PhaseCoverage = float64(rec.Counters.Phases.Total()) / float64(wallNs)

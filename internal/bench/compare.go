@@ -44,12 +44,12 @@ type Thresholds struct {
 	// MinHeapBytes clamps tiny heap baselines likewise.
 	MinHeapBytes int64
 	// MaxP99Factor gates the tail-latency quantiles — the cover-oracle
-	// probe p99 and the parallel engine's level-wait p99 — the same way:
-	// violation when the current p99 exceeds factor × max(baseline,
-	// MinP99Ms). 0 disables the gate; it is also skipped when the baseline
-	// record carries no observations for the distribution (runs that never
-	// touch the oracle or the parallel engine, and reports predating the
-	// histograms).
+	// probe p99, the parallel engine's level-wait p99 and a standing
+	// query's delta-apply p99 — the same way: violation when the current
+	// p99 exceeds factor × max(baseline, MinP99Ms). 0 disables the gate;
+	// it is also skipped when the baseline record carries no observations
+	// for the distribution (runs that never touch the oracle, the parallel
+	// engine or a standing query, and reports predating the histograms).
 	MaxP99Factor float64
 	// MinP99Ms clamps tiny p99 baselines before the factor applies:
 	// microsecond-scale tails are all scheduler noise.
@@ -246,6 +246,7 @@ func compareRecord(b, c Record, th Thresholds) Diff {
 		}
 		gateP99("oracle probe", b.OracleProbeP99Ms, c.OracleProbeP99Ms)
 		gateP99("level wait", b.LevelWaitP99Ms, c.LevelWaitP99Ms)
+		gateP99("delta apply", b.DeltaApplyP99Ms, c.DeltaApplyP99Ms)
 	}
 	if th.MaxLPShareFactor > 0 && b.LPShare > 0 && c.LPShare > 0 {
 		floor := b.LPShare

@@ -145,6 +145,21 @@ func TestCompareGatesP99(t *testing.T) {
 			OracleProbeP99Ms: probeP99, LevelWaitP99Ms: waitP99,
 		}}}
 	}
+	delta := func(p99 float64) Report {
+		return Report{Records: []Record{{
+			Instance: "delta_chain", Kind: "cq", Method: "minfill",
+			WallMs: 500, DeltaApplyP99Ms: p99,
+		}}}
+	}
+	// The delta-apply gate fires like the others, names its distribution,
+	// and skips a baseline that predates the field.
+	if res := Compare(delta(4), delta(80), DefaultThresholds()); res.Violations != 1 ||
+		!strings.Contains(res.Diffs[0].Violations[0], "delta apply p99") {
+		t.Fatalf("delta-apply p99 blow-up not flagged by name: %+v", res.Diffs)
+	}
+	if res := Compare(delta(0), delta(80), DefaultThresholds()); res.Violations != 0 {
+		t.Fatalf("delta-apply p99 gated against a baseline without it: %+v", res.Diffs)
+	}
 	// 8ms -> 100ms probe p99 (12.5x over a baseline above the 2ms floor).
 	res := Compare(mk(8, 0), mk(100, 0), DefaultThresholds())
 	if res.Violations != 1 {

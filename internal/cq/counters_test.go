@@ -115,26 +115,10 @@ func catalogWork(t *testing.T, name string, q *htd.Query, db *htd.Database, jobs
 	opened := st.Snapshot()
 	line("open", opened, len(sq.Answers()))
 
-	// Deltas draw relations from the body and values from the relation's
-	// current rows, so inserts join with existing data and deletes hit.
 	rng := rand.New(rand.NewSource(1))
 	shadow := db.Clone()
 	for i := 0; i < 60; i++ {
-		rel := q.Body[rng.Intn(len(q.Body))].Relation
-		rows := shadow.Relation(rel)
-		if rng.Intn(3) == 0 {
-			row := rows[rng.Intn(len(rows))]
-			shadow.Delete(rel, row...)
-			err = sq.Delete(ctx, rel, row...)
-		} else {
-			tuple := make([]string, len(rows[0]))
-			for j := range tuple {
-				tuple[j] = rows[rng.Intn(len(rows))][j]
-			}
-			shadow.Add(rel, tuple...)
-			err = sq.Insert(ctx, rel, tuple...)
-		}
-		if err != nil {
+		if err := catalogDelta(ctx, rng, q, shadow, sq); err != nil {
 			t.Fatalf("%s delta %d: %v", name, i, err)
 		}
 	}
@@ -145,4 +129,24 @@ func catalogWork(t *testing.T, name string, q *htd.Query, db *htd.Database, jobs
 	s.CQDeltaTuples -= opened.CQDeltaTuples
 	line("deltas", s, len(sq.Answers()))
 	return lines
+}
+
+// catalogDelta draws the next delta of a catalog stream and applies it to
+// shadow and to sq. It draws a relation from the body and values from the
+// relation's current rows, so inserts join with existing data and deletes
+// hit.
+func catalogDelta(ctx context.Context, rng *rand.Rand, q *htd.Query, shadow *htd.Database, sq *htd.StandingQuery) error {
+	rel := q.Body[rng.Intn(len(q.Body))].Relation
+	rows := shadow.Relation(rel)
+	if rng.Intn(3) == 0 {
+		row := rows[rng.Intn(len(rows))]
+		shadow.Delete(rel, row...)
+		return sq.Delete(ctx, rel, row...)
+	}
+	tuple := make([]string, len(rows[0]))
+	for j := range tuple {
+		tuple[j] = rows[rng.Intn(len(rows))][j]
+	}
+	shadow.Add(rel, tuple...)
+	return sq.Insert(ctx, rel, tuple...)
 }

@@ -13,6 +13,7 @@ import (
 	"hypertree/internal/bitset"
 	"hypertree/internal/csp"
 	"hypertree/internal/decomp"
+	"hypertree/internal/hypergraph"
 )
 
 // SolveCSP solves c over d and returns one solution, or ok=false when c is
@@ -55,7 +56,7 @@ func cspFlow(ctx context.Context, c *csp.CSP, d *decomp.Decomposition, opt EvalO
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	f, err := newFlow(cspInstance(c), d, nil, opt)
+	f, err := newFlow(cspInstance(c, constraintHypergraph(c, d.H)), d, nil, opt)
 	if err == nil || errors.Is(err, errPlanShape) {
 		return f, err
 	}
@@ -63,10 +64,29 @@ func cspFlow(ctx context.Context, c *csp.CSP, d *decomp.Decomposition, opt EvalO
 	return newFlow(in, td, nil, opt)
 }
 
-// cspInstance is the flow instance of c: its constraint hypergraph, with
-// one atom per constraint.
-func cspInstance(c *csp.CSP) *instance {
-	in := &instance{h: c.Hypergraph()}
+// constraintHypergraph returns h when it is c's constraint hypergraph —
+// one vertex per variable and, in order, one edge per constraint scope —
+// and builds that hypergraph otherwise, so that a plan made from
+// c.Hypergraph() does not build it again.
+func constraintHypergraph(c *csp.CSP, h *hypergraph.Hypergraph) *hypergraph.Hypergraph {
+	same := h.NumVertices() == c.NumVars() && h.NumEdges() == len(c.Constraints)
+	for e := 0; same && e < h.NumEdges(); e++ {
+		scope, es := c.Constraints[e].Rel.Scope, h.EdgeSet(e)
+		same = es.Len() == len(scope)
+		for _, v := range scope {
+			same = same && es.Contains(v)
+		}
+	}
+	if same {
+		return h
+	}
+	return c.Hypergraph()
+}
+
+// cspInstance is the flow instance of c over h, its constraint hypergraph,
+// with one atom per constraint.
+func cspInstance(c *csp.CSP, h *hypergraph.Hypergraph) *instance {
+	in := &instance{h: h}
 	for _, con := range c.Constraints {
 		in.atomRel = append(in.atomRel, con.Rel)
 	}
@@ -101,7 +121,7 @@ func tdLabels(c *csp.CSP, d *decomp.Decomposition) (*instance, *decomp.Decomposi
 		}
 		return true
 	})
-	in := cspInstance(withDom)
+	in := cspInstance(withDom, withDom.Hypergraph())
 
 	placed := map[*decomp.Node][]int{}
 	for e := range c.Constraints {

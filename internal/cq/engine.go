@@ -141,7 +141,7 @@ func evaluate(ctx context.Context, q *Query, db *Database, d *decomp.Decompositi
 	f.out = make([]*csp.Relation, len(f.nodes))
 	tr.Begin(track, "cq.output")
 	err = f.walk(ctx, true, nil, func(nodes []int) error {
-		return f.each(ctx, nodes, func(i int) { f.out[i] = f.outStep(i) })
+		return f.each(ctx, nodes, func(i int) { f.out[i] = f.outStep(i, f.down[i], f.kids(f.out, i)) })
 	})
 	tr.End(track, "cq.output")
 	if err != nil {
@@ -410,30 +410,32 @@ func (f *flow) downStep(i int) *csp.Relation {
 	return r
 }
 
-// outStep computes out[i]: down[i] joined with each child's out relation in
-// child order, projected to the head variables plus those shared with the
-// parent. Each join projects as it goes: it keeps those variables and the
-// ones a later child's out relation still holds, so the last join lands on
-// the result.
-func (f *flow) outStep(i int) *csp.Relation {
+// outStep computes node i's out rows from its operands: down, rows of
+// down[i], joined with kids, rows of each child's out relation in child
+// order, projected to the head variables plus those shared with the
+// parent. The one-shot engine passes whole relations, so the result is
+// out[i]; a standing query passes only the rows a delta reaches (see
+// outGroups). Each join projects as it goes: it keeps those variables and
+// the ones a later child's rows still hold, so the last join lands on the
+// result.
+func (f *flow) outStep(i int, down *csp.Relation, kids []*csp.Relation) *csp.Relation {
 	n := f.nodes[i]
 	f.opt.Stats.Add(telemetry.CQOutputJoins, 1)
 	// pending[v] counts the children not yet joined whose out scope holds v.
 	pending := map[int]int{}
-	for _, ch := range n.Children {
-		for _, v := range f.out[f.idx[ch]].Scope {
+	for _, cr := range kids {
+		for _, v := range cr.Scope {
 			pending[v]++
 		}
 	}
 	keep := func(v int) bool {
 		return f.head[v] || (n.Parent != nil && n.Parent.Chi.Contains(v)) || pending[v] > 0
 	}
-	joined := f.down[i]
-	if len(n.Children) == 0 {
+	joined := down
+	if len(kids) == 0 {
 		return csp.Project(joined, keepVars(keep, joined.Scope))
 	}
-	for _, ch := range n.Children {
-		cr := f.out[f.idx[ch]]
+	for _, cr := range kids {
 		for _, v := range cr.Scope {
 			pending[v]--
 		}
@@ -441,6 +443,17 @@ func (f *flow) outStep(i int) *csp.Relation {
 		f.opt.Stats.Add(telemetry.CQJoinTuples, int64(joined.Size()))
 	}
 	return joined
+}
+
+// kids returns the relations of layer at node i's children, in child
+// order: outStep's operands from a whole out layer.
+func (f *flow) kids(layer []*csp.Relation, i int) []*csp.Relation {
+	ch := f.nodes[i].Children
+	rs := make([]*csp.Relation, len(ch))
+	for k, c := range ch {
+		rs[k] = layer[f.idx[c]]
+	}
+	return rs
 }
 
 // walk drives one reducer or output layer level by level — deepest level
@@ -582,6 +595,18 @@ func stopCause(ctx context.Context) error {
 	return context.Canceled
 }
 
+// headCols returns the column of each head variable in a root out scope.
+func headCols(q *Query, in *instance, scope []int) ([]int, error) {
+	colOf := make([]int, len(q.Head))
+	for i, hv := range q.Head {
+		colOf[i] = slices.Index(scope, in.varIndex[hv])
+		if colOf[i] < 0 {
+			return nil, errHeadLost(hv)
+		}
+	}
+	return colOf, nil
+}
+
 // assembleAnswers renders a root output relation as sorted answer rows in
 // head order — shared between the one-shot engine and the standing
 // evaluator so both produce byte-identical answer sets. The rows need no
@@ -589,20 +614,12 @@ func stopCause(ctx context.Context) error {
 // head variable, and interning is one-to-one, so distinct tuples render as
 // distinct rows even when the head repeats a variable. For the same reason
 // the rows sort on int codes ranked by their strings, which orders them as
-// the strings would.
+// the strings would: a stable counting sort per head column, last column
+// first, so the sort is linear in the rows.
 func assembleAnswers(q *Query, in *instance, root *csp.Relation) ([][]string, error) {
-	colOf := make([]int, len(q.Head))
-	for i, hv := range q.Head {
-		v := in.varIndex[hv]
-		colOf[i] = -1
-		for j, sv := range root.Scope {
-			if sv == v {
-				colOf[i] = j
-			}
-		}
-		if colOf[i] < 0 {
-			return nil, errHeadLost(hv)
-		}
+	colOf, err := headCols(q, in, root.Scope)
+	if err != nil {
+		return nil, err
 	}
 	if root.Size() == 0 {
 		return nil, nil
@@ -637,9 +654,23 @@ func assembleAnswers(q *Query, in *instance, root *csp.Relation) ([][]string, er
 			keys[r*w+i] = rank[t[c]]
 		}
 	}
-	slices.SortFunc(order, func(x, y int32) int {
-		return slices.Compare(keys[int(x)*w:int(x)*w+w], keys[int(y)*w:int(y)*w+w])
-	})
+	sorted := make([]int32, len(order))
+	start := make([]int32, len(codes)+1)
+	for i := w - 1; i >= 0; i-- {
+		clear(start)
+		for _, r := range order {
+			start[keys[int(r)*w+i]+1]++
+		}
+		for k := 1; k < len(start); k++ {
+			start[k] += start[k-1]
+		}
+		for _, r := range order {
+			k := keys[int(r)*w+i]
+			sorted[start[k]] = r
+			start[k]++
+		}
+		order, sorted = sorted, order
+	}
 	block := make([]string, len(order)*w)
 	rows := make([][]string, len(order))
 	for k, r := range order {

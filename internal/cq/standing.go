@@ -2,32 +2,36 @@
 // answer set maintained under single-tuple inserts and deletes without
 // re-running the full evaluation.
 //
-// The standing state is the engine's dataflow (flow) kept whole: the four
-// relation layers base/up/down/out per node of the (completed)
-// decomposition, each in its own slice, plus, per body atom, a
-// multiplicity count of the database rows matching it, so set-semantics
-// per-atom relations survive duplicate inserts and partial deletes.
+// The standing state is the engine's dataflow (flow) kept whole: the
+// relation layers base/up/down per node of the (completed) decomposition,
+// each in its own slice, the out layer filed into groups by key
+// (outGroups), plus, per body atom, a multiplicity count of the database
+// rows matching it, so set-semantics per-atom relations survive duplicate
+// inserts and partial deletes.
 //
 // A delta first rewrites the per-atom relations it touches, then
-// propagates: it sweeps each layer in the engine's level order, re-running
-// the layer's step only on nodes whose inputs changed and cutting off
-// with a set-equality test (csp.SameSet): every kernel consumes its
-// inputs with set semantics, so an unchanged recomputed relation proves
-// the delta cannot reach past that node. For a delta touching one atom
-// this is exactly the root-leaf path through the owning node — up along
-// its ancestors, down and out through the subtrees the path borders — and
-// the cutoff usually stops far earlier. Opening a standing query is the
-// same propagation with every node dirty against empty layers.
+// propagates: it sweeps the base, up and down layers in the engine's level
+// order, re-running the layer's step only on nodes whose inputs changed
+// and cutting off with a set-equality test (csp.SameSet): every kernel
+// consumes its inputs with set semantics, so an unchanged recomputed
+// relation proves the delta cannot reach past that node. The out layer
+// then pays only for what changed: from each changed down relation's row
+// diff (csp.Diff) it re-files, bottom-up, just the groups whose keys the
+// change reaches, and the root's row diff is merged into the sorted
+// answers. Opening a standing query is the same propagation with every
+// node dirty against empty layers, and it fills the out layer in full.
 //
 // Every recompute runs the engine's own step functions on the same
 // level-synchronous runTasks pool, so Answers is bit-identical to a fresh
 // EvaluateCtx over the mutated database at every Jobs value. A cancelled
-// delta rolls back through an undo journal — relations are replaced,
-// never mutated in place — leaving no partial answer state.
+// delta rolls back through an undo journal — relations, out runs and
+// answer slices are replaced, never mutated in place — leaving no partial
+// answer state.
 package cq
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"time"
@@ -49,7 +53,9 @@ type StandingQuery struct {
 	atomNodes [][]int          // atom index → indices of nodes whose λ contains it
 	counts    []map[string]int // atom index → projected-row key → multiplicity in the database
 	isEmpty   bool             // some base/up relation is empty: no answers
+	outs      []*outGroups     // per node: the out layer by key; nil while isEmpty holds
 	answers   [][]string
+	spare     [][]string // the answer slice a delta retired, which the next merge reuses
 
 	undo []func() // rollback journal of the in-flight delta
 }
@@ -77,7 +83,7 @@ func NewStandingQuery(ctx context.Context, q *Query, db *Database, d *decomp.Dec
 		return nil, err
 	}
 	layer := func() []*csp.Relation { return make([]*csp.Relation, len(f.nodes)) }
-	f.base, f.up, f.down, f.out = layer(), layer(), layer(), layer()
+	f.base, f.up, f.down = layer(), layer(), layer()
 	s := &StandingQuery{q: q, flow: f}
 	s.atomNodes = make([][]int, len(q.Body))
 	for i, n := range s.nodes {
@@ -98,7 +104,8 @@ func NewStandingQuery(ctx context.Context, q *Query, db *Database, d *decomp.Dec
 		}
 	}
 	// Opening is one full propagation: every node is dirty and every layer
-	// empty, so each step runs once on every node.
+	// empty, so each step runs once on every node and the out layer is
+	// filled in full.
 	dirty := make([]bool, len(s.nodes))
 	for i := range dirty {
 		dirty[i] = true
@@ -119,21 +126,6 @@ func (s *StandingQuery) anyEmpty() bool {
 		}
 	}
 	return false
-}
-
-// refreshAnswers re-renders the answer set from the root output relation
-// (nil when the short-circuit emptiness holds, matching EvaluateCtx).
-func (s *StandingQuery) refreshAnswers() error {
-	if s.isEmpty {
-		s.answers = nil
-		return nil
-	}
-	rows, err := assembleAnswers(s.q, s.in, s.out[s.root])
-	if err != nil {
-		return err
-	}
-	s.answers = rows
-	return nil
 }
 
 // Answers returns the current answer set — sorted, deduplicated rows in
@@ -292,15 +284,16 @@ func (s *StandingQuery) applyAtom(ai int, tuple []string, insert bool) bool {
 	return true
 }
 
-// propagate sweeps the four layers in the engine's level order from the
-// nodes whose base is dirty, re-running a layer's step only on nodes with
-// a changed input — their own node's previous layer, or the same layer at
-// the children (up, out) or the parent (down) — and stopping where
-// csp.SameSet proves a recomputation a no-op. Every commit journals the
-// old relation so a cancelled sweep rolls back cleanly. Returns the number
-// of nodes changed per layer.
+// propagate sweeps the base, up and down layers in the engine's level
+// order from the nodes whose base is dirty, re-running a layer's step only
+// on nodes with a changed input — their own node's previous layer, or the
+// same layer at the children (up) or the parent (down) — and stopping
+// where csp.SameSet proves a recomputation a no-op. It then brings the out
+// layer and the answers up to date (refreshOut). Every commit journals the
+// old state so a cancelled sweep rolls back cleanly. Returns the number of
+// nodes changed per layer.
 func (s *StandingQuery) propagate(ctx context.Context, baseDirty []bool) (changedNodes [4]int, err error) {
-	var changed [4][]bool
+	var changed [3][]bool
 	for l := range changed {
 		changed[l] = make([]bool, len(s.nodes))
 	}
@@ -316,11 +309,12 @@ func (s *StandingQuery) propagate(ctx context.Context, baseDirty []bool) (change
 	if err != nil {
 		return changedNodes, err
 	}
+	oldDown := slices.Clone(s.down)
 	for l, p := range []struct {
 		layer    []*csp.Relation
 		step     func(i int) *csp.Relation
 		bottomUp bool // reads the children's relation of its own layer, not the parent's
-	}{{s.up, s.upStep, true}, {s.down, s.downStep, false}, {s.out, s.outStep, true}} {
+	}{{s.up, s.upStep, true}, {s.down, s.downStep, false}} {
 		in, self := changed[l], changed[l+1]
 		reached := func(i int) bool {
 			if in[i] {
@@ -348,15 +342,446 @@ func (s *StandingQuery) propagate(ctx context.Context, baseDirty []bool) (change
 			return changedNodes, err
 		}
 	}
-
-	empty := s.anyEmpty()
-	if changed[3][s.root] || empty != s.isEmpty {
-		oldAns, oldEmpty := s.answers, s.isEmpty
-		s.undo = append(s.undo, func() { s.answers, s.isEmpty = oldAns, oldEmpty })
-		s.isEmpty = empty
-		err = s.refreshAnswers()
-	}
+	changedNodes[3], err = s.refreshOut(ctx, oldDown, changed[2])
 	return changedNodes, err
+}
+
+// refreshOut brings the out layer and the answers up to date with the
+// down layer. While the emptiness short-circuit holds there are no answers
+// and no out layer. When it ends, and at the open, the out layer is filled
+// in full (fillOut); otherwise it follows the down layer's change against
+// oldDown at the nodes downChanged marks (deltaOut). Returns the number of
+// nodes whose out rows changed.
+func (s *StandingQuery) refreshOut(ctx context.Context, oldDown []*csp.Relation, downChanged []bool) (int, error) {
+	empty := s.anyEmpty()
+	if !empty && s.outs != nil {
+		return s.deltaOut(ctx, oldDown, downChanged)
+	}
+	if empty && s.isEmpty {
+		return 0, nil
+	}
+	oldOuts, oldAns, oldEmpty := s.outs, s.answers, s.isEmpty
+	s.undo = append(s.undo, func() { s.outs, s.answers, s.isEmpty = oldOuts, oldAns, oldEmpty })
+	s.outs, s.answers, s.isEmpty = nil, nil, empty
+	if empty {
+		return 0, nil
+	}
+	return len(s.nodes), s.fillOut(ctx)
+}
+
+// fillOut runs outStep on every node over whole relations, as the one-shot
+// engine does, renders the answers from the root's relation, and then
+// files each node's relation by key.
+func (s *StandingQuery) fillOut(ctx context.Context) error {
+	out := make([]*csp.Relation, len(s.nodes))
+	err := s.walk(ctx, true, nil, func(nodes []int) error {
+		return s.each(ctx, nodes, func(i int) { out[i] = s.outStep(i, s.down[i], s.kids(out, i)) })
+	})
+	if err != nil {
+		return err
+	}
+	answers, err := assembleAnswers(s.q, s.in, out[s.root])
+	if err != nil {
+		return err
+	}
+	outs := make([]*outGroups, len(s.nodes))
+	err = runTasks(ctx, s.opt, len(s.nodes), func(i int) error {
+		outs[i] = s.newOutGroups(i, out[i])
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for i, l := range outs {
+		for _, c := range s.nodes[i].Children {
+			kl := outs[s.idx[c]]
+			pos := make([]int, len(kl.keyPos))
+			for k, p := range kl.keyPos {
+				pos[k] = slices.Index(s.down[i].Scope, kl.scope[p])
+			}
+			l.kidKey = append(l.kidKey, pos)
+		}
+	}
+	s.outs, s.answers = outs, answers
+	return nil
+}
+
+// outGroups is one node's out relation filed by key: its rows split into
+// groups by their values on the out variables that the parent's χ holds —
+// the node's connector — or, at the root, that χ(root) holds. The key
+// variables all lie in χ of the node, so each down row holds one key, and
+// each child's key lies in the node's down scope. The groups' rows sit in
+// one flat, pointer-free store, each group a run of it. The open fills the
+// store in one counting pass. A delta appends the rows of each group it
+// changes and moves the group's run onto them, so a run, once written,
+// never changes, and rollback only restores runs. Once the store holds
+// more dead rows than live ones it is copied down to its live runs
+// (compact), which keeps it within twice the relation. A key whose group
+// empties keeps its number, with an empty run.
+type outGroups struct {
+	scope   []int     // the out relation's scope
+	keyPos  []int     // the key's positions in scope
+	downKey []int     // the key's positions in the node's down scope
+	kidKey  [][]int   // per child: the child's key's positions in the node's down scope
+	keys    *csp.Keys // key → number
+	store   []int     // the rows, len(scope) values each
+	n, live int       // rows in store; rows in runs
+	groups  []group   // by key number
+	local   []int32   // file's scratch by key number, −1 between calls
+}
+
+// group is the out rows of one key: the store's rows lo … hi−1.
+type group struct{ lo, hi int32 }
+
+// newOutGroups files node i's out relation r by key.
+func (s *StandingQuery) newOutGroups(i int, r *csp.Relation) *outGroups {
+	n := s.nodes[i]
+	chi := n.Chi
+	if n.Parent != nil {
+		chi = n.Parent.Chi
+	}
+	l := &outGroups{scope: r.Scope, store: make([]int, 0, r.Size()*r.Arity())}
+	for p, v := range r.Scope {
+		if chi.Contains(v) {
+			l.keyPos = append(l.keyPos, p)
+			l.downKey = append(l.downKey, slices.Index(s.down[i].Scope, v))
+		}
+	}
+	l.keys = csp.NewKeys(len(l.keyPos))
+	ids, order, end := l.file(r, nil)
+	l.put(r, ids, order, end)
+	return l
+}
+
+// row returns row j of the store.
+func (l *outGroups) row(j int32) []int {
+	w := len(l.scope)
+	return l.store[int(j)*w : int(j)*w+w : int(j)*w+w]
+}
+
+// id returns the number of the key that t holds at pos, numbering it, with
+// an empty run, when it is new.
+func (l *outGroups) id(t, pos []int) int {
+	g := l.keys.ID(t, pos)
+	if g == len(l.groups) {
+		l.groups = append(l.groups, group{})
+		l.local = append(l.local, -1)
+	}
+	return g
+}
+
+// file sorts the rows of r, a relation over the layer's scope, by key in
+// one counting pass. It returns the keys of pre and then the other keys
+// r's rows hold, in the order first met, and r's row indices grouped in
+// that order: key k's rows are order[end[k−1]:end[k]], and a key of pre
+// that no row holds has none.
+func (l *outGroups) file(r *csp.Relation, pre []int) (ids []int, order, end []int32) {
+	ids = append(ids, pre...)
+	for k, g := range ids {
+		l.local[g] = int32(k)
+	}
+	slot := make([]int32, r.Size())
+	for j := range slot {
+		g := l.id(r.Row(j), l.keyPos)
+		if l.local[g] < 0 {
+			l.local[g] = int32(len(ids))
+			ids = append(ids, g)
+		}
+		slot[j] = l.local[g]
+	}
+	// end[k] is where key k's rows begin in order until the placing loop
+	// moves it to where they end.
+	end = make([]int32, len(ids)+1)
+	for _, k := range slot {
+		end[k+1]++
+	}
+	for k := 1; k < len(end); k++ {
+		end[k] += end[k-1]
+	}
+	order = make([]int32, len(slot))
+	for j, k := range slot {
+		order[end[k]] = int32(j)
+		end[k]++
+	}
+	for _, g := range ids {
+		l.local[g] = -1
+	}
+	return ids, order, end[:len(ids)]
+}
+
+// put appends the rows of r that file grouped under ids to the store and
+// moves those keys' runs onto them. It returns the runs they had.
+func (l *outGroups) put(r *csp.Relation, ids []int, order, end []int32) []group {
+	olds := make([]group, len(ids))
+	lo := int32(0)
+	for k, g := range ids {
+		run := group{int32(l.n), int32(l.n) + end[k] - lo}
+		for _, j := range order[lo:end[k]] {
+			l.store = append(l.store, r.Row(int(j))...)
+		}
+		olds[k], l.groups[g] = l.groups[g], run
+		l.n += int(run.hi - run.lo)
+		l.live += int(run.hi-run.lo) - int(olds[k].hi-olds[k].lo)
+		lo = end[k]
+	}
+	return olds
+}
+
+// compact copies the live runs into a new store, in key order, and gives
+// the layer a new run slice, so that a journal entry holding the old ones
+// can restore them.
+func (l *outGroups) compact() {
+	store := make([]int, 0, l.live*len(l.scope))
+	groups := make([]group, len(l.groups))
+	n := int32(0)
+	for g, run := range l.groups {
+		for j := run.lo; j < run.hi; j++ {
+			store = append(store, l.row(j)...)
+		}
+		groups[g] = group{n, n + run.hi - run.lo}
+		n = groups[g].hi
+	}
+	l.store, l.groups, l.n = store, groups, int(n)
+}
+
+// gather returns a new relation over the layer's scope holding the rows of
+// the given groups.
+func (l *outGroups) gather(ids []int) *csp.Relation {
+	r := csp.NewRelation(l.scope, nil)
+	for _, g := range ids {
+		for j := l.groups[g].lo; j < l.groups[g].hi; j++ {
+			r.AppendRow(l.row(j))
+		}
+	}
+	return r
+}
+
+// outDiff is how a delta changes one node's out rows: the rows added and
+// removed, and the reached groups' new rows, filed by key (see file).
+type outDiff struct {
+	added, removed *csp.Relation
+	rows           *csp.Relation
+	ids            []int
+	order, end     []int32
+}
+
+// deltaOut updates the out layer from the down layer's change, bottom-up.
+// At each node it recomputes only the groups the change reaches (refile);
+// their row diff is the node's out diff, which reaches the parent in turn,
+// and the root's is merged into the answers. A level's refiles run on the
+// worker pool and commit, journaled, once the level is done.
+func (s *StandingQuery) deltaOut(ctx context.Context, oldDown []*csp.Relation, downChanged []bool) (int, error) {
+	diffs := make([]*outDiff, len(s.nodes))
+	reached := func(i int) bool {
+		if downChanged[i] {
+			return true
+		}
+		for _, c := range s.nodes[i].Children {
+			if diffs[s.idx[c]] != nil {
+				return true
+			}
+		}
+		return false
+	}
+	changed := 0
+	tr, track := s.opt.Trace, s.opt.Track
+	tr.Begin(track, "cq.delta.out")
+	err := s.walk(ctx, true, reached, func(nodes []int) error {
+		level := make([]*outDiff, len(nodes))
+		err := runTasks(ctx, s.opt, len(nodes), func(k int) error {
+			var prev *csp.Relation
+			if i := nodes[k]; downChanged[i] {
+				prev = oldDown[i]
+			}
+			level[k] = s.refile(nodes[k], prev, diffs)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for k, i := range nodes {
+			d := level[k]
+			if d == nil {
+				continue
+			}
+			changed++
+			diffs[i] = d
+			s.commit(s.outs[i], d)
+		}
+		return nil
+	})
+	tr.End(track, "cq.delta.out")
+	if err != nil {
+		return changed, err
+	}
+	if d := diffs[s.root]; d != nil {
+		err = s.mergeAnswers(d.added, d.removed)
+	}
+	return changed, err
+}
+
+// refile recomputes the groups of node i that a delta reaches and returns
+// how its out rows change, or nil when they do not. A key is reached when
+// a row of the down diff (down[i] against prev, nil when down[i] did not
+// change) holds it, or when a row of down[i] that holds it joins a row of
+// a child's out diff on the child's key. The reached groups' new rows are
+// outStep over the down rows that hold their keys and the children's
+// groups those rows join, so the work is that of the reached groups, not
+// of the layer.
+func (s *StandingQuery) refile(i int, prev *csp.Relation, diffs []*outDiff) *outDiff {
+	l, down := s.outs[i], s.down[i]
+	keyVars := make([]int, len(l.keyPos))
+	for k, p := range l.keyPos {
+		keyVars[k] = l.scope[p]
+	}
+	var joined int64
+	reached, _ := csp.DistinctRows(keyVars, func(add func(row []int)) error {
+		if prev != nil {
+			key := make([]int, len(keyVars))
+			added, removed := csp.Diff(prev, down)
+			for _, r := range []*csp.Relation{added, removed} {
+				for j := 0; j < r.Size(); j++ {
+					t := r.Row(j)
+					for k, p := range l.downKey {
+						key[k] = t[p]
+					}
+					add(key)
+				}
+			}
+		}
+		for _, c := range s.nodes[i].Children {
+			d := diffs[s.idx[c]]
+			if d == nil {
+				continue
+			}
+			for _, r := range []*csp.Relation{d.added, d.removed} {
+				if r.Size() == 0 {
+					continue
+				}
+				hit := csp.JoinProject(down, r, keyVars)
+				joined += int64(hit.Size())
+				for j := 0; j < hit.Size(); j++ {
+					add(hit.Row(j))
+				}
+			}
+		}
+		return nil
+	})
+	if reached.Size() == 0 {
+		s.opt.Stats.Add(telemetry.CQJoinTuples, joined)
+		return nil
+	}
+	all := make([]int, len(keyVars))
+	for k := range all {
+		all[k] = k
+	}
+	pre := make([]int, reached.Size())
+	for k := range pre {
+		pre[k] = l.id(reached.Row(k), all)
+	}
+	rows := csp.JoinProject(down, reached, down.Scope)
+	joined += int64(rows.Size())
+	s.opt.Stats.Add(telemetry.CQJoinTuples, joined)
+	kids := make([]*csp.Relation, len(s.nodes[i].Children))
+	for k, c := range s.nodes[i].Children {
+		kl := s.outs[s.idx[c]]
+		var ids []int
+		for j := 0; j < rows.Size(); j++ {
+			if g := kl.keys.Find(rows.Row(j), l.kidKey[k]); g >= 0 {
+				ids = append(ids, g)
+			}
+		}
+		slices.Sort(ids)
+		kids[k] = kl.gather(slices.Compact(ids))
+	}
+	out := s.outStep(i, rows, kids)
+	added, removed := csp.Diff(l.gather(pre), out)
+	if added.Size() == 0 && removed.Size() == 0 {
+		return nil
+	}
+	ids, order, end := l.file(out, pre)
+	return &outDiff{added: added, removed: removed, rows: out, ids: ids, order: order, end: end}
+}
+
+// commit puts a refile's rows into node layer l, compacting the store when
+// it holds more dead rows than live ones, and journals the layer's state.
+func (s *StandingQuery) commit(l *outGroups, d *outDiff) {
+	groups, store, n, live := l.groups, l.store, l.n, l.live
+	olds := l.put(d.rows, d.ids, d.order, d.end)
+	if l.n-l.live > l.live {
+		l.compact()
+	}
+	s.undo = append(s.undo, func() {
+		l.groups, l.store, l.n, l.live = groups, store, n, live
+		for k, g := range d.ids {
+			l.groups[g] = olds[k]
+		}
+	})
+}
+
+// errAnswerLost reports the internal invariant violation of a removed
+// answer row missing from the answer set.
+var errAnswerLost = errors.New("cq: internal error: a removed answer is not in the answer set")
+
+// mergeAnswers applies the root's out diff to the sorted answers: it
+// renders and sorts only the added and removed rows and merges them into
+// another slice than the answers', the one the previous merge retired, so
+// a rollback keeps the old one. Answers hands out copies, so no caller
+// holds a retired slice. The emptiness
+// transitions go through fillOut and assembleAnswers instead, and so do
+// the answers of a query with an empty head, whose root out relation
+// changes only with emptiness.
+func (s *StandingQuery) mergeAnswers(added, removed *csp.Relation) error {
+	cols, err := headCols(s.q, s.in, added.Scope)
+	if err != nil {
+		return err
+	}
+	add, del := s.answerRows(added, cols), s.answerRows(removed, cols)
+	old := s.answers
+	merged := s.spare[:0]
+	if n := len(old) + len(add) - len(del); cap(merged) < n {
+		merged = make([][]string, 0, n+n/8)
+	}
+	next := 0 // the first old answer not yet copied or dropped
+	for len(add) > 0 || len(del) > 0 {
+		if len(del) > 0 && (len(add) == 0 || slices.Compare(del[0], add[0]) < 0) {
+			j, ok := slices.BinarySearchFunc(old[next:], del[0], slices.Compare[[]string])
+			if !ok {
+				return errAnswerLost
+			}
+			merged = append(merged, old[next:next+j]...)
+			next += j + 1
+			del = del[1:]
+			continue
+		}
+		j, _ := slices.BinarySearchFunc(old[next:], add[0], slices.Compare[[]string])
+		merged = append(merged, old[next:next+j]...)
+		merged = append(merged, add[0])
+		next += j
+		add = add[1:]
+	}
+	merged = append(merged, old[next:]...)
+	s.undo = append(s.undo, func() { s.answers, s.spare = old, merged })
+	s.answers, s.spare = merged, old
+	return nil
+}
+
+// answerRows renders the rows of r, a relation over the root's out scope,
+// as sorted answer rows, reading each head variable from its column in
+// cols. Each row has an allocation of its own: an added row stays in the
+// answers for as long as it is an answer, and keeps no other row's
+// strings alive.
+func (s *StandingQuery) answerRows(r *csp.Relation, cols []int) [][]string {
+	rows := make([][]string, r.Size())
+	for k := range rows {
+		t, row := r.Row(k), make([]string, len(cols))
+		for j, c := range cols {
+			row[j] = s.in.value(t[c])
+		}
+		rows[k] = row
+	}
+	slices.SortFunc(rows, slices.Compare[[]string])
+	return rows
 }
 
 // sweep runs step over a batch of independent nodes on the worker pool,
@@ -390,7 +815,7 @@ func (s *StandingQuery) sweep(ctx context.Context, nodes []int, layer []*csp.Rel
 }
 
 // rollback replays the undo journal in reverse, restoring counts, per-atom
-// relations, layer pointers, and the answer set.
+// relations, layer pointers, out runs and stores, and the answer set.
 func (s *StandingQuery) rollback() {
 	for i := len(s.undo) - 1; i >= 0; i-- {
 		s.undo[i]()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,9 +16,9 @@ import (
 // AppendRow copy rows in; Size and Row read them.
 //
 // The relational kernels below (JoinProject, Semijoin, Project, SameSet,
-// GroupSum) never mutate their inputs and share no memory with them: each
-// allocates its output once, at its exact size, and works in hash tables
-// and buffers that later calls reuse.
+// Diff, GroupSum) never mutate their inputs and share no memory with them:
+// each allocates its output once, at its exact size, and works in hash
+// tables and buffers that later calls reuse.
 type Relation struct {
 	Scope []int
 	vals  []int // the rows back to back, Arity() values each
@@ -320,7 +321,8 @@ type scratch struct {
 	src        []int   // JoinProject's source column for each output column
 	scope      []int   // an output scope being collected
 	row        []int   // the row being offered to set
-	keep       []int32 // Semijoin's surviving rows
+	keep       []int32 // Semijoin's surviving rows, Diff's unmatched ones
+	hit        []bool  // Diff's matched rows of old
 	totals     []int   // GroupSum's weight per group
 }
 
@@ -429,10 +431,15 @@ func Semijoin(a, b *Relation) *Relation {
 			s.keep = append(s.keep, int32(i))
 		}
 	}
-	w := a.Arity()
-	out := &Relation{Scope: append([]int(nil), a.Scope...), vals: make([]int, len(s.keep)*w), n: len(s.keep)}
-	for k, i := range s.keep {
-		copy(out.vals[k*w:], a.Row(int(i)))
+	return gather(a, s.keep)
+}
+
+// gather returns a copy of the given rows of r, in the given order.
+func gather(r *Relation, rows []int32) *Relation {
+	w := r.Arity()
+	out := &Relation{Scope: append([]int(nil), r.Scope...), vals: make([]int, len(rows)*w), n: len(rows)}
+	for k, i := range rows {
+		copy(out.vals[k*w:], r.Row(int(i)))
 	}
 	return out
 }
@@ -482,6 +489,73 @@ func SameSet(a, b *Relation) bool {
 	}
 	return true
 }
+
+// Diff returns what turns old into cur: added holds the rows of cur that
+// old lacks, in cur's order and over its scope, and removed the rows of
+// old that cur lacks, in old's order and over its scope. Both inputs must
+// be duplicate-free, which every kernel output is; rows of relations over
+// different variable sets never match. A standing query reads the change
+// of a layer from it.
+func Diff(old, cur *Relation) (added, removed *Relation) {
+	s := getScratch()
+	defer s.release()
+	s.bPos = old.positions(s.bPos, cur.Scope)
+	s.hit = grow(s.hit, old.n)
+	clear(s.hit)
+	if len(old.Scope) == len(cur.Scope) && !slices.Contains(s.bPos, -1) {
+		for i := range cur.Scope {
+			s.aPos = append(s.aPos, i)
+		}
+		s.idx.build(old, s.bPos)
+		for i := 0; i < cur.n; i++ {
+			if j := s.idx.find(cur.Row(i), s.aPos); j >= 0 {
+				s.hit[j] = true
+			} else {
+				s.keep = append(s.keep, int32(i))
+			}
+		}
+	} else {
+		for i := 0; i < cur.n; i++ {
+			s.keep = append(s.keep, int32(i))
+		}
+	}
+	added = gather(cur, s.keep)
+	s.keep = s.keep[:0]
+	for j, hit := range s.hit {
+		if !hit {
+			s.keep = append(s.keep, int32(j))
+		}
+	}
+	return added, gather(old, s.keep)
+}
+
+// Keys numbers distinct keys, tuples of one width, densely and in the
+// order they are first met. It is a rowSet that outlives a kernel call,
+// for callers that keep rows filed by key.
+type Keys struct {
+	set rowSet
+	row []int
+}
+
+// NewKeys returns an empty numbering of keys of the given width.
+func NewKeys(width int) *Keys {
+	k := &Keys{row: make([]int, width)}
+	k.set.reset(width, 0)
+	return k
+}
+
+// ID returns the number of the key that t holds at pos, numbering it
+// first when it is new.
+func (k *Keys) ID(t, pos []int) int {
+	for i, p := range pos {
+		k.row[i] = t[p]
+	}
+	return int(k.set.add(k.row))
+}
+
+// Find returns the number of the key that t holds at pos, or −1 when the
+// key has none. It writes nothing, so it may run alongside other Finds.
+func (k *Keys) Find(t, pos []int) int { return int(k.set.find(t, pos)) }
 
 // GroupSum returns, for each row of a, the total weight of the rows of b
 // that agree with it on the shared variables, where weight[j] weighs row j

@@ -141,6 +141,75 @@ func refProject(r *Relation, vars []int) *Relation {
 	return out
 }
 
+// refDiff is Diff by string keys: the rows of cur whose key over old's
+// scope old lacks, then the rows of old whose key cur lacks. Relations
+// over different variable sets share no key.
+func refDiff(old, cur *Relation) (added, removed *Relation) {
+	sameVars := len(old.Scope) == len(cur.Scope)
+	for _, v := range old.Scope {
+		sameVars = sameVars && cur.pos(v) >= 0
+	}
+	keys := func(r *Relation) map[string]bool {
+		seen := map[string]bool{}
+		for _, t := range rowsOf(r) {
+			if sameVars {
+				seen[refKey(r, t, old.Scope)] = true
+			}
+		}
+		return seen
+	}
+	inOld, inCur := keys(old), keys(cur)
+	added, removed = &Relation{Scope: append([]int(nil), cur.Scope...)}, &Relation{Scope: append([]int(nil), old.Scope...)}
+	for _, t := range rowsOf(cur) {
+		if !sameVars || !inOld[refKey(cur, t, old.Scope)] {
+			added.AppendRow(t)
+		}
+	}
+	for _, t := range rowsOf(old) {
+		if !sameVars || !inCur[refKey(old, t, old.Scope)] {
+			removed.AppendRow(t)
+		}
+	}
+	return added, removed
+}
+
+// checkDiff asserts Diff against refDiff, row for row, on a duplicate-free
+// old relation built from a and a cur that keeps some of its rows, adds
+// others, and reorders its scope or, now and then, holds other variables.
+func checkDiff(t *testing.T, rng *rand.Rand, a *Relation) {
+	t.Helper()
+	old := Project(a, a.Scope)
+	perm := rng.Perm(old.Arity())
+	scope := make([]int, len(perm))
+	for i, p := range perm {
+		scope[i] = old.Scope[p]
+	}
+	if rng.Intn(8) == 0 {
+		scope[0] += 10
+	}
+	cur := &Relation{Scope: scope}
+	row := make([]int, len(scope))
+	for _, t := range rowsOf(old) {
+		if rng.Intn(2) == 0 {
+			for i, p := range perm {
+				row[i] = t[p]
+			}
+			cur.AppendRow(row)
+		}
+	}
+	for i := rng.Intn(6); i > 0; i-- {
+		for j := range row {
+			row[j] = rng.Intn(3)
+		}
+		cur.AppendRow(row)
+	}
+	cur = Project(cur, scope)
+	gotA, gotR := Diff(old, cur)
+	wantA, wantR := refDiff(old, cur)
+	sameRows(t, "Diff added", gotA, wantA)
+	sameRows(t, "Diff removed", gotR, wantR)
+}
+
 // randRelation builds a random relation whose scope is a random subset of
 // universe variables and whose values come from a small domain (so joins
 // actually match).
@@ -197,9 +266,11 @@ func checkJoinProject(t *testing.T, a, b *Relation, vars []int) {
 
 func testKernelsAgainstReference(t *testing.T, trials int) {
 	rng := rand.New(rand.NewSource(7))
-	// JoinProject's vars come from their own stream, so the relations and
-	// keep lists the other checks draw are those they always drew.
+	// JoinProject's vars and Diff's inputs come from their own streams, so
+	// the relations and keep lists the other checks draw are those they
+	// always drew.
 	varRng := rand.New(rand.NewSource(8))
+	diffRng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < trials; trial++ {
 		a := randRelation(rng, 6, 4, 24, 3)
 		b := randRelation(rng, 6, 4, 24, 3)
@@ -223,6 +294,7 @@ func testKernelsAgainstReference(t *testing.T, trials int) {
 		}
 		varRng.Shuffle(len(vars), func(i, j int) { vars[i], vars[j] = vars[j], vars[i] })
 		checkJoinProject(t, a, b, append(vars, 99))
+		checkDiff(t, diffRng, a)
 	}
 }
 
@@ -245,6 +317,53 @@ func TestKernelsSurviveForcedHashCollisions(t *testing.T) {
 	withDegenerateHash(t, func() {
 		testKernelsAgainstReference(t, 120)
 	})
+}
+
+// TestKeysNumberFirstMet pins Keys against a map: ID numbers each new key
+// densely in the order first met and returns the same number for it
+// afterwards, read through any positions; Find agrees and writes nothing,
+// so it reports −1 for a key never numbered. Both hash finishers.
+func TestKeysNumberFirstMet(t *testing.T) {
+	check := func() {
+		rng := rand.New(rand.NewSource(12))
+		for trial := 0; trial < 60; trial++ {
+			r := randRelation(rng, 5, 4, 40, 3)
+			pos := rng.Perm(r.Arity())[:rng.Intn(r.Arity()+1)]
+			keys, ref := NewKeys(len(pos)), map[string]int{}
+			for pass := 0; pass < 2; pass++ {
+				for _, row := range rowsOf(r) {
+					k := fmt.Sprint(valuesAt(row, pos))
+					want, seen := ref[k]
+					if !seen {
+						want = len(ref)
+					}
+					if pass == 0 && !seen {
+						if got := keys.Find(row, pos); got != -1 {
+							t.Fatalf("trial %d: Find of a new key = %d, want -1", trial, got)
+						}
+						ref[k] = want
+					}
+					if got := keys.ID(row, pos); got != want {
+						t.Fatalf("trial %d: ID = %d, want %d", trial, got, want)
+					}
+					if got := keys.Find(row, pos); got != want {
+						t.Fatalf("trial %d: Find = %d, want %d", trial, got, want)
+					}
+				}
+			}
+		}
+	}
+	check()
+	withDegenerateHash(t, check)
+}
+
+// valuesAt returns the values of row at pos.
+func valuesAt(row, pos []int) []int {
+	out := make([]int, len(pos))
+	for i, p := range pos {
+		out[i] = row[p]
+	}
+	return out
 }
 
 func TestGroupSumsSurvivesForcedHashCollisions(t *testing.T) {

@@ -9,7 +9,8 @@ import (
 
 // TestKernelsAllocateOnlyTheirOutput is the kernels' allocation gate: once
 // their scratch is warm, each call allocates its output and nothing else —
-// a Relation, its scope and its store; GroupSum its sums; SameSet nothing.
+// a Relation, its scope and its store; Diff two of them; GroupSum its
+// sums; SameSet nothing.
 // JoinProject over every variable fills its set far past the table it
 // starts with, so its growth is gated too.
 func TestKernelsAllocateOnlyTheirOutput(t *testing.T) {
@@ -22,6 +23,7 @@ func TestKernelsAllocateOnlyTheirOutput(t *testing.T) {
 		w[i] = 1
 	}
 	p := Project(a, a.Scope)
+	q := Semijoin(p, NewRelation([]int{1}, [][]int{{0}, {1}, {2}, {3}}))
 	for _, k := range []struct {
 		name   string
 		allocs float64
@@ -32,6 +34,7 @@ func TestKernelsAllocateOnlyTheirOutput(t *testing.T) {
 		{"JoinProject", 3, func() { JoinProject(a, b, []int{0, 3}) }},
 		{"JoinProject/all", 3, func() { JoinProject(a, b, []int{0, 1, 2, 3}) }},
 		{"SameSet", 0, func() { SameSet(p, p) }},
+		{"Diff", 6, func() { Diff(p, q) }},
 		{"GroupSum", 1, func() { GroupSum(a, b, w) }},
 	} {
 		k.run()
@@ -66,8 +69,10 @@ func TestKernelsConcurrentMatchSequential(t *testing.T) {
 		}
 		sums, ok := GroupSum(in.a, in.b, w)
 		jp, pa := JoinProject(in.a, in.b, in.vars), Project(in.a, in.a.Scope)
+		added, removed := Diff(pa, Semijoin(pa, in.b))
 		return fmt.Sprint(rowsOf(jp), rowsOf(Semijoin(in.a, in.b)), rowsOf(pa),
-			sums, ok, SameSet(pa, Project(in.a, in.a.Scope)), SameSet(jp, pa))
+			sums, ok, SameSet(pa, Project(in.a, in.a.Scope)), SameSet(jp, pa),
+			rowsOf(added), rowsOf(removed))
 	}
 	want := make([]string, len(inputs))
 	for i, in := range inputs {

@@ -106,10 +106,28 @@ func (d *Decomposition) ValidateTD() error {
 			return fmt.Errorf("decomp: hyperedge %s not covered by any χ label", d.H.EdgeName(e))
 		}
 	}
-	// Condition 2 (connectedness).
-	for v := 0; v < d.H.NumVertices(); v++ {
-		if err := d.checkConnected(v); err != nil {
-			return err
+	// Condition 2 (connectedness), in one counting pass: the nodes holding
+	// v induce a subtree of the tree iff they have exactly one tree edge
+	// fewer between them than they number. A BFS runs only to word the
+	// error.
+	holders := make([]int, d.H.NumVertices())
+	edges := make([]int, d.H.NumVertices())
+	for _, n := range d.nodes {
+		n.Chi.ForEach(func(v int) bool {
+			if v < len(holders) {
+				holders[v]++
+				if n.Parent != nil && n.Parent.Chi.Contains(v) {
+					edges[v]++
+				}
+			}
+			return true
+		})
+	}
+	for v, k := range holders {
+		if k > 0 && edges[v] != k-1 {
+			if err := d.checkConnected(v); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -249,7 +267,8 @@ func (d *Decomposition) validateTree() error {
 	return nil
 }
 
-// checkConnected verifies the connectedness condition for one vertex.
+// checkConnected verifies the connectedness condition for one vertex by a
+// BFS over the tree edges between its holders, and words the error.
 func (d *Decomposition) checkConnected(v int) error {
 	var first *Node
 	count := 0
