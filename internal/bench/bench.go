@@ -163,22 +163,13 @@ func Run(cfg Config) Report {
 		}
 		g := inst.Build()
 		for _, m := range cfg.Methods {
-			rec := Record{
+			rep.measure(cfg, &Record{
 				Instance: inst.Name, Family: inst.Family, Kind: "tw",
 				Vertices: g.NumVertices(), Edges: g.NumEdges(),
 				Method: m.String(), Seed: cfg.Seed,
-			}
-			st := new(htd.Stats)
-			ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-			start := time.Now()
-			res, err := htd.TreewidthCtx(ctx, g, htd.Options{Method: m, Seed: cfg.Seed, Stats: st})
-			cancel()
-			wall := time.Since(start)
-			ms.Stop()
-			fill(&rec, res, err, wall, st)
-			rep.Records = append(rep.Records, rec)
-			progress(cfg.Log, rec)
+			}, func(ctx context.Context, st *htd.Stats) (htd.Result, error) {
+				return htd.TreewidthCtx(ctx, g, htd.Options{Method: m, Seed: cfg.Seed, Stats: st})
+			})
 		}
 	}
 	for _, inst := range exp.Hypergraphs(cfg.Full) {
@@ -187,49 +178,32 @@ func Run(cfg Config) Report {
 		}
 		h := inst.Build()
 		for _, m := range cfg.Methods {
-			rec := Record{
+			rep.measure(cfg, &Record{
 				Instance: inst.Name, Family: inst.Family, Kind: "ghw",
 				Vertices: h.NumVertices(), Edges: h.NumEdges(),
 				Method: m.String(), Seed: cfg.Seed,
-			}
-			st := new(htd.Stats)
-			ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-			start := time.Now()
-			res, err := htd.GHWCtx(ctx, h, htd.Options{
-				Method: m, Seed: cfg.Seed, Stats: st,
-				DisableCoverCache: cfg.DisableCoverCache,
-				FracBound:         cfg.FracBound,
+			}, func(ctx context.Context, st *htd.Stats) (htd.Result, error) {
+				return htd.GHWCtx(ctx, h, htd.Options{
+					Method: m, Seed: cfg.Seed, Stats: st,
+					DisableCoverCache: cfg.DisableCoverCache,
+					FracBound:         cfg.FracBound,
+				})
 			})
-			cancel()
-			wall := time.Since(start)
-			ms.Stop()
-			fill(&rec, res, err, wall, st)
-			rep.Records = append(rep.Records, rec)
-			progress(cfg.Log, rec)
 		}
 		// One fhw record per hypergraph instance rides along with whatever
 		// method set was requested: the anytime fractional engine under the
 		// same budget, gated on its fractional objective instead of Width.
-		rec := Record{
+		rep.measure(cfg, &Record{
 			Instance: inst.Name, Family: inst.Family, Kind: "fhw",
 			Vertices: h.NumVertices(), Edges: h.NumEdges(),
 			Method: "fhw", Seed: cfg.Seed,
-		}
-		st := new(htd.Stats)
-		ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-		start := time.Now()
-		fres, err := htd.FHWCtx(ctx, h, htd.Options{
-			Seed: cfg.Seed, Stats: st,
-			DisableCoverCache: cfg.DisableCoverCache,
+		}, func(ctx context.Context, st *htd.Stats) (htd.Result, error) {
+			fres, err := htd.FHWCtx(ctx, h, htd.Options{
+				Seed: cfg.Seed, Stats: st,
+				DisableCoverCache: cfg.DisableCoverCache,
+			})
+			return htd.Result{FracWidth: fres.Width, Exact: false}, err
 		})
-		cancel()
-		wall := time.Since(start)
-		ms.Stop()
-		fill(&rec, htd.Result{FracWidth: fres.Width, Exact: false}, err, wall, st)
-		rep.Records = append(rep.Records, rec)
-		progress(cfg.Log, rec)
 	}
 	return rep
 }
@@ -238,6 +212,30 @@ func Run(cfg Config) Report {
 // library default so even ~100ms records get a few samples (Stop always
 // takes a final one, so every record sees at least its peak-at-exit).
 const memSampleEvery = 5 * time.Millisecond
+
+// measure runs one record's work the way every record is measured: with a
+// fresh Stats and the MemStats sampler attached, under a context bounded by
+// cfg.Timeout, and on the wall clock. It fills rec from what run returns,
+// appends rec to the report and logs its progress line. run may set rec's
+// own fields, such as a query's Answers.
+func (rep *Report) measure(cfg Config, rec *Record, run func(ctx context.Context, st *htd.Stats) (htd.Result, error)) {
+	st := new(htd.Stats)
+	ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
+	start := time.Now()
+	res, err := run(ctx, st)
+	cancel()
+	wall := time.Since(start)
+	ms.Stop()
+	fill(rec, res, err, wall, st)
+	rep.add(cfg, *rec)
+}
+
+// add appends rec to the report and logs its progress line.
+func (rep *Report) add(cfg Config, rec Record) {
+	rep.Records = append(rep.Records, rec)
+	progress(cfg.Log, rec)
+}
 
 // fill copies one run's outcome and telemetry into the record.
 func fill(rec *Record, res htd.Result, err error, wall time.Duration, st *htd.Stats) {

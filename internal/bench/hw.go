@@ -13,7 +13,6 @@ import (
 
 	"hypertree"
 	"hypertree/internal/exp"
-	"hypertree/internal/telemetry"
 )
 
 // hwJobs are the Jobs values of the balsep runs per instance; each
@@ -43,46 +42,29 @@ func RunHW(cfg Config) Report {
 		}
 		h := inst.Build()
 
-		rec := Record{
+		rep.measure(cfg, &Record{
 			Instance: inst.Name, Family: inst.Family, Kind: "hw",
 			Vertices: h.NumVertices(), Edges: h.NumEdges(),
 			Method: "detk", Seed: cfg.Seed,
-		}
-		st := new(htd.Stats)
-		ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-		start := time.Now()
-		w, _, err := htd.HypertreeWidthCtx(ctx, h, 0, st, nil)
-		cancel()
-		wall := time.Since(start)
-		ms.Stop()
-		// A det-k run that ends without an error has decided hw(H): w is
-		// proven from both sides, so the record keeps Exact ⇒ LowerBound ==
-		// Width like every other.
-		fill(&rec, htd.Result{Width: w, LowerBound: w, Exact: true}, err, wall, st)
-		rep.Records = append(rep.Records, rec)
-		progress(cfg.Log, rec)
+		}, func(ctx context.Context, st *htd.Stats) (htd.Result, error) {
+			w, _, err := htd.HypertreeWidthCtx(ctx, h, 0, st, nil)
+			// A det-k run that ends without an error has decided hw(H): w is
+			// proven from both sides, so the record keeps Exact ⇒ LowerBound
+			// == Width like every other.
+			return htd.Result{Width: w, LowerBound: w, Exact: true}, err
+		})
 
 		for _, jobs := range hwJobs {
-			rec := Record{
+			rep.measure(cfg, &Record{
 				Instance: inst.Name, Family: inst.Family, Kind: "hw",
 				Vertices: h.NumVertices(), Edges: h.NumEdges(),
 				Method: "balsep-j" + string(rune('0'+jobs)), Seed: cfg.Seed,
-			}
-			st := new(htd.Stats)
-			ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-			start := time.Now()
-			res, err := htd.GHWCtx(ctx, h, htd.Options{
-				Method: htd.MethodBalSep, Jobs: jobs, Seed: cfg.Seed, Stats: st,
-				DisableCoverCache: cfg.DisableCoverCache,
+			}, func(ctx context.Context, st *htd.Stats) (htd.Result, error) {
+				return htd.GHWCtx(ctx, h, htd.Options{
+					Method: htd.MethodBalSep, Jobs: jobs, Seed: cfg.Seed, Stats: st,
+					DisableCoverCache: cfg.DisableCoverCache,
+				})
 			})
-			cancel()
-			wall := time.Since(start)
-			ms.Stop()
-			fill(&rec, res, err, wall, st)
-			rep.Records = append(rep.Records, rec)
-			progress(cfg.Log, rec)
 		}
 	}
 	return rep

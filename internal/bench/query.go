@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"hypertree"
-	"hypertree/internal/telemetry"
 )
 
 // queryInstance is one catalog entry: a fixed query text plus a seeded
@@ -141,55 +140,40 @@ func RunQueries(cfg Config) Report {
 		db := inst.Build(cfg.Seed)
 		h := q.Hypergraph()
 		for _, m := range cfg.Methods {
-			rec := Record{
+			rec := &Record{
 				Instance: inst.Name, Family: "query", Kind: "cq",
 				Vertices: h.NumVertices(), Edges: h.NumEdges(),
 				Method: m.String(), Seed: cfg.Seed,
 			}
-			st := new(htd.Stats)
-			ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-			opt := htd.Options{Method: m, Seed: cfg.Seed, Stats: st, Jobs: queryJobs}
-			start := time.Now()
-			var res htd.Result
-			d, err := htd.DecomposeCtx(ctx, h, opt)
-			var rows [][]string
-			if err == nil {
-				res = htd.Result{Width: d.GHWidth()}
-				rows, err = htd.AnswerQueryWithCtx(ctx, q, db, d, opt)
-			}
-			cancel()
-			wall := time.Since(start)
-			ms.Stop()
-			fill(&rec, res, err, wall, st)
-			if err == nil {
-				rec.Answers = int64(len(rows))
-			}
-			rep.Records = append(rep.Records, rec)
-			progress(cfg.Log, rec)
+			rep.measure(cfg, rec, func(ctx context.Context, st *htd.Stats) (htd.Result, error) {
+				opt := htd.Options{Method: m, Seed: cfg.Seed, Stats: st, Jobs: queryJobs}
+				d, err := htd.DecomposeCtx(ctx, h, opt)
+				if err != nil {
+					return htd.Result{}, err
+				}
+				rows, err := htd.AnswerQueryWithCtx(ctx, q, db, d, opt)
+				if err == nil {
+					rec.Answers = int64(len(rows))
+				}
+				return htd.Result{Width: d.GHWidth()}, err
+			})
 		}
 	}
-	if rec := batchCatalogRecord(cfg); rec != nil {
-		rep.Records = append(rep.Records, *rec)
-		progress(cfg.Log, *rec)
-	}
-	if rec := deltaChainRecord(cfg); rec != nil {
-		rep.Records = append(rep.Records, *rec)
-		progress(cfg.Log, *rec)
-	}
+	rep.batchCatalog(cfg)
+	rep.deltaChain(cfg)
 	return rep
 }
 
-// batchCatalogRecord evaluates the whole query catalog as one shared-base
-// batch over the union database (relation names are disjoint across
-// entries): the serving-mode counterpart of the per-query records. Answers
-// is the total row count across the batch, gated exactly by -compare; the
-// counters carry cq_batch_shared_joins, which the CI gate asserts positive
-// (the triangle query alone reuses its e relation twice).
-func batchCatalogRecord(cfg Config) *Record {
+// batchCatalog records the whole query catalog evaluated as one
+// shared-base batch over the union database (relation names are disjoint
+// across entries): the serving-mode counterpart of the per-query records.
+// Answers is the total row count across the batch, gated exactly by
+// -compare; the counters carry cq_batch_shared_joins, which the CI gate
+// asserts positive (the triangle query alone reuses its e relation twice).
+func (rep *Report) batchCatalog(cfg Config) {
 	const name = "batch_catalog"
 	if !cfg.keep(name) {
-		return nil
+		return
 	}
 	rec := &Record{
 		Instance: name, Family: "query", Kind: "cq",
@@ -201,7 +185,8 @@ func batchCatalogRecord(cfg Config) *Record {
 		q, err := htd.ParseQuery(inst.Text)
 		if err != nil {
 			rec.Error = err.Error()
-			return rec
+			rep.add(cfg, *rec)
+			return
 		}
 		qs = append(qs, q)
 		h := q.Hypergraph()
@@ -214,31 +199,25 @@ func batchCatalogRecord(cfg Config) *Record {
 			}
 		}
 	}
-	st := new(htd.Stats)
-	ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-	start := time.Now()
-	results, err := htd.AnswerQueryBatchCtx(ctx, qs, db, htd.Options{Stats: st, Jobs: queryJobs})
-	cancel()
-	wall := time.Since(start)
-	ms.Stop()
-	fill(rec, htd.Result{}, err, wall, st)
-	if err == nil {
-		for _, rows := range results {
-			rec.Answers += int64(len(rows))
+	rep.measure(cfg, rec, func(ctx context.Context, st *htd.Stats) (htd.Result, error) {
+		results, err := htd.AnswerQueryBatchCtx(ctx, qs, db, htd.Options{Stats: st, Jobs: queryJobs})
+		if err == nil {
+			for _, rows := range results {
+				rec.Answers += int64(len(rows))
+			}
 		}
-	}
-	return rec
+		return htd.Result{}, err
+	})
 }
 
-// deltaChainRecord serves the chain_5 workload through a standing query
+// deltaChain records the chain_5 workload served through a standing query
 // under a deterministic seeded insert/delete stream: the incremental-mode
 // record. Answers is the final answer count after every delta, gated
 // exactly; the counters carry cq_delta_tuples.
-func deltaChainRecord(cfg Config) *Record {
+func (rep *Report) deltaChain(cfg Config) {
 	const name = "delta_chain"
 	if !cfg.keep(name) {
-		return nil
+		return
 	}
 	rec := &Record{
 		Instance: name, Family: "query", Kind: "cq",
@@ -255,17 +234,17 @@ func deltaChainRecord(cfg Config) *Record {
 	q, err := htd.ParseQuery(chain.Text)
 	if err != nil {
 		rec.Error = err.Error()
-		return rec
+		rep.add(cfg, *rec)
+		return
 	}
 	h := q.Hypergraph()
 	rec.Vertices, rec.Edges = h.NumVertices(), h.NumEdges()
 	db := chain.Build(cfg.Seed)
-	st := new(htd.Stats)
-	ms := telemetry.StartMemSampler(st, nil, memSampleEvery)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-	start := time.Now()
-	sq, err := htd.OpenStandingQuery(ctx, q, db, htd.Options{Stats: st, Jobs: queryJobs})
-	if err == nil {
+	rep.measure(cfg, rec, func(ctx context.Context, st *htd.Stats) (htd.Result, error) {
+		sq, err := htd.OpenStandingQuery(ctx, q, db, htd.Options{Stats: st, Jobs: queryJobs})
+		if err != nil {
+			return htd.Result{}, err
+		}
 		rng := rand.New(rand.NewSource(cfg.Seed + 1))
 		for i := 0; i < 150 && err == nil; i++ {
 			rel := fmt.Sprintf("r%d", rng.Intn(5))
@@ -276,13 +255,9 @@ func deltaChainRecord(cfg Config) *Record {
 				err = sq.Insert(ctx, rel, a, b)
 			}
 		}
-	}
-	cancel()
-	wall := time.Since(start)
-	ms.Stop()
-	fill(rec, htd.Result{}, err, wall, st)
-	if err == nil {
-		rec.Answers = int64(len(sq.Answers()))
-	}
-	return rec
+		if err == nil {
+			rec.Answers = int64(len(sq.Answers()))
+		}
+		return htd.Result{}, err
+	})
 }

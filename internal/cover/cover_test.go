@@ -57,10 +57,10 @@ func TestOracleMatchesSolver(t *testing.T) {
 					wantG := ref.GreedySize(target)
 					wantE := ref.ExactSize(target)
 					for oname, o := range map[string]*Oracle{"cached": orc, "disabled": off} {
-						if got := o.GreedySize(target); got != wantG {
+						if got := o.GreedySize(target, nil); got != wantG {
 							t.Fatalf("pass %d target %d: %s GreedySize=%d want %d", pass, i, oname, got, wantG)
 						}
-						if got := o.ExactSize(target); got != wantE {
+						if got := o.ExactSize(target, nil); got != wantE {
 							t.Fatalf("pass %d target %d: %s ExactSize=%d want %d", pass, i, oname, got, wantE)
 						}
 						if cov := o.Greedy(target); len(cov) != wantG || !covers(h, cov, target) {
@@ -140,8 +140,8 @@ func TestGreedyNeverServedFromExact(t *testing.T) {
 			ref := setcover.New(h, nil)
 			orc := New(h, Options{})
 			for _, target := range randomTargets(h, 30, 23) {
-				orc.ExactSize(target) // populate the exact side first
-				if got, want := orc.GreedySize(target), ref.GreedySize(target); got != want {
+				orc.ExactSize(target, nil) // populate the exact side first
+				if got, want := orc.GreedySize(target, nil), ref.GreedySize(target); got != want {
 					t.Fatalf("greedy after exact: got %d want %d", got, want)
 				}
 			}
@@ -149,18 +149,27 @@ func TestGreedyNeverServedFromExact(t *testing.T) {
 	}
 }
 
-// TestOracleConcurrent hammers one oracle from several goroutines; run
-// with -race this validates the locking discipline.
+// TestOracleConcurrent hammers one oracle from several goroutines with
+// greedy, exact and fractional queries on the same bags, which share one
+// entry and one insert path; each worker starts on a different kind, so
+// the kinds race to create and fill the entries. Run with -race this
+// validates the locking discipline.
 func TestOracleConcurrent(t *testing.T) {
 	h := gen.RandomHypergraph(24, 36, 4, 3)
 	ref := setcover.New(h, nil)
+	fracRef := New(h, Options{Disabled: true})
 	orc := New(h, Options{})
 	targets := randomTargets(h, 60, 5)
 	wantG := make([]int, len(targets))
 	wantE := make([]int, len(targets))
+	wantF := make([]float64, len(targets))
 	for i, tg := range targets {
 		wantG[i] = ref.GreedySize(tg)
 		wantE[i] = ref.ExactSize(tg)
+		var err error
+		if wantF[i], err = fracRef.FracValue(tg, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -169,13 +178,24 @@ func TestOracleConcurrent(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
 				for i, tg := range targets {
-					if got := orc.GreedySize(tg); got != wantG[i] {
-						t.Errorf("worker %d: GreedySize(%d)=%d want %d", w, i, got, wantG[i])
-						return
-					}
-					if got := orc.ExactSize(tg); got != wantE[i] {
-						t.Errorf("worker %d: ExactSize(%d)=%d want %d", w, i, got, wantE[i])
-						return
+					for q := 0; q < 3; q++ {
+						switch (w + q) % 3 {
+						case 0:
+							if got := orc.GreedySize(tg, nil); got != wantG[i] {
+								t.Errorf("worker %d: GreedySize(%d)=%d want %d", w, i, got, wantG[i])
+								return
+							}
+						case 1:
+							if got := orc.ExactSize(tg, nil); got != wantE[i] {
+								t.Errorf("worker %d: ExactSize(%d)=%d want %d", w, i, got, wantE[i])
+								return
+							}
+						case 2:
+							if got, err := orc.FracValue(tg, nil); err != nil || got != wantF[i] {
+								t.Errorf("worker %d: FracValue(%d)=%v, %v want %v", w, i, got, err, wantF[i])
+								return
+							}
+						}
 					}
 				}
 			}
@@ -196,7 +216,7 @@ func TestOracleEviction(t *testing.T) {
 	targets := randomTargets(h, 300, 31)
 	for pass := 0; pass < 2; pass++ {
 		for i, tg := range targets {
-			if got, want := orc.ExactSize(tg), ref.ExactSize(tg); got != want {
+			if got, want := orc.ExactSize(tg, nil), ref.ExactSize(tg); got != want {
 				t.Fatalf("pass %d target %d: ExactSize=%d want %d", pass, i, got, want)
 			}
 		}
@@ -214,7 +234,7 @@ func TestOracleEmptyAndUncoverable(t *testing.T) {
 	b.Vertex("isolated")
 	h := b.Build()
 	orc := New(h, Options{})
-	if got := orc.ExactSize(bitset.New(h.NumVertices())); got != 0 {
+	if got := orc.ExactSize(bitset.New(h.NumVertices()), nil); got != 0 {
 		t.Fatalf("empty bag: ExactSize=%d want 0", got)
 	}
 	iso := h.VertexIndex("isolated")
@@ -222,11 +242,11 @@ func TestOracleEmptyAndUncoverable(t *testing.T) {
 		t.Fatalf("isolated vertex missing")
 	}
 	target := bitset.FromSlice([]int{iso})
-	if got := orc.ExactSize(target); got != 0 {
+	if got := orc.ExactSize(target, nil); got != 0 {
 		t.Fatalf("uncoverable-only bag: ExactSize=%d want 0", got)
 	}
 	target.Add(h.VertexIndex("a"))
-	if got := orc.ExactSize(target); got != 1 {
+	if got := orc.ExactSize(target, nil); got != 1 {
 		t.Fatalf("mixed bag: ExactSize=%d want 1", got)
 	}
 }
@@ -247,9 +267,9 @@ func TestOracleTimedHistograms(t *testing.T) {
 	for _, timed := range []bool{false, true} {
 		orc := New(h, Options{Timed: timed})
 		for _, target := range randomTargets(h, 20, 3) {
-			orc.ExactSize(target)
-			orc.GreedySize(target)
-			if _, err := orc.FracValue(target); err != nil {
+			orc.ExactSize(target, nil)
+			orc.GreedySize(target, nil)
+			if _, err := orc.FracValue(target, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -262,17 +282,51 @@ func TestOracleTimedHistograms(t *testing.T) {
 	}
 }
 
+// A warm hit of each kind allocates nothing, with and without a Stats and
+// on a timed oracle too.
+func TestOracleWarmHitsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	h := gen.Adder(8)
+	target := randomTargets(h, 1, 13)[0]
+	for _, timed := range []bool{false, true} {
+		orc := New(h, Options{Timed: timed})
+		kinds := map[string]func(*telemetry.Stats){
+			"greedy": func(st *telemetry.Stats) { orc.GreedySize(target, st) },
+			"exact":  func(st *telemetry.Stats) { orc.ExactSize(target, st) },
+			"frac": func(st *telemetry.Stats) {
+				if _, err := orc.FracValue(target, st); err != nil {
+					t.Fatal(err)
+				}
+			},
+		}
+		for name, query := range kinds {
+			query(nil) // the miss that fills the entry
+			for _, st := range []*telemetry.Stats{nil, new(telemetry.Stats)} {
+				if allocs := testing.AllocsPerRun(50, func() { query(st) }); allocs != 0 {
+					t.Errorf("timed=%v %s hit (stats %v): %v allocations per run, want 0",
+						timed, name, st != nil, allocs)
+				}
+			}
+		}
+		if c := orc.Counters(); c.Misses != int64(len(kinds)) {
+			t.Errorf("timed=%v: %d misses, want one per kind", timed, c.Misses)
+		}
+	}
+}
+
 func BenchmarkOracleHit(b *testing.B) {
 	h := gen.Adder(10)
 	orc := New(h, Options{})
 	targets := randomTargets(h, 32, 17)
 	for _, tg := range targets {
-		orc.ExactSize(tg)
+		orc.ExactSize(tg, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		orc.ExactSize(targets[i%len(targets)])
+		orc.ExactSize(targets[i%len(targets)], nil)
 	}
 }
 
@@ -283,6 +337,6 @@ func BenchmarkOracleMissDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		orc.ExactSize(targets[i%len(targets)])
+		orc.ExactSize(targets[i%len(targets)], nil)
 	}
 }

@@ -149,7 +149,7 @@ func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) 
 		// cover size many λ-edges — a proof, so the memo may record it.
 		// The counting prune above bounds |conn| by b·maxEdge, so the solve
 		// stays cheap and memoizable.
-		if !conn.Empty() && e.opt.Oracle.ExactSizeStats(conn, e.opt.Stats) > b {
+		if !conn.Empty() && e.opt.Oracle.ExactSize(conn, e.opt.Stats) > b {
 			memo.put(comp, conn, nil)
 			return nil, true
 		}
@@ -161,8 +161,8 @@ func (e *balEngine) solveAt(comp, conn *bitset.Set, b, depth int) (*node, bool) 
 		// engines through the oracle's memo table. Only consulted when the
 		// counting bound says a b-cover of the scope is possible at all,
 		// which keeps the exact solve off whole-graph targets.
-		if e.opt.Oracle.ExactSizeStats(scope, e.opt.Stats) <= b {
-			lambda := append([]int(nil), e.opt.Oracle.Exact(scope)...)
+		if e.opt.Oracle.ExactSize(scope, e.opt.Stats) <= b {
+			lambda := e.opt.Oracle.Exact(scope)
 			return &node{lambda: lambda, chi: scope}, true
 		}
 	} else if e.opt.Oracle == nil && comp.Len() <= b {
@@ -321,7 +321,7 @@ func (e *balEngine) trySep(comp, conn, compVars *bitset.Set, lambda []int, sepVa
 			return nil, true
 		}
 		if e.opt.Oracle != nil && !childConn.Empty() &&
-			e.opt.Oracle.ExactSizeStats(childConn, e.opt.Stats) > bMax {
+			e.opt.Oracle.ExactSize(childConn, e.opt.Stats) > bMax {
 			return nil, true
 		}
 		childConns[i] = childConn

@@ -121,9 +121,9 @@ func widthOn(ctx context.Context, g *elim.Graph, chk *interrupt.Checker, ev *eva
 		}
 		ev.bag.CopyFrom(g.Neighbors(v))
 		ev.bag.Add(v)
-		val, err := ev.orc.FracValueStats(ev.bag, ev.st)
+		val, err := ev.orc.FracValue(ev.bag, ev.st)
 		if err != nil {
-			val = float64(ev.orc.GreedySizeStats(ev.bag, ev.st))
+			val = float64(ev.orc.GreedySize(ev.bag, ev.st))
 		}
 		if val > w {
 			w = val

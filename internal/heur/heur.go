@@ -42,21 +42,16 @@ func pick(candidates []int, rng *rand.Rand) int {
 // randomly. It returns the elimination ordering of g's remaining vertices
 // and the width of the induced tree decomposition.
 func MinFill(g *elim.Graph, rng *rand.Rand) ([]int, int) {
-	o, w, _ := MinFillCtx(context.Background(), g, rng)
+	o, w, _ := MinFillCtxStats(context.Background(), g, rng, nil)
 	return o, w
 }
 
-// MinFillCtx is MinFill with cancellation: it checks ctx once per
-// elimination step and returns ctx's error (and no ordering) when cancelled.
-// A partial greedy ordering is useless — unlike the lower-bound heuristics
-// there is no anytime value to salvage — so cancellation aborts outright.
-func MinFillCtx(ctx context.Context, g *elim.Graph, rng *rand.Rand) ([]int, int, error) {
-	return MinFillCtxStats(ctx, g, rng, nil)
-}
-
-// MinFillCtxStats is MinFillCtx with telemetry: each greedy elimination
-// step is counted into st (nil = disabled). The counters never influence
-// the ordering produced.
+// MinFillCtxStats is MinFill with cancellation and telemetry. It checks
+// ctx once per elimination step and returns ctx's error (and no ordering)
+// when cancelled: a partial greedy ordering is useless — unlike the
+// lower-bound heuristics there is no anytime value to salvage — so
+// cancellation aborts outright. Each greedy elimination step is counted
+// into st (nil = disabled); the counters never influence the ordering.
 func MinFillCtxStats(ctx context.Context, g *elim.Graph, rng *rand.Rand, st *telemetry.Stats) ([]int, int, error) {
 	return greedyOrdering(ctx, g, rng, st, func(c *elim.Graph, v int) int { return c.FillCount(v) })
 }
@@ -163,15 +158,7 @@ func MaxCardinality(g *elim.Graph, rng *rand.Rand) ([]int, int) {
 // minimum-degree vertex with its least-degree neighbour. The maximum
 // recorded degree is a lower bound on treewidth.
 func MinorMinWidth(g *elim.Graph, rng *rand.Rand) int {
-	return MinorMinWidthCtx(context.Background(), g, rng)
-}
-
-// MinorMinWidthCtx is MinorMinWidth with cancellation. Each degree recorded
-// during the contraction process is by itself a valid treewidth lower
-// bound, so aborting early simply returns a (possibly weaker) admissible
-// bound — no error is needed.
-func MinorMinWidthCtx(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
-	return NewMinor(g.NumVertices()).MinorMinWidth(ctx, g, rng)
+	return NewMinor(g.NumVertices()).MinorMinWidth(context.Background(), g, rng)
 }
 
 // MinorGammaR implements algorithm minor-γ_R (Fig. 4.8): sort remaining
@@ -180,13 +167,7 @@ func MinorMinWidthCtx(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
 // contract it with a least-degree neighbour, repeat. For a complete
 // residual graph γ = n−1.
 func MinorGammaR(g *elim.Graph, rng *rand.Rand) int {
-	return MinorGammaRCtx(context.Background(), g, rng)
-}
-
-// MinorGammaRCtx is MinorGammaR with cancellation; like MinorMinWidthCtx,
-// an early abort returns the (admissible) bound accumulated so far.
-func MinorGammaRCtx(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
-	return NewMinor(g.NumVertices()).MinorGammaR(ctx, g, rng)
+	return NewMinor(g.NumVertices()).MinorGammaR(context.Background(), g, rng)
 }
 
 // Minor is the workspace of the contraction bounds: a copy of an
@@ -233,6 +214,9 @@ func (m *Minor) LowerBound(ctx context.Context, g *elim.Graph, rng *rand.Rand) i
 // MinorMinWidth runs minor-min-width on m's copy of g. It collects the same
 // ties in the same (ascending) order and makes the same rng draws as a run
 // on a clone of g, so the bound and rng's state afterwards are the same.
+// Each degree recorded during the contraction is by itself a treewidth
+// lower bound, so when ctx ends early the bound so far is returned: weaker,
+// still admissible, and no error is needed.
 func (m *Minor) MinorMinWidth(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
 	m.chk.Reset(ctx, 8)
 	lb := 0
@@ -263,7 +247,8 @@ func (m *Minor) MinorMinWidth(ctx context.Context, g *elim.Graph, rng *rand.Rand
 }
 
 // MinorGammaR runs minor-γ_R on m's copy of g, with the same sort order,
-// contractions and rng draws as a run on a clone of g.
+// contractions and rng draws as a run on a clone of g. Like MinorMinWidth,
+// an early end of ctx returns the (admissible) bound accumulated so far.
 func (m *Minor) MinorGammaR(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
 	m.chk.Reset(ctx, 8)
 	lb := 0
@@ -399,10 +384,4 @@ func LowerBound(g *elim.Graph, rng *rand.Rand) int {
 // weaker but still admissible bound.
 func LowerBoundCtx(ctx context.Context, g *elim.Graph, rng *rand.Rand) int {
 	return NewMinor(g.NumVertices()).LowerBound(ctx, g, rng)
-}
-
-// UpperBound returns the min-fill upper bound and its ordering (§5.1 uses
-// min-fill as the initial upper bound heuristic).
-func UpperBound(g *elim.Graph, rng *rand.Rand) ([]int, int) {
-	return MinFill(g, rng)
 }

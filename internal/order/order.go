@@ -323,14 +323,14 @@ func (e *Evaluator) Width(o Ordering) int {
 			var k int
 			switch {
 			case e.exact:
-				k = e.orc.ExactSize(e.chi)
+				k = e.orc.ExactSize(e.chi, nil)
 			case e.rngCover != nil:
 				// Randomized greedy: tie-breaking consumes the caller's rng
 				// stream, so it must not be served from (or stored in) the
 				// shared memo table.
 				k = e.rngCover.GreedySize(e.chi)
 			default:
-				k = e.orc.GreedySize(e.chi)
+				k = e.orc.GreedySize(e.chi, nil)
 			}
 			if k > width {
 				width = k

@@ -2,7 +2,8 @@
 // A* and genetic algorithms for treewidth and generalized hypertree width:
 // the width Measure and the cost "modes" it builds, which differentiate tw
 // from ghw search (thesis ch. 5, 8, 9), the PR1/PR2 pruning rules (§4.4.5,
-// §8.3), and the reduction-restricted branching rule (§4.4.3).
+// §8.3), the reduction-restricted branching rule (§4.4.3), and the node
+// Kernel that runs them for BB and A*.
 //
 // Both searches explore the tree of elimination-ordering prefixes. A Mode
 // abstracts the three quantities that differ between the two width
@@ -24,7 +25,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"time"
 
 	"hypertree/internal/bitset"
 	"hypertree/internal/cover"
@@ -159,10 +159,7 @@ func (m Measure) Mode(ctx context.Context, rng *rand.Rand, opt Options) Mode {
 	// one FracLPEval per ρ* query, and per completed cascade the margin
 	// (best − base, 0 on non-wins) plus the whole window as rule time.
 	fracFloor := func(g *elim.Graph, base int) int {
-		var rt time.Time
-		if st != nil {
-			rt = time.Now()
-		}
+		rt := ruleStart(st)
 		best := -1
 		done := false
 		g.ForEachRemaining(func(v int) {
@@ -172,7 +169,7 @@ func (m Measure) Mode(ctx context.Context, rng *rand.Rand, opt Options) Mode {
 			fracScratch.CopyFrom(g.Neighbors(v))
 			fracScratch.Add(v)
 			st.Add(telemetry.FracLPEvals, 1)
-			val, err := orc.FracValueStats(fracScratch, st)
+			val, err := orc.FracValue(fracScratch, st)
 			if err != nil {
 				best, done = -1, true // fall back to the set-cover bound
 				return
@@ -204,7 +201,7 @@ func (m Measure) Mode(ctx context.Context, rng *rand.Rand, opt Options) Mode {
 		StepCost: func(g *elim.Graph, v int) int {
 			scratch.CopyFrom(g.Neighbors(v))
 			scratch.Add(v)
-			return orc.ExactSizeStats(scratch, st)
+			return orc.ExactSize(scratch, st)
 		},
 		ResidualLB: func(g *elim.Graph) int {
 			if g.Remaining() == 0 {
@@ -223,7 +220,7 @@ func (m Measure) Mode(ctx context.Context, rng *rand.Rand, opt Options) Mode {
 			if scratch.Empty() {
 				return 0
 			}
-			return orc.GreedySizeStats(scratch, st)
+			return orc.GreedySize(scratch, st)
 		},
 		RootLB: func(g *elim.Graph) int {
 			if g.Remaining() == 0 {

@@ -192,3 +192,45 @@ func TestPR2AndDominanceAllocateNothing(t *testing.T) {
 		t.Fatal("a cheaper probe must record its cost and then prune its repeat")
 	}
 }
+
+// A warm treewidth child evaluation allocates nothing: PR2 into the
+// kernel's set, the step cost, the elimination and its undo, the dominance
+// probe of a set the cache holds, and — with the cache off, so that every
+// child passes — minor-min-width on the kernel's workspace. The candidate
+// rule into a caller's buffer allocates nothing either.
+func TestKernelChildAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not gated under the race detector")
+	}
+	for _, dominance := range []bool{true, false} {
+		k := NewKernel(context.Background(), Treewidth(gen.Queen(5)), rand.New(rand.NewSource(1)),
+			Options{DisableDominance: !dominance})
+		ub := k.G.NumVertices() + 1
+		root := Node{}
+		cands := k.Candidates(nil, &root)
+		children := make([]int, 0, len(cands))
+		passed := 0
+		eval := func() {
+			passed = 0
+			for _, v := range cands {
+				c, ok := k.Child(v, root, ub)
+				if !ok {
+					continue
+				}
+				passed++
+				children = k.Candidates(children[:0], &c)
+				k.G.Restore()
+			}
+		}
+		eval() // fills the dominance cache and the workspaces
+		if !dominance && passed != len(cands) {
+			t.Fatalf("%d of %d children passed below ub %d", passed, len(cands), ub)
+		}
+		if allocs := testing.AllocsPerRun(20, eval); allocs != 0 {
+			t.Errorf("dominance=%v: %v allocations per run, want 0", dominance, allocs)
+		}
+		if dominance && passed != 0 {
+			t.Errorf("%d repeated children passed a dominance cache that holds their sets", passed)
+		}
+	}
+}
