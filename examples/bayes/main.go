@@ -44,7 +44,6 @@ func main() {
 		TournamentSize: 3,
 		Generations:    120,
 		Seed:           7,
-		Elitism:        true,
 		HeuristicSeeds: 2,
 	}
 

@@ -24,7 +24,7 @@ func TestDecomposeAllMethods(t *testing.T) {
 		opt := Options{Method: m, Seed: 3}
 		if m == MethodGA {
 			opt.GA = &GAConfig{PopulationSize: 20, CrossoverRate: 1, MutationRate: 0.3,
-				TournamentSize: 2, Generations: 20, Elitism: true}
+				TournamentSize: 2, Generations: 20}
 		}
 		if m == MethodSAIGA {
 			opt.SAIGA = &SAIGAConfig{Islands: 2, IslandPop: 10, Epochs: 3, EpochLength: 3,
@@ -263,7 +263,7 @@ func TestWeightedFacade(t *testing.T) {
 	}
 	res := WeightedTriangulation(h, []int{2, 2, 2}, GAConfig{
 		PopulationSize: 10, CrossoverRate: 1, MutationRate: 0.3,
-		TournamentSize: 2, Generations: 10, Elitism: true,
+		TournamentSize: 2, Generations: 10,
 	})
 	if res.Weight > w+1e-9 {
 		t.Fatalf("GA weight %v worse than a fixed ordering %v", res.Weight, w)

@@ -87,7 +87,6 @@ func gaConfigForTuning(cfg Config, seed int64) ga.Config {
 		Crossover:      ga.POS,
 		Mutation:       ga.ISM,
 		Seed:           seed,
-		Elitism:        true,
 	}
 	if cfg.Full {
 		c.PopulationSize = 50

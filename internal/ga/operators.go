@@ -4,6 +4,13 @@
 // (ch. 6) for treewidth upper bounds, algorithm GA-ghw (ch. 7.1) for
 // generalized hypertree width upper bounds, and the self-adaptive island
 // algorithm SAIGA-ghw (ch. 7.2).
+//
+// One population type runs the generation loop of Fig. 6.1 for all of
+// them. GA-tw, GA-ghw and the weighted GA of §4.5 each run one population
+// under the fixed Params of their Config, with elitism. SAIGA gives each
+// island a population and a self-adapted Params vector, and evolves the
+// islands in turn between migrations. Fitness +Inf marks an individual
+// not yet evaluated, and a stop is polled before each evaluation.
 package ga
 
 import (

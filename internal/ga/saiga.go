@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
 
 	"hypertree/internal/interrupt"
 	"hypertree/internal/order"
@@ -27,24 +26,18 @@ type SAIGAConfig struct {
 	Seed           int64
 	// MigrationSize individuals migrate to the next ring island per epoch.
 	MigrationSize int
-	// Parallel evolves the islands concurrently (one goroutine per
-	// island). Results are deterministic either way: every island owns its
-	// random generator, and fitness evaluators are cloned per island.
-	Parallel bool
 	// Stats, when non-nil, receives live telemetry: fitness evaluations
-	// and island generations (from island goroutines when Parallel), and
-	// one Restart per epoch boundary (the parameter self-adaptation
-	// step). Attaching it never changes the evolution for a fixed Seed.
+	// and island generations, and one Restart per epoch boundary (the
+	// parameter self-adaptation step). Attaching it never changes the
+	// evolution for a fixed Seed.
 	Stats *telemetry.Stats
-	// OnIncumbent, when non-nil, is invoked from the coordinator with
-	// each strict improvement of the cross-island best width, observed at
-	// initialization and at epoch boundaries. Must be cheap and
-	// non-blocking.
+	// OnIncumbent, when non-nil, is invoked with each strict improvement
+	// of the cross-island best width, observed at initialization and at
+	// epoch boundaries. Must be cheap and non-blocking.
 	OnIncumbent func(width int)
 	// Trace, when non-nil, receives one "saiga.epoch" instant per epoch
-	// boundary on the Track timeline (emitted from the coordinator, never
-	// from island goroutines). Attaching it never changes the evolution
-	// for a fixed Seed.
+	// boundary on the Track timeline. Attaching it never changes the
+	// evolution for a fixed Seed.
 	Trace *telemetry.Trace
 	// Track is the trace timeline this run emits on.
 	Track int
@@ -62,41 +55,43 @@ func DefaultSAIGAConfig() SAIGAConfig {
 	}
 }
 
-// params is an island's self-adaptive parameter vector (§7.2.2): crossover
-// rate, mutation rate, and the operator choices.
-type params struct {
-	pc, pm    float64
-	crossover CrossoverOp
-	mutation  MutationOp
+// Params is a control-parameter vector of the Fig. 6.1 loop: crossover
+// rate, mutation rate and the operators they apply. GA-tw/GA-ghw run under
+// the fixed vector of their Config; each SAIGA island self-adapts its own
+// (§7.2.2).
+type Params struct {
+	Pc, Pm    float64
+	Crossover CrossoverOp
+	Mutation  MutationOp
 }
 
-// mutateParams perturbs a parameter vector (§7.2.4): rates move by Gaussian
+// mutate perturbs a parameter vector (§7.2.4): rates move by Gaussian
 // steps clipped to sane ranges; operators are re-rolled with small
 // probability.
-func (p params) mutate(rng *rand.Rand) params {
+func (p Params) mutate(rng *rand.Rand) Params {
 	q := p
-	q.pc = clip01(q.pc + rng.NormFloat64()*0.1)
-	q.pm = clip01(q.pm + rng.NormFloat64()*0.1)
+	q.Pc = clip01(q.Pc + rng.NormFloat64()*0.1)
+	q.Pm = clip01(q.Pm + rng.NormFloat64()*0.1)
 	if rng.Float64() < 0.15 {
-		q.crossover = AllCrossoverOps[rng.Intn(len(AllCrossoverOps))]
+		q.Crossover = AllCrossoverOps[rng.Intn(len(AllCrossoverOps))]
 	}
 	if rng.Float64() < 0.15 {
-		q.mutation = AllMutationOps[rng.Intn(len(AllMutationOps))]
+		q.Mutation = AllMutationOps[rng.Intn(len(AllMutationOps))]
 	}
 	return q
 }
 
 // orient moves the vector a third of the way toward a better neighbour's
 // vector (§7.2.5) and adopts the neighbour's operators with probability ½.
-func (p params) orient(toward params, rng *rand.Rand) params {
+func (p Params) orient(toward Params, rng *rand.Rand) Params {
 	q := p
-	q.pc = clip01(q.pc + (toward.pc-q.pc)/3)
-	q.pm = clip01(q.pm + (toward.pm-q.pm)/3)
+	q.Pc = clip01(q.Pc + (toward.Pc-q.Pc)/3)
+	q.Pm = clip01(q.Pm + (toward.Pm-q.Pm)/3)
 	if rng.Intn(2) == 0 {
-		q.crossover = toward.crossover
+		q.Crossover = toward.Crossover
 	}
 	if rng.Intn(2) == 0 {
-		q.mutation = toward.mutation
+		q.Mutation = toward.Mutation
 	}
 	return q
 }
@@ -106,46 +101,40 @@ func clip01(x float64) float64 {
 }
 
 // randomParams draws an initial parameter vector (§7.2.3).
-func randomParams(rng *rand.Rand) params {
-	return params{
-		pc:        0.5 + rng.Float64()*0.5,
-		pm:        rng.Float64() * 0.5,
-		crossover: AllCrossoverOps[rng.Intn(len(AllCrossoverOps))],
-		mutation:  AllMutationOps[rng.Intn(len(AllMutationOps))],
+func randomParams(rng *rand.Rand) Params {
+	return Params{
+		Pc:        0.5 + rng.Float64()*0.5,
+		Pm:        rng.Float64() * 0.5,
+		Crossover: AllCrossoverOps[rng.Intn(len(AllCrossoverOps))],
+		Mutation:  AllMutationOps[rng.Intn(len(AllMutationOps))],
 	}
 }
 
+// island is one SAIGA subpopulation and the parameter vector it evolves
+// under.
 type island struct {
-	pop   []order.Ordering
-	fit   []int
-	par   params
-	bestW int
-	bestO order.Ordering
-	rng   *rand.Rand
-	eval  func(order.Ordering) int
-	evals int64
+	population
+	par Params
 }
 
 // SAIGAResult extends Result with the parameter vectors the islands
 // converged to, for inspection.
 type SAIGAResult struct {
 	Result
-	// FinalParams reports (pc, pm, crossover, mutation) per island.
-	FinalParams []struct {
-		Pc, Pm    float64
-		Crossover CrossoverOp
-		Mutation  MutationOp
-	}
+	// FinalParams reports each island's parameter vector at the end of
+	// the run.
+	FinalParams []Params
 }
 
 // SAIGA runs the self-adaptive island scheme over the elimination
 // orderings of m.G and returns an upper bound on m's width: SAIGA-ghw for
 // ghw, and for treewidth the same scheme with the treewidth fitness (an
-// extension the thesis mentions as applicable). Cancellation is polled
+// extension the thesis mentions as applicable). The islands evolve in
+// turn, each owning its rand source and evaluator. Cancellation is polled
 // between fitness evaluations and at epoch boundaries, and the best
-// individual across all islands found so far is returned. Each island owns
-// its rand source and evaluator, so cancellation of a Parallel run is
-// race-free.
+// individual across all islands found so far is returned; the very first
+// individual is evaluated before the first poll, so there is always an
+// incumbent.
 func SAIGA(ctx context.Context, m search.Measure, cfg SAIGAConfig) SAIGAResult {
 	n := m.G.NumVertices()
 	if cfg.Islands < 2 {
@@ -158,72 +147,43 @@ func SAIGA(ctx context.Context, m search.Measure, cfg SAIGAConfig) SAIGAResult {
 		cfg.MigrationSize = cfg.IslandPop / 2
 	}
 	adaptRng := rand.New(rand.NewSource(cfg.Seed))
+	// One checker for all islands: once any island's poll stops, the
+	// islands after it neither evaluate nor evolve.
 	chk := interrupt.New(ctx, 1)
-
-	// Island initialization. On cancellation the remaining individuals are
-	// filled without evaluation (fitness n+1, never better than any
-	// evaluated width since widths are ≤ n). The very first individual is
-	// evaluated before the first poll, so there is always an incumbent.
-	cancelled := false
 	islands := make([]*island, cfg.Islands)
 	for i := range islands {
-		isl := &island{
-			pop:   make([]order.Ordering, cfg.IslandPop),
-			fit:   make([]int, cfg.IslandPop),
-			bestW: n + 1,
-			rng:   rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-			eval:  m.Evaluator(rand.New(rand.NewSource(cfg.Seed + 1000 + int64(i)))).Width,
-		}
-		isl.par = randomParams(isl.rng)
-		for j := range isl.pop {
-			isl.pop[j] = order.Random(n, isl.rng)
-			if cancelled {
-				isl.fit[j] = n + 1
-				continue
-			}
-			isl.fit[j] = isl.eval(isl.pop[j])
-			isl.evals++
-			cfg.Stats.Add(telemetry.GAEvaluations, 1)
-			if isl.fit[j] < isl.bestW {
-				isl.bestW = isl.fit[j]
-				isl.bestO = isl.pop[j].Clone()
-			}
-			if chk.Stop() {
-				cancelled = true
-			}
-		}
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+		isl := &island{population: population{
+			rng:     rng,
+			fitness: widthFitness(m, cfg.Seed+1000+int64(i)),
+			chk:     chk,
+			stats:   cfg.Stats,
+		}}
+		isl.par = randomParams(rng)
+		isl.populate(cfg.IslandPop, n, nil)
 		islands[i] = isl
 	}
 
-	history := []int{globalBest(islands)}
-	incumbent := n + 2 // sentinel above any reachable width
+	history := []int{int(globalBest(islands))}
+	incumbent := math.Inf(1)
 	noteGlobal := func() {
 		if w := globalBest(islands); w < incumbent {
 			incumbent = w
-			if cfg.OnIncumbent != nil && w <= n {
-				cfg.OnIncumbent(w)
+			if cfg.OnIncumbent != nil {
+				cfg.OnIncumbent(int(w))
 			}
 		}
 	}
 	noteGlobal()
 
-	for epoch := 0; epoch < cfg.Epochs && !cancelled; epoch++ {
-		// Evolve each island with its own parameters — concurrently when
-		// configured; islands share no mutable state between migrations.
-		// Each goroutine polls ctx through its own interrupt.Checker.
-		if cfg.Parallel {
-			var wg sync.WaitGroup
-			for _, isl := range islands {
-				wg.Add(1)
-				go func(isl *island) {
-					defer wg.Done()
-					evolveIsland(ctx, isl, cfg)
-				}(isl)
-			}
-			wg.Wait()
-		} else {
-			for _, isl := range islands {
-				evolveIsland(ctx, isl, cfg)
+	for epoch := 0; epoch < cfg.Epochs && !chk.Stopped(); epoch++ {
+		// Evolve each island with its own parameters; islands share no
+		// mutable state between migrations.
+		for _, isl := range islands {
+			for gen := 0; gen < cfg.EpochLength; gen++ {
+				if !isl.generation(isl.par, cfg.TournamentSize) {
+					break
+				}
 			}
 		}
 		if chk.Now() {
@@ -232,12 +192,12 @@ func SAIGA(ctx context.Context, m search.Measure, cfg SAIGAConfig) SAIGAResult {
 
 		// Migration: best MigrationSize individuals replace the worst of
 		// the next ring island.
-		migrate(islands, cfg)
+		migrate(islands, cfg.MigrationSize)
 
 		// Neighbour orientation and parameter self-mutation: each island
 		// compares with its ring neighbours; if a neighbour's best fitness
 		// is strictly better, orient toward it, then mutate.
-		nextParams := make([]params, len(islands))
+		nextParams := make([]Params, len(islands))
 		for i, isl := range islands {
 			left := islands[(i+len(islands)-1)%len(islands)]
 			right := islands[(i+1)%len(islands)]
@@ -262,30 +222,27 @@ func SAIGA(ctx context.Context, m search.Measure, cfg SAIGAConfig) SAIGAResult {
 		}
 		noteGlobal()
 
-		history = append(history, globalBest(islands))
+		history = append(history, int(globalBest(islands)))
 	}
 
-	// Collect final answer. Islands cancelled before their first
-	// evaluation have no incumbent (bestO nil) and are skipped.
+	// Collect final answer. Islands a stop left without an evaluation have
+	// no incumbent (bestW +Inf) and are skipped.
 	res := SAIGAResult{}
-	res.Width = n + 1
+	best := math.Inf(1)
 	for _, isl := range islands {
-		if isl.bestO != nil && isl.bestW < res.Width {
-			res.Width = isl.bestW
+		if isl.bestW < best {
+			best = isl.bestW
 			res.Ordering = isl.bestO
 		}
 		res.Evaluations += isl.evals
-		res.FinalParams = append(res.FinalParams, struct {
-			Pc, Pm    float64
-			Crossover CrossoverOp
-			Mutation  MutationOp
-		}{isl.par.pc, isl.par.pm, isl.par.crossover, isl.par.mutation})
+		res.FinalParams = append(res.FinalParams, isl.par)
 	}
+	res.Width = int(best)
 	res.History = history
 	return res
 }
 
-func globalBest(islands []*island) int {
+func globalBest(islands []*island) float64 {
 	best := islands[0].bestW
 	for _, isl := range islands[1:] {
 		if isl.bestW < best {
@@ -295,120 +252,42 @@ func globalBest(islands []*island) int {
 	return best
 }
 
-// evolveIsland runs EpochLength generations of the Fig. 6.1 loop on one
-// island with its current parameter vector, using only island-local state.
-// It polls ctx between fitness evaluations through an island-local checker
-// (interrupt.Checker is not concurrency-safe) and returns early when
-// cancelled, leaving the island's incumbent intact.
-func evolveIsland(ctx context.Context, isl *island, cfg SAIGAConfig) {
-	chk := interrupt.New(ctx, 1)
-	popSize := len(isl.pop)
-	rng := isl.rng
-	next := make([]order.Ordering, popSize)
-	nextFit := make([]int, popSize)
-	for gen := 0; gen < cfg.EpochLength; gen++ {
-		for i := range next {
-			winner := rng.Intn(popSize)
-			for k := 1; k < cfg.TournamentSize; k++ {
-				c := rng.Intn(popSize)
-				if isl.fit[c] < isl.fit[winner] {
-					winner = c
-				}
-			}
-			next[i] = isl.pop[winner].Clone()
-			nextFit[i] = isl.fit[winner]
-		}
-		isl.pop, next = next, isl.pop
-		isl.fit, nextFit = nextFit, isl.fit
-
-		pairs := int(float64(popSize) * isl.par.pc / 2)
-		for p := 0; p < pairs; p++ {
-			a, b := 2*p, 2*p+1
-			if b >= popSize {
-				break
-			}
-			c1, c2 := Crossover(isl.par.crossover, isl.pop[a], isl.pop[b], rng)
-			isl.pop[a], isl.pop[b] = c1, c2
-			isl.fit[a], isl.fit[b] = -1, -1
-		}
-		for i := range isl.pop {
-			if rng.Float64() < isl.par.pm {
-				Mutate(isl.par.mutation, isl.pop[i], rng)
-				isl.fit[i] = -1
-			}
-		}
-		cancelled := false
-		for i := range isl.pop {
-			if isl.fit[i] < 0 {
-				if !cancelled && chk.Stop() {
-					cancelled = true
-				}
-				if cancelled {
-					// Unevaluated after cancellation: assign a fitness no
-					// real width (≤ n) can lose to, so selection and
-					// migration never propagate the -1 marker.
-					isl.fit[i] = len(isl.pop[i]) + 1
-					continue
-				}
-				isl.fit[i] = isl.eval(isl.pop[i])
-				isl.evals++
-				cfg.Stats.Add(telemetry.GAEvaluations, 1)
-			}
-			if isl.fit[i] < isl.bestW {
-				isl.bestW = isl.fit[i]
-				isl.bestO = isl.pop[i].Clone()
-			}
-		}
-		if cancelled {
-			return
-		}
-		cfg.Stats.Add(telemetry.GAGenerations, 1)
-	}
-}
-
-// migrate copies each island's best individuals over the worst individuals
-// of the next island on the ring.
-func migrate(islands []*island, cfg SAIGAConfig) {
-	k := cfg.MigrationSize
+// migrate copies each island's k best individuals over the worst
+// individuals of the next island on the ring.
+func migrate(islands []*island, k int) {
 	if k <= 0 {
 		return
 	}
 	type migrant struct {
 		o order.Ordering
-		f int
+		f float64
 	}
 	outgoing := make([][]migrant, len(islands))
 	for i, isl := range islands {
-		idx := bestIndices(isl.fit, k)
-		for _, j := range idx {
-			outgoing[i] = append(outgoing[i], migrant{isl.pop[j].Clone(), isl.fit[j]})
+		for _, j := range bestIndices(isl.fit, k) {
+			outgoing[i] = append(outgoing[i], migrant{isl.ind[j].Clone(), isl.fit[j]})
 		}
 	}
 	for i, isl := range islands {
 		in := outgoing[(i+len(islands)-1)%len(islands)]
-		idx := worstIndices(isl.fit, len(in))
-		for m, j := range idx {
-			isl.pop[j] = in[m].o
-			isl.fit[j] = in[m].f
-			if in[m].f < isl.bestW {
-				isl.bestW = in[m].f
-				isl.bestO = in[m].o.Clone()
-			}
+		for m, j := range worstIndices(isl.fit, len(in)) {
+			isl.ind[j], isl.fit[j] = in[m].o, in[m].f
+			isl.note(j)
 		}
 	}
 }
 
-func bestIndices(fit []int, k int) []int {
-	return extremeIndices(fit, k, func(a, b int) bool { return a < b })
+func bestIndices(fit []float64, k int) []int {
+	return extremeIndices(fit, k, func(a, b float64) bool { return a < b })
 }
 
-func worstIndices(fit []int, k int) []int {
-	return extremeIndices(fit, k, func(a, b int) bool { return a > b })
+func worstIndices(fit []float64, k int) []int {
+	return extremeIndices(fit, k, func(a, b float64) bool { return a > b })
 }
 
 // extremeIndices returns the indices of the k most extreme fitness values
 // under less (selection by simple partial sort; k is small).
-func extremeIndices(fit []int, k int, less func(a, b int) bool) []int {
+func extremeIndices(fit []float64, k int, less func(a, b float64) bool) []int {
 	idx := make([]int, len(fit))
 	for i := range idx {
 		idx[i] = i

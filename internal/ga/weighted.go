@@ -32,8 +32,7 @@ func WeightedTreewidth(h *hypergraph.Hypergraph, states []int, cfg Config) Float
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ev := newWeightedEvaluator(h, states)
-	return evolveFloat(context.Background(), h.NumVertices(), cfg, rng, ev.weight)
+	return evolve(context.Background(), h.NumVertices(), cfg, rng, newWeightedEvaluator(h, states).weight, nil)
 }
 
 // WeightedWidth evaluates the Larrañaga objective of a single ordering:

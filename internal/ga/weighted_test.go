@@ -57,7 +57,7 @@ func TestWeightedGAPrefersSmallStateCliques(t *testing.T) {
 	cfg := Config{
 		PopulationSize: 30, CrossoverRate: 1, MutationRate: 0.3,
 		TournamentSize: 2, Generations: 40, Crossover: POS, Mutation: ISM,
-		Seed: 1, Elitism: true,
+		Seed: 1,
 	}
 	res := WeightedTreewidth(h, states, cfg)
 	ev := newWeightedEvaluator(h, states)

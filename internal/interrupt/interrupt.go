@@ -67,6 +67,11 @@ func (c *Checker) Stop() bool {
 	return c.poll()
 }
 
+// Stopped reports whether an earlier Stop or Now call has observed
+// cancellation, without polling: runs that share one Checker use it to
+// leave off work once any of them has stopped.
+func (c *Checker) Stopped() bool { return c.stopped }
+
 // Now reports whether the context has been cancelled, polling
 // unconditionally (for use at natural checkpoints such as phase
 // boundaries, where the amortised stride would delay detection).

@@ -26,6 +26,9 @@ func TestStopLatchesAfterCancel(t *testing.T) {
 		t.Fatal("cancelled before cancel()")
 	}
 	cancel()
+	if c.Stopped() {
+		t.Fatal("Stopped reported a cancellation no poll has observed")
+	}
 	// The stride means up to `every` calls may pass before detection.
 	seen := false
 	for i := 0; i < 8; i++ {
@@ -37,7 +40,7 @@ func TestStopLatchesAfterCancel(t *testing.T) {
 	if !seen {
 		t.Fatal("cancellation not observed within one stride")
 	}
-	if !c.Stop() || !c.Now() {
+	if !c.Stopped() || !c.Stop() || !c.Now() {
 		t.Fatal("cancellation did not latch")
 	}
 }

@@ -35,7 +35,6 @@ func oracleOpts(m Method, seed int64) Options {
 			MutationRate:   0.3,
 			TournamentSize: 3,
 			Generations:    10,
-			Elitism:        true,
 		},
 		SAIGA: &SAIGAConfig{
 			Islands:        2,

@@ -272,7 +272,7 @@ func TestPortfolioHeldSeatsStartAfterGrace(t *testing.T) {
 		Method: MethodPortfolio,
 		Seed:   4,
 		GA: &GAConfig{PopulationSize: 60, CrossoverRate: 1.0, MutationRate: 0.3,
-			TournamentSize: 3, Generations: 40, Elitism: true},
+			TournamentSize: 3, Generations: 40},
 		Observer: &Observer{OnPhase: func(ph Phase) {
 			if ph.Name == "start" {
 				mu.Lock()
