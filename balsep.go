@@ -26,7 +26,7 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 		// Cancelled before any incumbent exists.
 		return Result{}, err
 	}
-	w0 := order.GHWidthWith(h, ord, nil, true, orc)
+	w0 := order.GHWidth(h, ord, nil, true, orc)
 	if hook := sc.incumbentHook(); hook != nil {
 		hook(w0)
 	}
@@ -63,7 +63,7 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 		}
 		if r.Decomposition != nil {
 			o := order.FromDecomposition(r.Decomposition)
-			w := order.GHWidthWith(h, o, nil, true, orc)
+			w := order.GHWidth(h, o, nil, true, orc)
 			if hook := sc.incumbentHook(); hook != nil {
 				hook(w)
 			}

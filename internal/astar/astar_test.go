@@ -91,7 +91,7 @@ func TestAStarGHWAgreesWithBB(t *testing.T) {
 		if got.Width != want.Width {
 			t.Fatalf("seed %d: A*-ghw = %d, BB-ghw = %d", seed, got.Width, want.Width)
 		}
-		if w := order.GHWidth(h, got.Ordering, nil, true); w != got.Width {
+		if w := order.GHWidth(h, got.Ordering, nil, true, nil); w != got.Width {
 			t.Fatalf("seed %d: returned ordering ghw %d != %d", seed, w, got.Width)
 		}
 	}

@@ -82,7 +82,7 @@ func bruteTW(g *hypergraph.Graph) int {
 // the exact ghw).
 func bruteGHW(h *hypergraph.Hypergraph) int {
 	n := h.NumVertices()
-	ev := order.NewGHWEvaluator(h, nil, true)
+	ev := order.NewGHWEvaluator(h, nil, true, nil)
 	best := n + 1
 	perm := order.Identity(n)
 	var rec func(k int)
@@ -176,7 +176,7 @@ func TestGHWExactOnRandomHypergraphs(t *testing.T) {
 		if res.Width != want {
 			t.Fatalf("seed %d: BB-ghw = %d, brute = %d", seed, res.Width, want)
 		}
-		if got := order.GHWidth(h, res.Ordering, nil, true); got != want {
+		if got := order.GHWidth(h, res.Ordering, nil, true, nil); got != want {
 			t.Fatalf("seed %d: returned ordering has ghw %d, want %d", seed, got, want)
 		}
 	}

@@ -183,7 +183,7 @@ func goldenInputs() []goldenCSP {
 func goldenPlans(c *csp.CSP) (ghd, td func() *decomp.Decomposition) {
 	h := c.Hypergraph()
 	o, _ := heur.MinFill(elim.New(h.PrimalGraph()), rand.New(rand.NewSource(1)))
-	return func() *decomp.Decomposition { return order.GHD(h, o, nil, true) },
+	return func() *decomp.Decomposition { return order.GHD(h, o, nil, true, nil) },
 		func() *decomp.Decomposition { return order.VertexElimination(h, o) }
 }
 

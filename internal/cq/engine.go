@@ -225,7 +225,7 @@ func (f *flow) reduce(ctx context.Context, full bool) (bool, error) {
 func defaultDecomposition(q *Query) *decomp.Decomposition {
 	h := q.Hypergraph()
 	o, _ := heur.MinFill(elim.New(h.PrimalGraph()), rand.New(rand.NewSource(1)))
-	return order.GHD(h, o, nil, true)
+	return order.GHD(h, o, nil, true, nil)
 }
 
 // flow is the Yannakakis dataflow over one completed decomposition: the

@@ -27,7 +27,7 @@ func TestCountMatchesBacktracking(t *testing.T) {
 			t.Fatalf("trial %d: TD count %d, brute %d", trial, got, want)
 		}
 
-		ghd := order.GHD(h, o, rng, true)
+		ghd := order.GHD(h, o, rng, true, nil)
 		got2, err := count(c, ghd)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -50,7 +50,7 @@ func TestCountAustralia(t *testing.T) {
 	if got != 18 {
 		t.Fatalf("Australia 3-colourings = %d, want 18", got)
 	}
-	ghd := order.GHD(h, o, nil, true)
+	ghd := order.GHD(h, o, nil, true, nil)
 	got2, err := count(c, ghd)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestCountUnconstrainedVariables(t *testing.T) {
 	if got != 2*12 {
 		t.Fatalf("count = %d, want 24", got)
 	}
-	ghd := order.GHD(h, order.Identity(4), nil, true)
+	ghd := order.GHD(h, order.Identity(4), nil, true, nil)
 	got2, err := count(c, ghd)
 	if err != nil {
 		t.Fatal(err)

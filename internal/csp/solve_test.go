@@ -210,7 +210,7 @@ func TestSolveFromGHDMatchesBacktracking(t *testing.T) {
 		c := randomCSP(rng, 6, 5, 2, 3)
 		h := c.Hypergraph()
 		o := order.Random(h.NumVertices(), rng)
-		d := order.GHD(h, o, rng, true)
+		d := order.GHD(h, o, rng, true, nil)
 		sol, sat, err := solve(c, d)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -249,7 +249,7 @@ func TestExample5Walkthrough(t *testing.T) {
 		t.Fatalf("TD solving failed: sol=%v sat=%v err=%v", sol, sat, err)
 	}
 
-	g := order.GHD(h, o, nil, true)
+	g := order.GHD(h, o, nil, true, nil)
 	sol2, sat2, err2 := solve(c, g)
 	if err2 != nil || !sat2 || !c.Check(sol2) {
 		t.Fatalf("GHD solving failed: sol=%v sat=%v err=%v", sol2, sat2, err2)
@@ -296,7 +296,7 @@ func TestUnsatisfiableViaDecompositions(t *testing.T) {
 	if _, sat, err := solve(c, d); err != nil || sat {
 		t.Fatalf("unsat CSP solved via TD: sat=%v err=%v", sat, err)
 	}
-	g := order.GHD(h, order.Identity(3), nil, true)
+	g := order.GHD(h, order.Identity(3), nil, true, nil)
 	if _, sat, err := solve(c, g); err != nil || sat {
 		t.Fatalf("unsat CSP solved via GHD: sat=%v err=%v", sat, err)
 	}

@@ -175,7 +175,7 @@ func TestLeafNormalFormAndOrderingProperty(t *testing.T) {
 		// …and Theorem 2 for generalized hypertree width with exact covers.
 		s := setcover.New(h, nil)
 		origGHW := d.CoverChi(s.Exact)
-		if got := order.GHWidth(h, sigma, nil, true); got > origGHW {
+		if got := order.GHWidth(h, sigma, nil, true, nil); got > origGHW {
 			t.Fatalf("seed %d: ghw of dca ordering %d > original cover width %d (Theorem 2)", seed, got, origGHW)
 		}
 	}

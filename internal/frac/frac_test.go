@@ -109,7 +109,7 @@ func TestWidthAtMostGHWWidth(t *testing.T) {
 		h := gen.RandomHypergraph(9, 7, 4, seed)
 		o := order.Random(9, rand.New(rand.NewSource(seed)))
 		fw := Width(h, o)
-		gw := float64(order.GHWidth(h, o, nil, true))
+		gw := float64(order.GHWidth(h, o, nil, true, nil))
 		if fw > gw+1e-6 {
 			t.Fatalf("seed %d: fhw width %v > ghw width %v", seed, fw, gw)
 		}

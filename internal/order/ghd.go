@@ -17,16 +17,12 @@ import (
 // covering"); otherwise the greedy heuristic with rng tie-breaking is used.
 // The returned decomposition carries λ labels; its GHWidth() is the width
 // of the ordering in the sense of Def. 17 (exactly, when exact=true).
-func GHD(h *hypergraph.Hypergraph, o Ordering, rng *rand.Rand, exact bool) *decomp.Decomposition {
-	return GHDWith(h, o, rng, exact, nil)
-}
-
-// GHDWith is GHD over a caller-supplied cover oracle (nil = private).
-// Passing the oracle of the search that produced o lets the final
-// λ-materialization reuse the exact covers the search already memoized.
-// Greedy covers with a non-nil rng bypass the oracle (see
-// NewGHWEvaluatorWith); greedy covers with rng == nil go through it.
-func GHDWith(h *hypergraph.Hypergraph, o Ordering, rng *rand.Rand, exact bool, orc *cover.Oracle) *decomp.Decomposition {
+// Covers come from orc (nil = a private oracle): passing the oracle of the
+// search that produced o lets the final λ-materialization reuse the exact
+// covers the search already memoized. Greedy covers with a non-nil rng
+// bypass the oracle (see NewGHWEvaluator); greedy covers with rng == nil
+// go through it.
+func GHD(h *hypergraph.Hypergraph, o Ordering, rng *rand.Rand, exact bool, orc *cover.Oracle) *decomp.Decomposition {
 	d := VertexElimination(h, o)
 	d.CoverChi(newCoverFunc(h, rng, exact, orc))
 	return d
@@ -47,15 +43,11 @@ func newCoverFunc(h *hypergraph.Hypergraph, rng *rand.Rand, exact bool, orc *cov
 
 // GHWidth returns width(σ, H) per Def. 17 when exact=true: the maximum,
 // over the cliques produced by eliminating σ, of the minimum cover size.
-// With exact=false it is the greedy upper bound GA-ghw optimizes.
-func GHWidth(h *hypergraph.Hypergraph, o Ordering, rng *rand.Rand, exact bool) int {
-	return NewGHWEvaluator(h, rng, exact).Width(o)
-}
-
-// GHWidthWith is GHWidth over a caller-supplied cover oracle (nil =
-// private); see NewGHWEvaluatorWith for the sharing contract.
-func GHWidthWith(h *hypergraph.Hypergraph, o Ordering, rng *rand.Rand, exact bool, orc *cover.Oracle) int {
-	return NewGHWEvaluatorWith(h, rng, exact, orc).Width(o)
+// With exact=false it is the greedy upper bound GA-ghw optimizes. Covers
+// come from orc (nil = a private oracle); see NewGHWEvaluator for the
+// sharing contract.
+func GHWidth(h *hypergraph.Hypergraph, o Ordering, rng *rand.Rand, exact bool, orc *cover.Oracle) int {
+	return NewGHWEvaluator(h, rng, exact, orc).Width(o)
 }
 
 // TWWidth returns the tree-decomposition width of the ordering over the

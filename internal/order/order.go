@@ -242,19 +242,13 @@ func NewTWEvaluator(g *hypergraph.Graph) *Evaluator {
 // NewGHWEvaluator returns an evaluator of generalized hypertree widths.
 // With exact=false it uses the greedy set-cover heuristic with rng
 // tie-breaking (as GA-ghw does); with exact=true it solves each cover
-// exactly (as the branch-and-bound and A* searches require), memoized in
-// a private cover oracle.
-func NewGHWEvaluator(h *hypergraph.Hypergraph, rng *rand.Rand, exact bool) *Evaluator {
-	return NewGHWEvaluatorWith(h, rng, exact, nil)
-}
-
-// NewGHWEvaluatorWith is NewGHWEvaluator over a caller-supplied cover
-// oracle (nil = private), so concurrent evaluators of the same instance
-// share one memo table. Exact covers and nil-rng greedy covers go through
-// the oracle; greedy covers with a non-nil rng are computed by a private
-// solver and never cached, because their tie-breaking depends on the
-// caller's random stream.
-func NewGHWEvaluatorWith(h *hypergraph.Hypergraph, rng *rand.Rand, exact bool, orc *cover.Oracle) *Evaluator {
+// exactly (as the branch-and-bound and A* searches require). Covers are
+// memoized in orc, or in a private oracle when orc is nil, so concurrent
+// evaluators of the same instance can share one memo table. Exact covers
+// and nil-rng greedy covers go through the oracle; greedy covers with a
+// non-nil rng are computed by a private solver and never cached, because
+// their tie-breaking depends on the caller's random stream.
+func NewGHWEvaluator(h *hypergraph.Hypergraph, rng *rand.Rand, exact bool, orc *cover.Oracle) *Evaluator {
 	if orc == nil {
 		orc = cover.New(h, cover.Options{})
 	}

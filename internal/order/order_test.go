@@ -128,11 +128,11 @@ func TestGHWEvaluatorMatchesGHD(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		h := randomHypergraph(10, 7, 4, seed)
 		o := Random(h.NumVertices(), rand.New(rand.NewSource(seed+3)))
-		d := GHD(h, o, nil, true)
+		d := GHD(h, o, nil, true, nil)
 		if err := d.ValidateGHD(); err != nil {
 			t.Fatalf("seed %d: GHD invalid: %v", seed, err)
 		}
-		got := GHWidth(h, o, nil, true)
+		got := GHWidth(h, o, nil, true, nil)
 		if want := d.GHWidth(); got != want {
 			t.Fatalf("seed %d: evaluator ghw %d != GHD width %d", seed, got, want)
 		}
@@ -144,8 +144,8 @@ func TestGreedyGHWAtLeastExact(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		h := randomHypergraph(12, 9, 5, seed)
 		o := Random(h.NumVertices(), rand.New(rand.NewSource(seed)))
-		exact := GHWidth(h, o, nil, true)
-		greedy := GHWidth(h, o, rand.New(rand.NewSource(seed)), false)
+		exact := GHWidth(h, o, nil, true, nil)
+		greedy := GHWidth(h, o, rand.New(rand.NewSource(seed)), false, nil)
 		if greedy < exact {
 			t.Fatalf("seed %d: greedy ghw %d < exact %d", seed, greedy, exact)
 		}
@@ -174,7 +174,7 @@ func TestFig211StyleWalkthrough(t *testing.T) {
 	if got := d.Width(); got != 4 {
 		t.Fatalf("TD width = %d, want 4 (x6's neighbourhood is all other 4 vertices)", got)
 	}
-	g := GHD(h, o, nil, true)
+	g := GHD(h, o, nil, true, nil)
 	if err := g.ValidateGHD(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestExample5Widths(t *testing.T) {
 func TestCompleteGHD(t *testing.T) {
 	h := example5()
 	o := Identity(h.NumVertices())
-	d := GHD(h, o, nil, true)
+	d := GHD(h, o, nil, true, nil)
 	w := d.GHWidth()
 	d.Complete()
 	if !d.IsComplete() {

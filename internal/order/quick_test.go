@@ -57,8 +57,8 @@ func TestQuickCoverOrderings(t *testing.T) {
 		h := randomHypergraph(9, 6, 4, seed%1000)
 		o := Random(h.NumVertices(), rand.New(rand.NewSource(orderSeed)))
 		tw := NewTWEvaluator(h.PrimalGraph()).Width(o)
-		exact := GHWidth(h, o, nil, true)
-		greedy := GHWidth(h, o, rand.New(rand.NewSource(orderSeed)), false)
+		exact := GHWidth(h, o, nil, true, nil)
+		greedy := GHWidth(h, o, rand.New(rand.NewSource(orderSeed)), false, nil)
 		return exact <= tw+1 && greedy >= exact
 	}
 	if err := quick.Check(f, hgSeedConfig()); err != nil {

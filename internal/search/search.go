@@ -94,7 +94,7 @@ func (m Measure) Evaluator(rng *rand.Rand) *order.Evaluator {
 	if m.H == nil {
 		return order.NewTWEvaluator(m.G)
 	}
-	return order.NewGHWEvaluator(m.H, rng, false)
+	return order.NewGHWEvaluator(m.H, rng, false, nil)
 }
 
 // Mode returns the measure's cost mode. ctx is plumbed into the residual
