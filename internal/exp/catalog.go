@@ -81,6 +81,18 @@ type HGInstance struct {
 	Family   string
 }
 
+// ref is the instance's known/paper cell: the exactly known ghw, else the
+// thesis's best upper bound, else "-".
+func (inst HGInstance) ref() string {
+	switch {
+	case inst.KnownGHW >= 0:
+		return itoa(inst.KnownGHW)
+	case inst.PaperUB >= 0:
+		return itoa(inst.PaperUB)
+	}
+	return "-"
+}
+
 // hypergraphSuite returns the CSP hypergraph library suite (§7.1.3).
 func hypergraphSuite(full bool) []HGInstance {
 	small := []HGInstance{

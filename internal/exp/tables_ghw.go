@@ -10,6 +10,7 @@ import (
 	"hypertree/internal/cover"
 	"hypertree/internal/frac"
 	"hypertree/internal/ga"
+	"hypertree/internal/hypergraph"
 	"hypertree/internal/search"
 	"hypertree/internal/telemetry"
 )
@@ -17,7 +18,7 @@ import (
 // Table7_1 reproduces Table 7.1: GA-ghw upper bounds on the CSP hypergraph
 // library suite.
 func Table7_1(cfg Config) *Table {
-	t := &Table{
+	return ghwRuns(cfg, &Table{
 		ID:     "7.1",
 		Title:  "GA-ghw on CSP hypergraph benchmarks",
 		Header: []string{"Hypergraph", "V", "H", "known/paper", "min", "max", "avg", "fhw ub"},
@@ -27,51 +28,21 @@ func Table7_1(cfg Config) *Table {
 			"the initial population is seeded with two min-fill orderings (§4.3) to offset the reduced evaluation budget",
 			"'fhw ub' is the fractional relaxation's upper bound (min-fill + local search, exact LPs): fhw ≤ ghw always",
 		},
-	}
-	for _, inst := range hypergraphSuite(cfg.Full) {
-		h := inst.Build()
-		m := search.GHW(h)
-		widths := runGARuns(cfg, func(seed int64) int {
-			c := gaConfigForTuning(cfg, seed)
-			c.CrossoverRate = 1.0
-			c.MutationRate = 0.3
-			c.TournamentSize = 3
-			c.HeuristicSeeds = 2
-			return ga.Search(context.Background(), m, c).Width
-		})
-		mn, mx, avg := stats(widths)
-		ref := "-"
-		if inst.KnownGHW >= 0 {
-			ref = itoa(inst.KnownGHW)
-		} else if inst.PaperUB >= 0 {
-			ref = itoa(inst.PaperUB)
-		}
-		fw, o := frac.MinFillUpperBound(h, cfg.Seed)
-		if h.NumVertices() > 1 {
-			if fw2, _ := frac.LocalSearch(h, o, 30, cfg.Seed+1); fw2 < fw {
-				fw = fw2
+	}, func(m search.Measure, seed int64) int { return tunedGA(cfg, m, seed) },
+		func(h *hypergraph.Hypergraph) []string {
+			fw, o := frac.MinFillUpperBound(h, cfg.Seed)
+			if h.NumVertices() > 1 {
+				if fw2, _ := frac.LocalSearch(h, o, 30, cfg.Seed+1); fw2 < fw {
+					fw = fw2
+				}
 			}
-		}
-		t.Rows = append(t.Rows, []string{
-			inst.Name, itoa(h.NumVertices()), itoa(h.NumEdges()),
-			ref, itoa(mn), itoa(mx), f1(avg), fmt.Sprintf("%.2f", fw),
+			return []string{fmt.Sprintf("%.2f", fw)}
 		})
-	}
-	return t
 }
 
 // Table7_2 reproduces Table 7.2: the self-adaptive island GA on the same
 // suite, without any externally supplied parameters.
 func Table7_2(cfg Config) *Table {
-	t := &Table{
-		ID:     "7.2",
-		Title:  "SAIGA-ghw (self-adaptive island GA) on CSP hypergraph benchmarks",
-		Header: []string{"Hypergraph", "V", "H", "known/paper", "min", "max", "avg"},
-		Notes: []string{
-			"no control parameters are supplied: each island adapts (pc, pm, operators) itself",
-			"shape to reproduce: results comparable to the hand-tuned GA-ghw of Table 7.1",
-		},
-	}
 	saigaCfg := ga.SAIGAConfig{
 		Islands: 3, IslandPop: 20, Epochs: 8, EpochLength: 8,
 		TournamentSize: 2, MigrationSize: 2,
@@ -79,25 +50,34 @@ func Table7_2(cfg Config) *Table {
 	if cfg.Full {
 		saigaCfg = ga.DefaultSAIGAConfig()
 	}
+	return ghwRuns(cfg, &Table{
+		ID:     "7.2",
+		Title:  "SAIGA-ghw (self-adaptive island GA) on CSP hypergraph benchmarks",
+		Header: []string{"Hypergraph", "V", "H", "known/paper", "min", "max", "avg"},
+		Notes: []string{
+			"no control parameters are supplied: each island adapts (pc, pm, operators) itself",
+			"shape to reproduce: results comparable to the hand-tuned GA-ghw of Table 7.1",
+		},
+	}, func(m search.Measure, seed int64) int {
+		c := saigaCfg
+		c.Seed = seed
+		return ga.SAIGA(context.Background(), m, c).Width
+	}, nil)
+}
+
+// ghwRuns fills t with one row per instance of the hypergraph suite: its
+// size, its known/paper cell, the min/max/avg width of Runs runs of run,
+// and the cells extra (nil = none) returns for it.
+func ghwRuns(cfg Config, t *Table, run func(m search.Measure, seed int64) int, extra func(*hypergraph.Hypergraph) []string) *Table {
 	for _, inst := range hypergraphSuite(cfg.Full) {
 		h := inst.Build()
 		m := search.GHW(h)
-		widths := runGARuns(cfg, func(seed int64) int {
-			c := saigaCfg
-			c.Seed = seed
-			return ga.SAIGA(context.Background(), m, c).Width
-		})
-		mn, mx, avg := stats(widths)
-		ref := "-"
-		if inst.KnownGHW >= 0 {
-			ref = itoa(inst.KnownGHW)
-		} else if inst.PaperUB >= 0 {
-			ref = itoa(inst.PaperUB)
+		mn, mx, avg := gaRuns(cfg, func(seed int64) int { return run(m, seed) })
+		row := []string{inst.Name, itoa(h.NumVertices()), itoa(h.NumEdges()), inst.ref(), itoa(mn), itoa(mx), f1(avg)}
+		if extra != nil {
+			row = append(row, extra(h)...)
 		}
-		t.Rows = append(t.Rows, []string{
-			inst.Name, itoa(h.NumVertices()), itoa(h.NumEdges()),
-			ref, itoa(mn), itoa(mx), f1(avg),
-		})
+		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
@@ -127,17 +107,11 @@ func searchTable(cfg Config, id, title string,
 		})
 		elapsed := time.Since(start)
 		probe, _, _ := orc.LatencySnapshots()
-		ref := "-"
-		if inst.KnownGHW >= 0 {
-			ref = itoa(inst.KnownGHW)
-		} else if inst.PaperUB >= 0 {
-			ref = itoa(inst.PaperUB)
-		}
 		t.Rows = append(t.Rows, []string{
 			inst.Name, itoa(h.NumVertices()), itoa(h.NumEdges()),
 			itoa(res.LowerBound), itoa(res.Width), fmt.Sprintf("%v", res.Exact),
 			itoa(int(res.Nodes)), elapsed.Round(time.Millisecond).String(),
-			quantStr(probe, 0.50), quantStr(probe, 0.95), quantStr(probe, 0.99), ref,
+			quantStr(probe, 0.50), quantStr(probe, 0.95), quantStr(probe, 0.99), inst.ref(),
 		})
 	}
 	return t
@@ -183,18 +157,10 @@ func Table8_2(cfg Config) *Table {
 		m := search.GHW(inst.Build())
 		res := bb.Search(context.Background(), m, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
 		gaCfg := gaConfigForTuning(cfg, cfg.Seed)
-		gaCfg.CrossoverRate = 1.0
-		gaCfg.MutationRate = 0.3
 		gaCfg.HeuristicSeeds = 2
 		gaRes := ga.Search(context.Background(), m, gaCfg)
-		ref := "-"
-		if inst.KnownGHW >= 0 {
-			ref = itoa(inst.KnownGHW)
-		} else if inst.PaperUB >= 0 {
-			ref = itoa(inst.PaperUB)
-		}
 		t.Rows = append(t.Rows, []string{
-			inst.Name, itoa(res.Width), fmt.Sprintf("%v", res.Exact), itoa(gaRes.Width), ref,
+			inst.Name, itoa(res.Width), fmt.Sprintf("%v", res.Exact), itoa(gaRes.Width), inst.ref(),
 		})
 	}
 	return t
@@ -223,15 +189,9 @@ func Table9_2(cfg Config) *Table {
 		m := search.GHW(inst.Build())
 		a := astar.Search(context.Background(), m, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
 		b := bb.Search(context.Background(), m, search.Options{MaxNodes: cfg.ghwNodes(), Seed: cfg.Seed})
-		ref := "-"
-		if inst.KnownGHW >= 0 {
-			ref = itoa(inst.KnownGHW)
-		} else if inst.PaperUB >= 0 {
-			ref = itoa(inst.PaperUB)
-		}
 		t.Rows = append(t.Rows, []string{
 			inst.Name, itoa(a.Width), itoa(a.LowerBound), fmt.Sprintf("%v", a.Exact),
-			itoa(b.Width), fmt.Sprintf("%v", b.Exact), ref,
+			itoa(b.Width), fmt.Sprintf("%v", b.Exact), inst.ref(),
 		})
 	}
 	return t

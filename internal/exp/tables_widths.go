@@ -25,10 +25,11 @@ func TableS1(cfg Config) *Table {
 			"fhw column is the fractional width of the best ghw ordering (∨ min-fill); ghw/hw are exact under budget ('?' = open)",
 		},
 	}
-	instances := []struct {
+	type instance struct {
 		name string
 		h    *hypergraph.Hypergraph
-	}{
+	}
+	instances := []instance{
 		{"chain_12", gen.Chain(12, 4, 2)},
 		{"cycle_9", hypergraph.FromGraph(gen.Cycle(9))},
 		{"adder_8", gen.Adder(8)},
@@ -37,16 +38,7 @@ func TableS1(cfg Config) *Table {
 		{"grid2d_4", gen.Grid2DHypergraph(4, 4)},
 	}
 	if cfg.Full {
-		instances = append(instances,
-			struct {
-				name string
-				h    *hypergraph.Hypergraph
-			}{"adder_25", gen.Adder(25)},
-			struct {
-				name string
-				h    *hypergraph.Hypergraph
-			}{"clique_12", gen.CliqueHypergraph(12)},
-		)
+		instances = append(instances, instance{"adder_25", gen.Adder(25)}, instance{"clique_12", gen.CliqueHypergraph(12)})
 	}
 	for _, inst := range instances {
 		h := inst.h
