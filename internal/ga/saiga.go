@@ -136,6 +136,9 @@ type SAIGAResult struct {
 // individual is evaluated before the first poll, so there is always an
 // incumbent.
 func SAIGA(ctx context.Context, m search.Measure, cfg SAIGAConfig) SAIGAResult {
+	// As in evolve, the whole run is branch-expansion phase time.
+	mark := cfg.Stats.MarkPhase()
+	defer cfg.Stats.AttributeSince(telemetry.PhaseBranch, mark)
 	n := m.G.NumVertices()
 	if cfg.Islands < 2 {
 		cfg.Islands = 2
