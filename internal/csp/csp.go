@@ -131,16 +131,6 @@ func (c *CSP) SolveBacktracking() ([]int, bool) {
 	return sol, sol != nil
 }
 
-// AllSolutions enumerates every complete consistent assignment.
-func (c *CSP) AllSolutions() [][]int {
-	var out [][]int
-	c.backtrack(make([]int, c.NumVars()), 0, func(a []int) bool {
-		out = append(out, append([]int(nil), a...))
-		return true
-	})
-	return out
-}
-
 // CountSolutions returns the number of complete consistent assignments.
 func (c *CSP) CountSolutions() int {
 	count := 0

@@ -136,16 +136,6 @@ func widthOn(ctx context.Context, g *elim.Graph, chk *interrupt.Checker, ev *eva
 	return w, nil
 }
 
-// WidthCtx is Width under a context: it returns an error on an invalid
-// ordering or when cancellation struck before the evaluation finished.
-// orc may be nil (a private oracle is used).
-func WidthCtx(ctx context.Context, h *hypergraph.Hypergraph, o order.Ordering, orc *cover.Oracle) (float64, error) {
-	if err := o.Validate(h.NumVertices()); err != nil {
-		return 0, err
-	}
-	return widthOn(ctx, elim.New(h.PrimalGraph()), interrupt.New(ctx, 1), newEvaluator(h, orc, nil), o, 0)
-}
-
 // LocalSearchCtx improves an fhw upper bound by hill-climbing over
 // orderings with insertion moves under the anytime contract: a deadline
 // mid-run returns the incumbent with Complete=false and a nil error; an

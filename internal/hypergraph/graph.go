@@ -77,9 +77,6 @@ func (g *Graph) Degree(v int) int { return g.adj[v].Len() }
 // modified.
 func (g *Graph) Neighbors(v int) *bitset.Set { return g.adj[v] }
 
-// NeighborSlice returns v's neighbours in ascending order.
-func (g *Graph) NeighborSlice(v int) []int { return g.adj[v].Slice() }
-
 // Edges returns all edges as ordered pairs (u < v), sorted.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.numEdges)
