@@ -163,6 +163,54 @@ func TestPR2SwappableMatchesReference(t *testing.T) {
 	}
 }
 
+// pr2PrunedRef is the per-vertex loop PR2Pruned replaced: it asks the
+// swap test about every remaining w < v.
+func pr2PrunedRef(g *elim.Graph, v int, swappable func(*elim.Graph, int, int) bool) *bitset.Set {
+	pruned := bitset.New(g.NumVertices())
+	g.ForEachRemaining(func(w int) {
+		if w < v && swappable(g, v, w) {
+			pruned.Add(w)
+		}
+	})
+	return pruned
+}
+
+// PR2Pruned fills the reference's set for every remaining v, under the
+// treewidth and the every-measure swap tests, on random graphs of up to
+// three words with random eliminated prefixes. One set is reused
+// throughout, so a stale element from an earlier call would show.
+func TestPR2PrunedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pruned := bitset.New(0)
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(170)
+		g := hypergraph.NewGraph(n)
+		p := 0.02 + 0.6*rng.Float64()
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < p {
+					g.AddEdge(i, j)
+				}
+			}
+		}
+		e := elim.New(g)
+		for _, v := range rng.Perm(n)[:rng.Intn(n)] {
+			e.Eliminate(v)
+		}
+		for _, sw := range []struct {
+			name string
+			test func(*elim.Graph, int, int) bool
+		}{{"PR2Swappable", PR2Swappable}, {"NonAdjacentSwappable", NonAdjacentSwappable}} {
+			e.ForEachRemaining(func(v int) {
+				PR2Pruned(e, v, sw.test, pruned)
+				if want := pr2PrunedRef(e, v, sw.test); !pruned.Equal(want) {
+					t.Fatalf("trial %d, %s: PR2Pruned(%d) = %v, reference %v", trial, sw.name, v, pruned, want)
+				}
+			})
+		}
+	}
+}
+
 // PR2 into a caller's set and a dominance probe that hits allocate nothing
 // after warm-up.
 func TestPR2AndDominanceAllocateNothing(t *testing.T) {
