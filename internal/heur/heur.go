@@ -16,6 +16,8 @@ package heur
 
 import (
 	"context"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -171,38 +173,58 @@ func MinorGammaR(g *elim.Graph, rng *rand.Rand) int {
 }
 
 // Minor is the workspace of the contraction bounds: a copy of an
-// elimination graph's residual adjacency, with a degree array that every
-// contraction updates in place. A search keeps one and reuses it at every
-// node, so minor-min-width allocates nothing once the workspace has been
-// filled. A Minor is not safe for concurrent use.
+// elimination graph's residual adjacency as one flat matrix of words, one
+// row per vertex, next to a degree array that every contraction updates in
+// place. A search keeps one and reuses it at every node, so
+// minor-min-width allocates nothing once the workspace has been filled,
+// and its scans walk set bits with no call per vertex. A Minor is not safe
+// for concurrent use.
 type Minor struct {
-	adj   []*bitset.Set // adjacency of the alive vertices
-	deg   []int         // deg[v] = |adj[v]| for alive v
-	alive *bitset.Set   // vertices neither removed nor contracted away
-	seen  *bitset.Set   // minor-γ_R's scanned prefix
-	order []int         // minor-γ_R's vertices by degree
+	adj   []uint64   // row v, words [v·nw, (v+1)·nw), holds N(v) for alive v
+	deg   []int32    // deg[v] = |N(v)| for alive v
+	nw    int        // words per row
+	alive bitset.Set // vertices neither removed nor contracted away
+	seen  []uint64   // minor-γ_R's scanned prefix
+	order []int      // minor-γ_R's vertices by degree
 	ties  []int
 	chk   interrupt.Checker
 }
 
 // NewMinor returns a workspace for graphs of n vertices.
 func NewMinor(n int) *Minor {
-	m := &Minor{adj: make([]*bitset.Set, n), deg: make([]int, n), alive: bitset.New(n), seen: bitset.New(n)}
-	for v := range m.adj {
-		m.adj[v] = bitset.New(n)
-	}
+	m := &Minor{}
+	m.resize(n)
 	return m
 }
+
+// resize shapes the workspace for graphs of n vertices, reusing its arrays
+// when they are large enough.
+func (m *Minor) resize(n int) {
+	m.nw = (n + 63) / 64
+	if cap(m.adj) < n*m.nw {
+		m.adj = make([]uint64, n*m.nw)
+		m.deg = make([]int32, n)
+		m.seen = make([]uint64, m.nw)
+	}
+	m.adj, m.deg, m.seen = m.adj[:n*m.nw], m.deg[:n], m.seen[:m.nw]
+}
+
+// row returns v's adjacency words.
+func (m *Minor) row(v int) []uint64 { return m.adj[v*m.nw : (v+1)*m.nw] }
 
 // load copies g's residual graph into the workspace and returns its
 // number of vertices.
 func (m *Minor) load(g *elim.Graph) int {
-	m.alive.Clear()
-	g.ForEachRemaining(func(v int) {
-		m.adj[v].CopyFrom(g.Neighbors(v))
-		m.deg[v] = g.Degree(v)
-		m.alive.Add(v)
-	})
+	m.resize(g.NumVertices())
+	m.alive.FillBelowExcept(g.NumVertices(), g.EliminatedSet(), nil)
+	for wi, w := range m.alive.Words() {
+		for ; w != 0; w &= w - 1 {
+			v := wi<<6 | bits.TrailingZeros64(w)
+			row := m.row(v)
+			clear(row[copy(row, g.Neighbors(v).Words()):])
+			m.deg[v] = int32(g.Degree(v))
+		}
+	}
 	return g.Remaining()
 }
 
@@ -224,24 +246,16 @@ func (m *Minor) MinorMinWidth(ctx context.Context, g *elim.Graph, rng *rand.Rand
 		if m.chk.Stop() {
 			return lb
 		}
-		// Find min-degree vertex.
-		best := int(^uint(0) >> 1)
-		m.ties = m.ties[:0]
-		m.alive.ForEach(func(v int) bool {
-			best = m.tie(v, best)
-			return true
-		})
-		v := pick(m.ties, rng)
-		if d := m.deg[v]; d > lb {
-			lb = d
-		}
-		if m.deg[v] == 0 {
+		v := pick(m.leastDegree(m.alive.Words()), rng)
+		d := int(m.deg[v])
+		lb = max(lb, d)
+		if d == 0 {
 			m.alive.Remove(v)
 			continue
 		}
 		// Contract the edge: merge v's least-degree neighbour into v (the
 		// merged vertex inherits both neighbourhoods, as in a graph minor).
-		m.contract(v, m.leastDegreeNeighbor(v, rng))
+		m.contract(v, pick(m.leastDegree(m.row(v)), rng))
 	}
 	return lb
 }
@@ -258,20 +272,22 @@ func (m *Minor) MinorGammaR(ctx context.Context, g *elim.Graph, rng *rand.Rand) 
 		}
 		// Sort ascending by degree (stable by index for determinism).
 		m.order = m.order[:0]
-		m.alive.ForEach(func(v int) bool {
-			m.order = append(m.order, v)
-			return true
-		})
+		for wi, w := range m.alive.Words() {
+			for ; w != 0; w &= w - 1 {
+				m.order = append(m.order, wi<<6|bits.TrailingZeros64(w))
+			}
+		}
 		m.sortByDegree(m.order)
+		// v is the first vertex not adjacent to all of its predecessors.
 		v := -1
-		m.seen.Clear()
-		m.seen.Add(m.order[0])
+		clear(m.seen)
+		m.seen[m.order[0]>>6] |= 1 << (m.order[0] & 63)
 		for _, w := range m.order[1:] {
-			if !m.seen.SubsetOf(m.adj[w]) {
+			if !m.adjacentToSeen(w) {
 				v = w
 				break
 			}
-			m.seen.Add(w)
+			m.seen[w>>6] |= 1 << (w & 63)
 		}
 		if v < 0 {
 			// Residual graph is complete: γ = n−1 and we are done.
@@ -280,16 +296,25 @@ func (m *Minor) MinorGammaR(ctx context.Context, g *elim.Graph, rng *rand.Rand) 
 			}
 			break
 		}
-		if d := m.deg[v]; d > lb {
-			lb = d
-		}
-		if m.deg[v] == 0 {
+		d := int(m.deg[v])
+		lb = max(lb, d)
+		if d == 0 {
 			m.alive.Remove(v)
 			continue
 		}
-		m.contract(v, m.leastDegreeNeighbor(v, rng))
+		m.contract(v, pick(m.leastDegree(m.row(v)), rng))
 	}
 	return lb
+}
+
+// adjacentToSeen reports whether w is adjacent to every vertex of m.seen.
+func (m *Minor) adjacentToSeen(w int) bool {
+	for i, r := range m.row(w) {
+		if m.seen[i]&^r != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sortByDegree sorts vs by (degree, index) ascending.
@@ -308,53 +333,55 @@ func (m *Minor) sortByDegree(vs []int) {
 	}
 }
 
-// leastDegreeNeighbor returns a neighbour of v with minimum degree,
-// breaking ties randomly.
-func (m *Minor) leastDegreeNeighbor(v int, rng *rand.Rand) int {
-	best := int(^uint(0) >> 1)
-	m.ties = m.ties[:0]
-	m.adj[v].ForEach(func(u int) bool {
-		best = m.tie(u, best)
-		return true
-	})
-	return pick(m.ties, rng)
-}
-
-// tie offers v to a running minimum-degree scan whose best degree so far is
-// best, collecting the vertices of minimum degree in m.ties in the order
-// offered. It returns the new best degree.
-func (m *Minor) tie(v, best int) int {
-	switch d := m.deg[v]; {
-	case d < best:
-		m.ties = append(m.ties[:0], v)
-		return d
-	case d == best:
-		m.ties = append(m.ties, v)
+// leastDegree collects in m.ties, ascending, the vertices of minimum
+// degree among the set bits of words (the alive set, or a row), and
+// returns them.
+func (m *Minor) leastDegree(words []uint64) []int {
+	best := int32(math.MaxInt32)
+	ties := m.ties[:0]
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			v := wi<<6 | bits.TrailingZeros64(w)
+			switch d := m.deg[v]; {
+			case d < best:
+				best = d
+				ties = append(ties[:0], v)
+			case d == best:
+				ties = append(ties, v)
+			}
+		}
 	}
-	return best
+	m.ties = ties
+	return ties
 }
 
 // contract merges u into its neighbour v: v gains u's other neighbours and
-// u leaves the graph. Each w ∈ N(u) \ {v} loses u and, unless it was
-// already adjacent to v, gains v in its place.
+// u leaves the graph. Word by word, each common neighbour w ∈ N(u) ∩ N(v)
+// loses u and so one degree, and each fresh one w ∈ N(u) \ N(v) \ {v}
+// swaps u for v, which gains w.
 func (m *Minor) contract(v, u int) {
-	av := m.adj[v]
-	m.adj[u].ForEach(func(w int) bool {
-		if w == v {
-			return true
+	rv := m.row(v)
+	uw, ub := u>>6, uint64(1)<<(u&63)
+	vw, vb := v>>6, uint64(1)<<(v&63)
+	for i, a := range m.row(u) {
+		if i == vw {
+			a &^= vb
 		}
-		aw := m.adj[w]
-		aw.Remove(u)
-		if av.Contains(w) {
+		common, fresh := a&rv[i], a&^rv[i]
+		rv[i] |= fresh
+		m.deg[v] += int32(bits.OnesCount64(fresh))
+		for ; common != 0; common &= common - 1 {
+			w := i<<6 | bits.TrailingZeros64(common)
+			m.adj[w*m.nw+uw] &^= ub
 			m.deg[w]--
-		} else {
-			av.Add(w)
-			aw.Add(v)
-			m.deg[v]++
 		}
-		return true
-	})
-	av.Remove(u)
+		for ; fresh != 0; fresh &= fresh - 1 {
+			w := i<<6 | bits.TrailingZeros64(fresh)
+			m.adj[w*m.nw+uw] &^= ub
+			m.adj[w*m.nw+vw] |= vb
+		}
+	}
+	rv[uw] &^= ub
 	m.deg[v]--
 	m.alive.Remove(u)
 }
