@@ -57,7 +57,7 @@ func indexOf(nodes []*Node, n *Node) int {
 // ValidateTD to check it against h.
 func ParseTD(r io.Reader, h *hypergraph.Hypergraph) (*Decomposition, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20) // grows to the 1 MiB line cap only for lines that need it
 	var bags []*bitset.Set
 	var treeEdges [][2]int
 	declared := -1

@@ -1,6 +1,8 @@
 package decomp_test
 
 import (
+	"bufio"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -50,6 +52,20 @@ func TestParseTDErrors(t *testing.T) {
 		if _, err := decomp.ParseTD(strings.NewReader(in), h); err == nil {
 			t.Fatalf("ParseTD(%q) succeeded", in)
 		}
+	}
+}
+
+// ParseTD grows its line buffer to a 1 MiB cap: a line past bufio's 64 KiB
+// default parses, and a line past 1 MiB fails with bufio.ErrTooLong.
+func TestParseTDLineCap(t *testing.T) {
+	h := example5()
+	body := "s td 1 1 6\nb 1 1\n"
+	if _, err := decomp.ParseTD(strings.NewReader("c "+strings.Repeat("x", 100<<10)+"\n"+body), h); err != nil {
+		t.Errorf("a 100 KiB comment line: %v", err)
+	}
+	_, err := decomp.ParseTD(strings.NewReader("c "+strings.Repeat("x", 1<<20)+"\n"+body), h)
+	if want := "td: " + bufio.ErrTooLong.Error(); !errors.Is(err, bufio.ErrTooLong) || err.Error() != want {
+		t.Errorf("a line past 1 MiB: error %v, want %q", err, want)
 	}
 }
 

@@ -25,7 +25,7 @@ const MaxParseVertices = 1 << 20
 // MaxParseVertices vertices are rejected.
 func ParseDIMACS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20) // grows to the 1 MiB line cap only for lines that need it
 	var g *Graph
 	line := 0
 	for sc.Scan() {

@@ -17,7 +17,7 @@ import (
 // Vertices are 1-based in the file.
 func ParsePACE(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1<<20) // grows to the 1 MiB line cap only for lines that need it
 	var g *Graph
 	line := 0
 	for sc.Scan() {

@@ -1,10 +1,36 @@
 package hypergraph
 
 import (
+	"bufio"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// The line readers start with a small buffer and grow it to their 1 MiB
+// line cap: a line past bufio's 64 KiB default parses, and a line past
+// 1 MiB fails with bufio.ErrTooLong.
+func TestParsersLineCap(t *testing.T) {
+	long := "c " + strings.Repeat("x", 100<<10) + "\n"
+	huge := "c " + strings.Repeat("x", 1<<20) + "\n"
+	for _, p := range []struct {
+		name  string
+		parse func(string) (*Graph, error)
+		body  string
+	}{
+		{"dimacs", func(s string) (*Graph, error) { return ParseDIMACS(strings.NewReader(s)) }, "p edge 2 1\ne 1 2\n"},
+		{"pace", func(s string) (*Graph, error) { return ParsePACE(strings.NewReader(s)) }, "p tw 2 1\n1 2\n"},
+	} {
+		if g, err := p.parse(long + p.body); err != nil || g.NumEdges() != 1 {
+			t.Errorf("%s: a 100 KiB comment line: %v", p.name, err)
+		}
+		_, err := p.parse(huge + p.body)
+		if want := p.name + ": " + bufio.ErrTooLong.Error(); !errors.Is(err, bufio.ErrTooLong) || err.Error() != want {
+			t.Errorf("%s: a line past 1 MiB: error %v, want %q", p.name, err, want)
+		}
+	}
+}
 
 func TestParsePACE(t *testing.T) {
 	in := `c example
