@@ -360,13 +360,15 @@ func ExplainCtx(ctx context.Context, h *Hypergraph, opt Options) (*Decomposition
 	}
 	// Materialize λ through the same oracle the search used: the exact
 	// covers of the final ordering's χ-sets are usually already memoized.
-	// The window is λ-materialization phase time; cover probes fired inside
-	// self-attribute and are subtracted by AttributeSince.
+	// The window, the witness's validation included, is λ-materialization
+	// phase time; cover probes fired inside self-attribute and are
+	// subtracted by AttributeSince.
 	mark := opt.Stats.MarkPhase()
 	d := order.GHD(h, res.Ordering, nil, true, orc)
+	err = d.ValidateGHD()
 	opt.Stats.AttributeSince(telemetry.PhaseLambda, mark)
 	foldCover(opt.Stats, orc)
-	if err := d.ValidateGHD(); err != nil {
+	if err != nil {
 		return nil, res, fmt.Errorf("htd: internal error: produced invalid decomposition: %w", err)
 	}
 	return d, res, nil
@@ -503,8 +505,13 @@ func runMethod(ctx context.Context, m search.Measure, opt Options, sc *scope, or
 		}
 		// Score the fractional winner with exact integral covers so it
 		// competes in the integral race on equal terms; the fractional
-		// objective rides along in FracWidth.
+		// objective rides along in FracWidth. The scoring covers the
+		// winner's bags as λ materialisation does, so its window is λ
+		// phase time, less what the oracle's probes claim for themselves.
+		st := sc.engineStats()
+		mark := st.MarkPhase()
 		w := order.GHWidth(m.H, r.Ordering, nil, true, orc)
+		st.AttributeSince(telemetry.PhaseLambda, mark)
 		if hook := sc.incumbentHook(); hook != nil {
 			hook(w)
 		}

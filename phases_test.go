@@ -65,8 +65,8 @@ func TestPhasesSumWithinWall(t *testing.T) {
 			}
 		}
 		t.Logf("%v: best phase coverage %.3f of wall", m, best)
-		if best < 0.75 {
-			t.Errorf("%v: phases attribute at best %.3f of wall, want ≥ 0.75", m, best)
+		if best < 0.9 {
+			t.Errorf("%v: phases attribute at best %.3f of wall, want ≥ 0.9", m, best)
 		}
 	}
 }
