@@ -662,6 +662,45 @@ func printRows(rows [][]string) {
 	}
 }
 
+// genArgs are the size and randomness flags of `htd gen`.
+type genArgs struct {
+	n, m int
+	p    float64
+	seed int64
+}
+
+// mOr returns the -m flag, or d when it is unset (0).
+func (a genArgs) mOr(d int) int {
+	if a.m == 0 {
+		return d
+	}
+	return a.m
+}
+
+// genFamilies are the instance families of `htd gen`, in -list order. A
+// graph family, written as DIMACS, sets graph; a hypergraph family,
+// written as TU-Wien text, sets hyper.
+var genFamilies = []struct {
+	name  string
+	graph func(genArgs) *hypergraph.Graph
+	hyper func(genArgs) *hypergraph.Hypergraph
+}{
+	{name: "queen", graph: func(a genArgs) *hypergraph.Graph { return gen.Queen(a.n) }},
+	{name: "mycielski", graph: func(a genArgs) *hypergraph.Graph { return gen.Mycielski(a.n) }},
+	{name: "grid2d", graph: func(a genArgs) *hypergraph.Graph { return gen.Grid2D(a.n, a.mOr(a.n)) }},
+	{name: "grid3d", graph: func(a genArgs) *hypergraph.Graph { return gen.Grid3D(a.n, a.n, a.n) }},
+	{name: "clique", graph: func(a genArgs) *hypergraph.Graph { return gen.Clique(a.n) }},
+	{name: "dsjc", graph: func(a genArgs) *hypergraph.Graph { return gen.ErdosRenyi(a.n, a.p, a.seed) }},
+	{name: "geometric", graph: func(a genArgs) *hypergraph.Graph { return gen.RandomGeometric(a.n, a.p, a.seed) }},
+	{name: "kpartite", graph: func(a genArgs) *hypergraph.Graph { return gen.KPartite(a.n, a.mOr(5), a.p, a.seed) }},
+	{name: "adder", hyper: func(a genArgs) *hypergraph.Hypergraph { return gen.Adder(a.n) }},
+	{name: "bridge", hyper: func(a genArgs) *hypergraph.Hypergraph { return gen.Bridge(a.n) }},
+	{name: "cliquehg", hyper: func(a genArgs) *hypergraph.Hypergraph { return gen.CliqueHypergraph(a.n) }},
+	{name: "grid2dhg", hyper: func(a genArgs) *hypergraph.Hypergraph { return gen.Grid2DHypergraph(a.n, a.mOr(a.n)) }},
+	{name: "chain", hyper: func(a genArgs) *hypergraph.Hypergraph { return gen.Chain(a.n, 4, 2) }},
+	{name: "circuit", hyper: func(a genArgs) *hypergraph.Hypergraph { return gen.Circuit(a.n, a.mOr(5*a.n), 4, a.seed) }},
+}
+
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	family := fs.String("family", "", "instance family")
@@ -672,55 +711,27 @@ func cmdGen(args []string) error {
 	list := fs.Bool("list", false, "list families")
 	fs.Parse(args)
 	if *list || *family == "" {
-		fmt.Println("graph families (DIMACS output): queen, mycielski, grid2d, grid3d, clique, dsjc, geometric, kpartite")
-		fmt.Println("hypergraph families (TU-Wien output): adder, bridge, cliquehg, grid2dhg, chain, circuit")
+		var graphs, hypers []string
+		for _, f := range genFamilies {
+			if f.graph != nil {
+				graphs = append(graphs, f.name)
+			} else {
+				hypers = append(hypers, f.name)
+			}
+		}
+		fmt.Println("graph families (DIMACS output): " + strings.Join(graphs, ", "))
+		fmt.Println("hypergraph families (TU-Wien output): " + strings.Join(hypers, ", "))
 		return nil
 	}
-	switch strings.ToLower(*family) {
-	case "queen":
-		return hypergraph.WriteDIMACS(os.Stdout, gen.Queen(*n))
-	case "mycielski":
-		return hypergraph.WriteDIMACS(os.Stdout, gen.Mycielski(*n))
-	case "grid2d":
-		cols := *m
-		if cols == 0 {
-			cols = *n
+	a := genArgs{n: *n, m: *m, p: *p, seed: *seed}
+	for _, f := range genFamilies {
+		if f.name != strings.ToLower(*family) {
+			continue
 		}
-		return hypergraph.WriteDIMACS(os.Stdout, gen.Grid2D(*n, cols))
-	case "grid3d":
-		return hypergraph.WriteDIMACS(os.Stdout, gen.Grid3D(*n, *n, *n))
-	case "clique":
-		return hypergraph.WriteDIMACS(os.Stdout, gen.Clique(*n))
-	case "dsjc":
-		return hypergraph.WriteDIMACS(os.Stdout, gen.ErdosRenyi(*n, *p, *seed))
-	case "geometric":
-		return hypergraph.WriteDIMACS(os.Stdout, gen.RandomGeometric(*n, *p, *seed))
-	case "kpartite":
-		parts := *m
-		if parts == 0 {
-			parts = 5
+		if f.graph != nil {
+			return hypergraph.WriteDIMACS(os.Stdout, f.graph(a))
 		}
-		return hypergraph.WriteDIMACS(os.Stdout, gen.KPartite(*n, parts, *p, *seed))
-	case "adder":
-		return hypergraph.WriteHypergraph(os.Stdout, gen.Adder(*n))
-	case "bridge":
-		return hypergraph.WriteHypergraph(os.Stdout, gen.Bridge(*n))
-	case "cliquehg":
-		return hypergraph.WriteHypergraph(os.Stdout, gen.CliqueHypergraph(*n))
-	case "grid2dhg":
-		cols := *m
-		if cols == 0 {
-			cols = *n
-		}
-		return hypergraph.WriteHypergraph(os.Stdout, gen.Grid2DHypergraph(*n, cols))
-	case "chain":
-		return hypergraph.WriteHypergraph(os.Stdout, gen.Chain(*n, 4, 2))
-	case "circuit":
-		gates := *m
-		if gates == 0 {
-			gates = 5 * *n
-		}
-		return hypergraph.WriteHypergraph(os.Stdout, gen.Circuit(*n, gates, 4, *seed))
+		return hypergraph.WriteHypergraph(os.Stdout, f.hyper(a))
 	}
 	return fmt.Errorf("gen: unknown family %q", *family)
 }
